@@ -21,13 +21,14 @@ FUZZ_TARGETS := \
 # adaptive-width story: the estimators feed the controller, and the oracle
 # is the harness that judges both, so holes there are holes in the proof.
 # dynaddr is the conventional baseline the comparisons lean on — an
-# untested baseline would make every "RETRI avoids this" claim soft.
-COVER_PKGS := internal/density internal/adapt internal/oracle internal/dynaddr
+# untested baseline would make every "RETRI avoids this" claim soft. truth
+# is the ground-truth lifecycle both the oracle and the span tracer read.
+COVER_PKGS := internal/density internal/adapt internal/oracle internal/truth internal/dynaddr
 COVER_FLOOR := 80
 
-.PHONY: check vet build test race fuzz benchsmoke benchcompare bench profile cover trace-demo chaossmoke scalesmoke multihopsmoke
+.PHONY: check vet build test race benchtest fuzz benchsmoke benchcompare bench profile cover trace-demo chaossmoke scalesmoke multihopsmoke
 
-check: vet build race fuzz benchcompare cover trace-demo chaossmoke scalesmoke multihopsmoke
+check: vet build race benchtest fuzz benchcompare cover trace-demo chaossmoke scalesmoke multihopsmoke
 
 vet:
 	$(GO) vet ./...
@@ -42,6 +43,13 @@ test:
 
 race:
 	$(GO) test -shuffle=on -race ./...
+
+# benchtest builds and tests the end-to-end benchmark, its own module
+# under bench/ that root `go test ./...` never reaches. It reads the
+# sweeps' results (oracle reports included), so an API change there must
+# fail here rather than at the next benchmark run.
+benchtest:
+	cd bench && $(GO) test ./...
 
 fuzz:
 	@for entry in $(FUZZ_TARGETS); do \

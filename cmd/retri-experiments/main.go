@@ -194,8 +194,24 @@ func parseArgs(args []string) (options, error) {
 	if o.figure == "" && o.ablation == "" {
 		o.figure, o.ablation = "all", "all"
 	}
+	// Ground-truth flags reach only the figures that attach the oracle or
+	// the span tracer; anywhere else they would be silently ignored.
+	if !truthFigures[o.figure] {
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{{"oracle", o.oracle}, {"span-out", o.spanOut != ""}, {"chrome-trace", o.chromeTrace != ""}} {
+			if f.set {
+				return options{}, fmt.Errorf("-%s has no effect here: only -figure dynamics, recovery, strategies, chaos and multihop attach an oracle or span tracer", f.name)
+			}
+		}
+	}
 	return o, nil
 }
+
+// truthFigures are the figures whose trials attach the conformance
+// oracle or the span tracer.
+var truthFigures = map[string]bool{"dynamics": true, "recovery": true, "strategies": true, "chaos": true, "multihop": true}
 
 // result is anything an experiment produces: a human table and a CSV.
 // Every figure and ablation result implements both, so -format csv is

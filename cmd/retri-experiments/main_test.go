@@ -537,6 +537,37 @@ func TestRunFaultScriptErrors(t *testing.T) {
 	}
 }
 
+// TestParseRejectsIgnoredTruthFlags: -oracle, -span-out and -chrome-trace
+// fail fast when no selected figure attaches an oracle or span tracer,
+// instead of exiting 0 with nothing audited or an empty ledger.
+func TestParseRejectsIgnoredTruthFlags(t *testing.T) {
+	cases := []struct {
+		args []string
+		ok   bool
+	}{
+		{[]string{"-figure", "4", "-span-out", "spans.jsonl"}, false},
+		{[]string{"-figure", "all", "-oracle"}, false},
+		{[]string{"-oracle"}, false},
+		{[]string{"-ablation", "mac", "-chrome-trace", "spans.json"}, false},
+		{[]string{"-figure", "massive", "-span-out", "spans.jsonl"}, false},
+		{[]string{"-figure", "dynamics", "-oracle"}, true},
+		{[]string{"-figure", "recovery", "-ablation", "window", "-oracle"}, true},
+		{[]string{"-figure", "strategies", "-chrome-trace", "spans.json"}, true},
+		{[]string{"-figure", "chaos", "-span-out", "spans.jsonl"}, true},
+		{[]string{"-figure", "multihop", "-span-out", "spans.jsonl", "-chrome-trace", "spans.json"}, true},
+		{[]string{"-figure", "4"}, true},
+	}
+	for _, tc := range cases {
+		_, err := parseArgs(tc.args)
+		if tc.ok && err != nil {
+			t.Errorf("%v: rejected: %v", tc.args, err)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "has no effect")) {
+			t.Errorf("%v: err = %v, want a no-effect rejection", tc.args, err)
+		}
+	}
+}
+
 func TestParseMultihopFlags(t *testing.T) {
 	o, err := parseArgs(nil)
 	if err != nil {

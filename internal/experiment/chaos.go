@@ -428,17 +428,9 @@ func RunChaosTrial(cfg ChaosConfig, profile chaos.Profile, policy WidthPolicyKin
 		affCfg.Space = core.MustSpace(cfg.MaxBits)
 		affCfg.AdaptiveWidth = true
 	}
-	orc, err := oracle.New(oracle.Config{AFF: affCfg, Topo: flaky, Now: eng.Now})
+	orc, sp, err := attachTruth(med, cfg.Obs, trialObs, truthSpec{AFF: affCfg, Oracle: true, Topo: flaky})
 	if err != nil {
 		return ChaosOutcome{}, err
-	}
-	med.SetFrameObserver(orc)
-	sp := newTrialSpan(cfg.Obs, trialObs, affCfg, eng.Now)
-	if sp != nil {
-		med.SetFateObserver(sp)
-	}
-	audit := func(id radio.NodeID) func(aff.Packet) {
-		return func(p aff.Packet) { orc.VerifyDelivered(id, p) }
 	}
 
 	inj := faults.NewInjector(eng, cfg.Duration)
@@ -468,7 +460,7 @@ func RunChaosTrial(cfg ChaosConfig, profile chaos.Profile, policy WidthPolicyKin
 			Estimator:  est,
 			ObserveOwn: true,
 			Engine:     eng,
-			OnDeliver:  audit(id),
+			OnDeliver:  orc.DeliveryAudit(id),
 		}
 		if sp != nil {
 			opts.Span = sp

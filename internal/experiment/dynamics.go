@@ -527,27 +527,11 @@ func RunDynamicsTrial(cfg DynamicsConfig, scenario DynScenario, policy WidthPoli
 		affCfg.Space = core.MustSpace(cfg.MaxBits)
 		affCfg.AdaptiveWidth = true
 	}
-	sp := newTrialSpan(cfg.Obs, trialObs, affCfg, eng.Now)
-	if sp != nil {
-		med.SetFateObserver(sp)
-	}
-
 	// The oracle watches the medium with the simulator's privileged eyes;
 	// it is strictly passive, so attaching it cannot change the run.
-	var orc *oracle.Oracle
-	if cfg.Oracle {
-		var err error
-		orc, err = oracle.New(oracle.Config{AFF: affCfg, Topo: disk, Now: eng.Now})
-		if err != nil {
-			return DynamicsOutcome{}, err
-		}
-		med.SetFrameObserver(orc)
-	}
-	audit := func(id radio.NodeID) func(aff.Packet) {
-		if orc == nil {
-			return nil
-		}
-		return func(p aff.Packet) { orc.VerifyDelivered(id, p) }
+	orc, sp, err := attachTruth(med, cfg.Obs, trialObs, truthSpec{AFF: affCfg, Oracle: cfg.Oracle, Topo: disk})
+	if err != nil {
+		return DynamicsOutcome{}, err
 	}
 
 	const sinkID radio.NodeID = 0
@@ -563,7 +547,7 @@ func RunDynamicsTrial(cfg DynamicsConfig, scenario DynScenario, policy WidthPoli
 		Estimator: rxEst,
 		Truth:     truth,
 		Engine:    eng,
-		OnDeliver: audit(sinkID),
+		OnDeliver: orc.DeliveryAudit(sinkID),
 	}
 	if sp != nil {
 		rxOpts.Span = sp
@@ -603,7 +587,7 @@ func RunDynamicsTrial(cfg DynamicsConfig, scenario DynScenario, policy WidthPoli
 		if err != nil {
 			return DynamicsOutcome{}, err
 		}
-		opts := node.AFFOptions{Estimator: est, ObserveOwn: true, Engine: eng, OnDeliver: audit(id)}
+		opts := node.AFFOptions{Estimator: est, ObserveOwn: true, Engine: eng, OnDeliver: orc.DeliveryAudit(id)}
 		if sp != nil {
 			opts.Span = sp
 		}

@@ -139,9 +139,10 @@ type MultihopConfig struct {
 	SampleInterval time.Duration
 	// ReassemblyTimeout bounds partial-packet state.
 	ReassemblyTimeout time.Duration
-	// OracleRetain is the oracle's closed-transaction retention; it must
-	// cover the worst relay latency or late relayed copies would be
-	// misread as fresh transactions. Zero selects a safe default.
+	// OracleRetain is the ground-truth tracker's closed-transaction
+	// retention, shared by the oracle and the span tracer; it must cover
+	// the worst relay latency or late relayed copies would be misread as
+	// fresh transactions. Zero selects a safe default.
 	OracleRetain time.Duration
 	// Params overrides the radio parameters when non-nil.
 	Params *radio.Params
@@ -691,33 +692,25 @@ func runMultihopAFF(f *multihopField, arm MultihopArm, src *xrand.Source, trialO
 		affCfg.Space = core.MustSpace(cfg.MaxBits)
 		affCfg.AdaptiveWidth = true
 	}
-	sp := newTrialSpanRelay(cfg.Obs, trialObs, affCfg, eng.Now, flood.StripEnvelope)
-	if sp != nil {
-		med.SetFateObserver(sp)
-	}
-
-	// The oracle is always on for the AFF arms: it strips the relay
-	// envelope before decoding and judges density audibility by the same
-	// hop-limited reachability the relay provides. Retention must outlive
-	// the worst relay latency (see oracle.Config.Retain).
+	// The oracle is always on for the AFF arms: the tracker strips the
+	// relay envelope before decoding, and the oracle judges density
+	// audibility by the same hop-limited reachability the relay provides.
+	// Retention must outlive the worst relay latency (see
+	// truth.Config.Retain).
 	retain := cfg.OracleRetain
 	if retain == 0 {
 		retain = cfg.DedupWindow
 	}
-	orc, err := oracle.New(oracle.Config{
+	orc, sp, err := attachTruth(med, cfg.Obs, trialObs, truthSpec{
 		AFF:     affCfg,
+		Oracle:  true,
 		Topo:    disk,
-		Now:     eng.Now,
+		Visible: f.audible,
 		Retain:  retain,
 		Unwrap:  flood.StripEnvelope,
-		Visible: f.audible,
 	})
 	if err != nil {
 		return MultihopOutcome{}, err
-	}
-	med.SetFrameObserver(orc)
-	audit := func(id radio.NodeID) func(aff.Packet) {
-		return func(p aff.Packet) { orc.VerifyDelivered(id, p) }
 	}
 
 	keyer := flood.AFFKeyer(affCfg)
@@ -740,7 +733,7 @@ func runMultihopAFF(f *multihopField, arm MultihopArm, src *xrand.Source, trialO
 		Estimator: rxEst,
 		Truth:     truth,
 		Engine:    eng,
-		OnDeliver: audit(multihopSink),
+		OnDeliver: orc.DeliveryAudit(multihopSink),
 		Relay:     rxRelay,
 	}
 	if sp != nil {
@@ -774,7 +767,7 @@ func runMultihopAFF(f *multihopField, arm MultihopArm, src *xrand.Source, trialO
 			return MultihopOutcome{}, err
 		}
 		relays = append(relays, rl)
-		opts := node.AFFOptions{Estimator: est, ObserveOwn: true, Engine: eng, OnDeliver: audit(id), Relay: rl}
+		opts := node.AFFOptions{Estimator: est, ObserveOwn: true, Engine: eng, OnDeliver: orc.DeliveryAudit(id), Relay: rl}
 		if sp != nil {
 			opts.Span = sp
 		}

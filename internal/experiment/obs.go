@@ -7,11 +7,13 @@ import (
 	"retri/internal/aff"
 	"retri/internal/energy"
 	"retri/internal/metrics"
+	"retri/internal/oracle"
 	"retri/internal/radio"
 	"retri/internal/runner"
 	"retri/internal/sim"
 	"retri/internal/span"
 	"retri/internal/trace"
+	"retri/internal/truth"
 )
 
 // Obs opts an experiment run into observability. The zero config (a nil
@@ -63,7 +65,7 @@ type TrialObs struct {
 	// Trace holds the trial's buffered events (nil unless Obs.Trace is set).
 	Trace *trace.Buffer
 	// Spans holds the trial's span tracer (nil unless Obs.Spans is set;
-	// installed by the trial via newTrialSpan).
+	// installed by the trial via attachTruth).
 	Spans *span.Tracer
 }
 
@@ -100,31 +102,48 @@ func newTrialObs(o *Obs) (*TrialObs, trace.Tracer) {
 	}
 }
 
-// newTrialSpan builds a trial's span tracer once the trial knows its
-// wire format, parking it in the trial capture for the fold. Returns
-// nil (and installs nothing) unless Obs.Spans requested span tracing.
-// Callers must keep the nil fast path: never hand a nil *span.Tracer to
-// an interface field.
-func newTrialSpan(o *Obs, t *TrialObs, affCfg aff.Config, now func() time.Duration) *span.Tracer {
-	if o == nil || o.Spans == nil || t == nil {
-		return nil
-	}
-	sp := span.MustNew(span.Config{AFF: affCfg, Now: now})
-	t.Spans = sp
-	return sp
+// truthSpec is what a trial's ground truth watches: the wire format,
+// whether the oracle audits it, and the audit's view of the field.
+type truthSpec struct {
+	AFF    aff.Config
+	Oracle bool
+	// Topo and Visible are the oracle's density audit (oracle.Config).
+	Topo    radio.Topology
+	Visible func(sender, v radio.NodeID) bool
+	// Retain and Unwrap are the tracker's (truth.Config).
+	Retain time.Duration
+	Unwrap func(payload []byte) ([]byte, bool)
 }
 
-// newTrialSpanRelay is newTrialSpan for multi-hop trials: unwrap strips
-// the relay envelope before frames are decoded against the AFF wire
-// format, so relayed copies attribute (and dedup) correctly.
-func newTrialSpanRelay(o *Obs, t *TrialObs, affCfg aff.Config, now func() time.Duration,
-	unwrap func(payload []byte) ([]byte, bool)) *span.Tracer {
-	if o == nil || o.Spans == nil || t == nil {
-		return nil
+// attachTruth wires a trial's ground truth: one truth.Tracker, built when
+// the oracle or span tracing (Obs.Spans) wants it and installed on the
+// medium's fate slot, with the oracle and the span tracer attached as its
+// consumers — so each sent frame is decoded once and both see one
+// lifecycle. The span tracer is parked in the trial capture for the fold.
+// Either result is nil when not requested; callers must keep the nil fast
+// path (never hand a nil *span.Tracer to an interface field).
+func attachTruth(med *radio.Medium, o *Obs, t *TrialObs, spec truthSpec) (*oracle.Oracle, *span.Tracer, error) {
+	spans := o != nil && o.Spans != nil && t != nil
+	if !spec.Oracle && !spans {
+		return nil, nil, nil
 	}
-	sp := span.MustNew(span.Config{AFF: affCfg, Now: now, Unwrap: unwrap})
-	t.Spans = sp
-	return sp
+	tr, err := truth.New(truth.Config{AFF: spec.AFF, Now: med.Engine().Now, Retain: spec.Retain, Unwrap: spec.Unwrap})
+	if err != nil {
+		return nil, nil, err
+	}
+	med.SetFateObserver(tr)
+	var orc *oracle.Oracle
+	if spec.Oracle {
+		if orc, err = oracle.New(tr, oracle.Config{Topo: spec.Topo, Visible: spec.Visible}); err != nil {
+			return nil, nil, err
+		}
+	}
+	var sp *span.Tracer
+	if spans {
+		sp = span.New(tr)
+		t.Spans = sp
+	}
+	return orc, sp, nil
 }
 
 // heapBuckets histograms event-loop sizes across trials; trials range

@@ -1,13 +1,21 @@
 package experiment
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"retri/internal/aff"
+	"retri/internal/core"
 	"retri/internal/metrics"
+	"retri/internal/node"
+	"retri/internal/radio"
+	"retri/internal/sim"
+	"retri/internal/span"
 	"retri/internal/trace"
+	"retri/internal/xrand"
 )
 
 // tinyFigure4 is the smallest sweep that still exercises parallel trials,
@@ -176,5 +184,63 @@ func TestObsDisabledIsNil(t *testing.T) {
 	}
 	if obs, tracer := newTrialObs(&Obs{}); obs != nil || tracer != nil {
 		t.Error("empty Obs produced a capture")
+	}
+}
+
+// TestAttachTruthSharesOneTracker: with the oracle and span tracing both
+// on, a trial watches the medium through one tracker — every sent frame
+// is decoded once, and its fates reuse that decode — and the two
+// consumers report one lifecycle.
+func TestAttachTruthSharesOneTracker(t *testing.T) {
+	eng := sim.NewEngine()
+	src := xrand.NewSource(3)
+	med := radio.NewMedium(eng, radio.FullMesh{}, radio.DefaultParams(), src.Stream("medium"))
+	affCfg := aff.Config{Space: core.MustSpace(8), MTU: 27, Instrument: true, ReassemblyTimeout: 250 * time.Millisecond}
+	decodes := 0
+	countingUnwrap := func(p []byte) ([]byte, bool) {
+		decodes++
+		return p, true
+	}
+	led := span.NewLedger()
+	orc, sp, err := attachTruth(med, &Obs{Spans: led}, &TrialObs{},
+		truthSpec{AFF: affCfg, Oracle: true, Unwrap: countingUnwrap})
+	if err != nil || orc == nil || sp == nil {
+		t.Fatalf("attachTruth = %v, %v, %v", orc, sp, err)
+	}
+	var drivers []*node.AFFDriver
+	for id := radio.NodeID(0); id < 2; id++ {
+		sel, err := makeSelector(SelUniform, affCfg.Space, src.Stream("sel", fmt.Sprint(id)), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := node.NewAFF(med.MustAttach(id), affCfg, sel, node.AFFOptions{Span: sp, OnDeliver: orc.DeliveryAudit(id)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		drivers = append(drivers, d)
+	}
+	for i := 0; i < 3; i++ {
+		if err := drivers[0].SendPacket(make([]byte, 60)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.Run()
+
+	sent := med.Counters().Sent
+	if sent == 0 || int64(decodes) != sent {
+		t.Fatalf("%d decodes for %d sent frames, want one each", decodes, sent)
+	}
+	orep, srep := orc.Report(), sp.Report()
+	if orep.TransactionsClosed != 3 || orep.PacketsAudited != 3 || orep.Check() != nil {
+		t.Fatalf("oracle report %+v", orep)
+	}
+	if srep.Opened != orep.TransactionsOpened || srep.Closed != orep.TransactionsClosed ||
+		srep.FragmentsSent != orep.FragmentsSent || srep.PacketsDelivered != orep.PacketsAudited {
+		t.Fatalf("consumers diverged:\nspan   %+v\noracle %+v", srep, orep)
+	}
+
+	// Nothing requested: no tracker, nothing installed.
+	if orc, sp, err := attachTruth(med, nil, nil, truthSpec{AFF: affCfg}); orc != nil || sp != nil || err != nil {
+		t.Fatalf("attachTruth with nothing requested = %v, %v, %v", orc, sp, err)
 	}
 }

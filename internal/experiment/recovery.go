@@ -425,44 +425,27 @@ func RunRecoveryTrial(cfg RecoveryConfig, scheme Scheme, fault FaultKind, reliab
 		med.SetTracer(tracer)
 	}
 
-	// The oracle audits AFF rows only: the static baseline has no
-	// ephemeral identifiers to check. It needs the Truth trailer, so
-	// oracle rows run with an instrumented wire format (see
-	// RecoveryConfig.Oracle).
+	// Ground truth covers AFF rows only: the static baseline has no
+	// ephemeral identifiers to check and a wire format the tracker cannot
+	// read. The oracle needs the Truth trailer, so oracle rows run with an
+	// instrumented wire format (see RecoveryConfig.Oracle); span tracing
+	// does not force instrumentation — flagless recovery rows must stay
+	// byte-identical — so without the oracle it attributes by per-sender
+	// FIFO order instead of Truth trailers.
 	instrument := cfg.Oracle && scheme.Kind == "aff"
-	var orc *oracle.Oracle
-	if instrument {
-		affCfg, err := recoveryAFFConfig(cfg, scheme, params, true)
-		if err != nil {
-			return RecoveryOutcome{}, err
-		}
-		orc, err = oracle.New(oracle.Config{AFF: affCfg, Topo: flaky, Now: eng.Now})
-		if err != nil {
-			return RecoveryOutcome{}, err
-		}
-		med.SetFrameObserver(orc)
-	}
-	// Span tracing likewise covers AFF rows only: the span codec cannot
-	// read the static baseline's wire format. Unlike the oracle it does
-	// not force instrumentation — flagless recovery rows must stay byte-
-	// identical — so without the oracle it attributes by per-sender FIFO
-	// order instead of Truth trailers.
-	var sp *span.Tracer
+	var (
+		orc *oracle.Oracle
+		sp  *span.Tracer
+	)
 	if scheme.Kind == "aff" {
 		affCfg, err := recoveryAFFConfig(cfg, scheme, params, instrument)
 		if err != nil {
 			return RecoveryOutcome{}, err
 		}
-		sp = newTrialSpan(cfg.Obs, trialObs, affCfg, eng.Now)
-		if sp != nil {
-			med.SetFateObserver(sp)
+		orc, sp, err = attachTruth(med, cfg.Obs, trialObs, truthSpec{AFF: affCfg, Oracle: instrument, Topo: flaky})
+		if err != nil {
+			return RecoveryOutcome{}, err
 		}
-	}
-	audit := func(id radio.NodeID) func(aff.Packet) {
-		if orc == nil {
-			return nil
-		}
-		return func(p aff.Packet) { orc.VerifyDelivered(id, p) }
 	}
 
 	inj := faults.NewInjector(eng, cfg.Duration)
@@ -474,7 +457,7 @@ func RunRecoveryTrial(cfg RecoveryConfig, scheme Scheme, fault FaultKind, reliab
 	build := func(id radio.NodeID, label string) (node.Driver, error) {
 		r := med.MustAttach(id)
 		radios = append(radios, r)
-		d, err := buildRecoveryDriver(cfg, scheme, r, params, src, label, eng, instrument, audit(id), sp)
+		d, err := buildRecoveryDriver(cfg, scheme, r, params, src, label, eng, instrument, orc.DeliveryAudit(id), sp)
 		if err != nil {
 			return nil, err
 		}

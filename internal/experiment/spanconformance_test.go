@@ -8,36 +8,29 @@ import (
 	"retri/internal/span"
 )
 
-// The span tracer mirrors the oracle's ground-truth state machine, so
-// on instrumented figures the two must agree exactly on every lifecycle
-// count driven by send instants: opened, closed, abandoned, revived,
-// fragments, collisions, freshness, and delivery audits. Stalls are the
-// one one-sided count — the oracle also prunes at probe instants, so it
-// can stall an end-of-run tail the span tracer (which only prunes when
-// a frame airs) never sees; span stalls must never exceed the oracle's.
+// lifecycle projects a report onto the counts the ground-truth tracker
+// owns.
+type lifecycle struct {
+	opened, closed, stalled, revived, abandoned int64
+	fragments, collisions, freshness            int64
+}
+
+// checkConformance is the structural check that the span tracer and the
+// oracle consume one ground-truth tracker: every lifecycle count agrees
+// exactly, both saw the same delivered packets, and the tracer attributed
+// every frame and receiver event it was handed.
 func checkConformance(t *testing.T, what string, srep span.Report, orep oracle.Report) {
 	t.Helper()
-	type pair struct {
-		name       string
-		span, orcl int64
+	s := lifecycle{srep.Opened, srep.Closed, srep.Stalled, srep.Revived, srep.Abandoned,
+		srep.FragmentsSent, srep.CollisionEvents, srep.FreshnessViolations}
+	o := lifecycle{orep.TransactionsOpened, orep.TransactionsClosed, orep.TransactionsStalled,
+		orep.TransactionsRevived, orep.TransactionsAbandoned,
+		orep.FragmentsSent, orep.CollisionEvents, orep.FreshnessViolations}
+	if s != o {
+		t.Errorf("%s: lifecycle diverged:\n span   %+v\n oracle %+v", what, s, o)
 	}
-	for _, p := range []pair{
-		{"opened", srep.Opened, orep.TransactionsOpened},
-		{"closed", srep.Closed, orep.TransactionsClosed},
-		{"abandoned", srep.Abandoned, orep.TransactionsAbandoned},
-		{"revived", srep.Revived, orep.TransactionsRevived},
-		{"fragments-sent", srep.FragmentsSent, orep.FragmentsSent},
-		{"collision-events", srep.CollisionEvents, orep.CollisionEvents},
-		{"freshness-violations", srep.FreshnessViolations, orep.FreshnessViolations},
-		{"unattributed", srep.Unattributed, orep.Unaudited},
-		{"packets-delivered", srep.PacketsDelivered, orep.PacketsAudited},
-	} {
-		if p.span != p.orcl {
-			t.Errorf("%s: span %s = %d, oracle = %d", what, p.name, p.span, p.orcl)
-		}
-	}
-	if srep.Stalled > orep.TransactionsStalled {
-		t.Errorf("%s: span stalled = %d exceeds oracle %d", what, srep.Stalled, orep.TransactionsStalled)
+	if srep.PacketsDelivered != orep.PacketsAudited {
+		t.Errorf("%s: span saw %d deliveries, oracle audited %d", what, srep.PacketsDelivered, orep.PacketsAudited)
 	}
 	if srep.Opened == 0 {
 		t.Errorf("%s: no transactions traced — conformance vacuous", what)
@@ -130,6 +123,32 @@ func TestSpanOracleConformanceStrategies(t *testing.T) {
 		t.Error("strategies: narrow pool produced no collisions — scenario too tame to validate collision parity")
 	}
 	ledgerStateCounts(t, "strategies", led)
+}
+
+// TestSpanOracleConformanceMultihop covers relayed traffic: copies of a
+// transaction keep airing long after its originator closed it, so the
+// span tracer must retain retired transactions exactly as long as the
+// oracle does or it reopens them as phantom transactions.
+func TestSpanOracleConformanceMultihop(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation sweep")
+	}
+	cfg := driftMultihop()
+	led := span.NewLedger()
+	cfg.Obs = &Obs{Spans: led}
+	res, err := Multihop(cfg)
+	if err != nil {
+		t.Fatalf("Multihop: %v", err)
+	}
+	var orep oracle.Report
+	for _, r := range res.Rows {
+		if r.Oracle == nil {
+			t.Fatalf("%s arm missing oracle report", r.Arm)
+		}
+		orep.Merge(*r.Oracle)
+	}
+	checkConformance(t, "multihop", led.Report(), orep)
+	ledgerStateCounts(t, "multihop", led)
 }
 
 // Parallel and sequential runs of the same seed must fold to the same

@@ -318,25 +318,9 @@ func RunStrategyTrial(cfg StrategiesConfig, strategy string, t int, src *xrand.S
 		Instrument:        true,
 		ReassemblyTimeout: cfg.ReassemblyTimeout,
 	}
-	sp := newTrialSpan(cfg.Obs, trialObs, affCfg, eng.Now)
-	if sp != nil {
-		med.SetFateObserver(sp)
-	}
-
-	var orc *oracle.Oracle
-	if cfg.Oracle {
-		var err error
-		orc, err = oracle.New(oracle.Config{AFF: affCfg, Now: eng.Now})
-		if err != nil {
-			return StrategyOutcome{}, err
-		}
-		med.SetFrameObserver(orc)
-	}
-	audit := func(id radio.NodeID) func(aff.Packet) {
-		if orc == nil {
-			return nil
-		}
-		return func(p aff.Packet) { orc.VerifyDelivered(id, p) }
+	orc, sp, err := attachTruth(med, cfg.Obs, trialObs, truthSpec{AFF: affCfg, Oracle: cfg.Oracle})
+	if err != nil {
+		return StrategyOutcome{}, err
 	}
 
 	makeSel := func(label string, est interface{ Window() int }) (core.Selector, error) {
@@ -359,7 +343,7 @@ func RunStrategyTrial(cfg StrategiesConfig, strategy string, t int, src *xrand.S
 	rxOpts := node.AFFOptions{
 		Estimator: rxEst,
 		Truth:     truth,
-		OnDeliver: audit(receiverID),
+		OnDeliver: orc.DeliveryAudit(receiverID),
 	}
 	if sp != nil {
 		rxOpts.Span = sp
@@ -386,7 +370,7 @@ func RunStrategyTrial(cfg StrategiesConfig, strategy string, t int, src *xrand.S
 			// Listening is the only built-in strategy with learned state;
 			// observing one's own draws mirrors the Figure 4 setup.
 			ObserveOwn: strategy == "listening",
-			OnDeliver:  audit(id),
+			OnDeliver:  orc.DeliveryAudit(id),
 		}
 		if sp != nil {
 			txOpts.Span = sp

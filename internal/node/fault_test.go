@@ -12,6 +12,7 @@ import (
 	"retri/internal/oracle"
 	"retri/internal/radio"
 	"retri/internal/staticaddr"
+	"retri/internal/truth"
 	"retri/internal/xrand"
 )
 
@@ -167,13 +168,23 @@ func TestStaticCrashWipesReassembly(t *testing.T) {
 	}
 }
 
-// fateTap invokes fn on every per-receiver reception verdict.
+// fateTap invokes fn on every per-receiver reception verdict, after
+// forwarding the feed to next (when set).
 type fateTap struct {
-	fn func(to radio.NodeID, f radio.Frame, fate radio.Fate)
+	next radio.FateObserver
+	fn   func(to radio.NodeID, f radio.Frame, fate radio.Fate)
 }
 
-func (ft *fateTap) FrameSent(radio.Frame) {}
+func (ft *fateTap) FrameSent(f radio.Frame) {
+	if ft.next != nil {
+		ft.next.FrameSent(f)
+	}
+}
+
 func (ft *fateTap) FrameFate(to radio.NodeID, f radio.Frame, fate radio.Fate) {
+	if ft.next != nil {
+		ft.next.FrameFate(to, f, fate)
+	}
 	ft.fn(to, f, fate)
 }
 
@@ -193,11 +204,14 @@ func TestCrashDuringPartialReassemblyAuditsClean(t *testing.T) {
 	cfg.Instrument = true
 	cfg.ReassemblyTimeout = 500 * time.Millisecond
 
-	orc, err := oracle.New(oracle.Config{AFF: cfg, Topo: radio.FullMesh{}, Now: r.eng.Now})
+	tr, err := truth.New(truth.Config{AFF: cfg, Now: r.eng.Now})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.med.SetFrameObserver(orc)
+	orc, err := oracle.New(tr, oracle.Config{Topo: radio.FullMesh{}})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	tx := newAFFNode(t, r, 1, cfg, AFFOptions{})
 	delivered := 0
@@ -211,7 +225,7 @@ func TestCrashDuringPartialReassemblyAuditsClean(t *testing.T) {
 	// Crash the receiver the moment it holds partial state, i.e. from
 	// within the run, mid-transaction.
 	crashed := false
-	r.med.SetFateObserver(&fateTap{fn: func(to radio.NodeID, _ radio.Frame, fate radio.Fate) {
+	r.med.SetFateObserver(&fateTap{next: tr, fn: func(to radio.NodeID, _ radio.Frame, fate radio.Fate) {
 		if to == 2 && fate == radio.FateDelivered && !crashed && rx.Reassembler().PendingCount() > 0 {
 			crashed = true
 			r.eng.Schedule(0, rx.Crash)

@@ -1,78 +1,46 @@
 // Package oracle is an omniscient conformance harness for the AFF stack.
 //
-// It watches the medium from the simulator's privileged viewpoint
-// (radio.FrameObserver): every frame put on air, with payload bytes and
-// the ground-truth sender — information no protocol entity may read. From
-// that vantage it maintains the true state of the world:
+// It consumes the ground-truth transaction tracker (internal/truth),
+// which watches the medium from the simulator's privileged viewpoint —
+// every frame put on air, with payload bytes and the ground-truth sender,
+// information no protocol entity may read — and keys each fragment to its
+// transaction by the instrumentation Truth trailer (the Section 5.1
+// methodology). The tracker owns the lifecycle: which transactions are
+// open, dormant, closed or abandoned, and which opened on a reassembly key
+// another live transaction already carried (a true identifier collision).
 //
-//   - which transactions are open at each instant, keyed by the
-//     instrumentation Truth trailer (the Section 5.1 methodology);
-//   - the true per-node visible transaction density T — what a perfect
-//     estimator at node v would report;
-//   - true identifier collisions: two concurrently open transactions
-//     sharing one on-air reassembly key.
-//
-// Against that ground truth it audits the stack's safety properties:
-// fragment conservation (every delivered fragment was sent, byte for
-// byte), never-misdeliver (every packet the reassembler under test hands
-// up matches the true payload of its transaction), and identifier
-// freshness (a transaction keeps one identifier for its whole lifetime; a
-// mid-flight change is a violation). Transactions from one sender never
-// interleave — the transmit queue is FIFO — so a new transaction retires
-// any previous one from the same sender rather than being read as a
-// concurrent key reuse. It also scores the estimators and width
-// controllers under test:
-// estimator-minus-truth error samples and achieved-minus-optimal width
-// samples, where "optimal" is the omniscient Equation 4 width at the true
-// density.
+// Against that ground truth the oracle audits the stack's safety
+// properties: fragment conservation (every delivered fragment was sent,
+// byte for byte), never-misdeliver (every packet the reassembler under
+// test hands up matches the true payload of its transaction), and
+// identifier freshness (a transaction keeps one identifier for its whole
+// lifetime; a mid-flight change is a violation). It also scores the
+// estimators and width controllers under test: estimator-minus-truth
+// error samples and achieved-minus-optimal width samples, where "optimal"
+// is the omniscient Equation 4 width at the true per-node density.
 //
 // The oracle is strictly passive. It draws no randomness, schedules no
 // events and never mutates a payload, so attaching it cannot perturb the
 // simulation: runs with and without the oracle are byte-identical.
 //
 // It understands the plain AFF wire format only (fixed- or in-band-width)
-// and requires aff.Config.Instrument; frames it cannot attribute are
+// and requires an instrumented tracker; frames it cannot attribute are
 // counted in Report.Unaudited rather than guessed at.
 package oracle
 
 import (
 	"errors"
-	"fmt"
-	"time"
 
 	"retri/internal/aff"
-	"retri/internal/frame"
 	"retri/internal/radio"
+	"retri/internal/truth"
 )
 
-// Config parameterizes an Oracle.
+// Config parameterizes an Oracle's density audit.
 type Config struct {
-	// AFF is the wire-format configuration of the stack under observation
-	// (both ends of a deployment share it). Instrument must be set: the
-	// Truth trailer is how the oracle attributes fragments to
-	// transactions.
-	AFF aff.Config
 	// Topo is the topology VisibleT consults for connectivity. May be nil,
 	// in which case every node sees every transaction (full mesh).
 	Topo radio.Topology
-	// Now supplies virtual time (pass the engine's clock).
-	Now func() time.Duration
-	// StallTimeout prunes open transactions with no send activity — a
-	// churned node's transmit queue dies with its radio, so its final
-	// fragment never airs. Zero selects the AFF reassembly timeout.
-	StallTimeout time.Duration
-	// Retain keeps closed transactions around for the delivery audit
-	// (receivers complete reassembly when the final fragment lands, but a
-	// fragment lost earlier may leave them waiting on a retransmission
-	// that never comes). Zero selects StallTimeout. Under multi-hop
-	// relaying, size it to cover the worst relay latency as well: a
-	// relayed copy airing after its transaction has been forgotten would
-	// be misread as a brand-new transaction.
-	Retain time.Duration
-	// Unwrap, when set, strips a transport envelope (the flood relay's
-	// hop-scope header) from every observed frame before AFF decoding;
-	// ok=false counts the frame Unaudited. Nil observes raw payloads.
-	Unwrap func(payload []byte) (inner []byte, ok bool)
 	// Visible, when set, overrides Topo for the density audit: whether a
 	// transaction originated by sender is audible at v. Under multi-hop
 	// relaying that is hop-limited reachability, not one-hop
@@ -80,57 +48,18 @@ type Config struct {
 	Visible func(sender, v radio.NodeID) bool
 }
 
-// txKey identifies one true transaction: the instrumentation trailer's
-// (node, sequence) pair, unique by construction.
-type txKey struct{ node, seq uint32 }
-
-// tx is the oracle's ground-truth record of one transaction.
-type tx struct {
-	truth    txKey
-	sender   radio.NodeID
-	key      uint64 // on-air reassembly key (WidthKey in adaptive mode)
-	haveLen  bool
-	totalLen int
-	checksum uint16
-	buf      []byte
-	covered  []bool
-	got      int
-	lastSent time.Duration
-	closedAt time.Duration
-	// stalled marks a transaction dormant: no fragment for a stall
-	// timeout, so it no longer counts toward anyone's density, but its
-	// ground truth is kept — CSMA contention can stretch inter-fragment
-	// gaps arbitrarily, and a late fragment revives the transaction
-	// rather than being mistaken for a conservation violation.
-	stalled bool
-}
-
-// Oracle implements radio.FrameObserver and the conformance audits.
+// Oracle consumes a truth.Tracker and runs the conformance audits.
 type Oracle struct {
-	codec   frame.AFFCodec
+	tr      *truth.Tracker
 	topo    radio.Topology
-	now     func() time.Duration
-	stall   time.Duration
-	retain  time.Duration
-	unwrap  func(payload []byte) ([]byte, bool)
 	visible func(sender, v radio.NodeID) bool
-
-	open   map[txKey]*tx
-	closed map[txKey]*tx
-	// openByKey counts live (non-stalled) open transactions per on-air
-	// key, for collision detection without scanning.
-	openByKey map[uint64]int
-	// current tracks each sender's latest transaction. Senders transmit
-	// from a FIFO queue, so transactions never interleave: a new one from
-	// S is proof that S's previous one is finished or dead (a crash
-	// dropped its queue), never that two run concurrently.
-	current map[radio.NodeID]txKey
 	// smoothT is the per-node probe-averaged true density. Equation 4's T
 	// is an *average* concurrency, not the instantaneous open-transaction
 	// count (which flickers between consecutive transactions), so the
 	// scoring probes fold their instantaneous reads into an EMA.
 	smoothT map[radio.NodeID]float64
 
+	// rep holds the audit tallies; lifecycle counts come from the tracker.
 	rep Report
 }
 
@@ -139,311 +68,63 @@ type Oracle struct {
 // averaging out sub-transaction flicker.
 const smoothAlpha = 0.5
 
-var _ radio.FrameObserver = (*Oracle)(nil)
+var _ truth.Observer = (*Oracle)(nil)
 
-// New builds an oracle for the given wire format and topology.
-func New(cfg Config) (*Oracle, error) {
-	if !cfg.AFF.Instrument {
+// New attaches an oracle to a tracker. The tracker must observe an
+// instrumented wire format: the Truth trailer is how fragments are
+// attributed to transactions.
+func New(tr *truth.Tracker, cfg Config) (*Oracle, error) {
+	if !tr.Instrumented() {
 		return nil, errors.New("oracle: requires aff.Config.Instrument (Truth trailers attribute fragments)")
 	}
-	if cfg.AFF.Space.Bits() < 1 {
-		return nil, fmt.Errorf("oracle: invalid identifier space width %d", cfg.AFF.Space.Bits())
+	o := &Oracle{
+		tr:      tr,
+		topo:    cfg.Topo,
+		visible: cfg.Visible,
+		smoothT: make(map[radio.NodeID]float64),
 	}
-	if cfg.Now == nil {
-		cfg.Now = func() time.Duration { return 0 }
-	}
-	if cfg.StallTimeout <= 0 {
-		cfg.StallTimeout = cfg.AFF.ReassemblyTimeout
-	}
-	if cfg.StallTimeout <= 0 {
-		cfg.StallTimeout = 250 * time.Millisecond
-	}
-	if cfg.Retain <= 0 {
-		cfg.Retain = cfg.StallTimeout
-	}
-	return &Oracle{
-		codec: frame.AFFCodec{
-			IDBits:      cfg.AFF.Space.Bits(),
-			Instrument:  true,
-			InBandWidth: cfg.AFF.AdaptiveWidth,
-		},
-		topo:      cfg.Topo,
-		now:       cfg.Now,
-		stall:     cfg.StallTimeout,
-		retain:    cfg.Retain,
-		unwrap:    cfg.Unwrap,
-		visible:   cfg.Visible,
-		open:      make(map[txKey]*tx),
-		closed:    make(map[txKey]*tx),
-		openByKey: make(map[uint64]int),
-		current:   make(map[radio.NodeID]txKey),
-		smoothT:   make(map[radio.NodeID]float64),
-	}, nil
+	tr.Attach(o)
+	return o, nil
 }
 
-// reassemblyKey maps a decoded width and identifier to the key the
-// reassembler under test files the fragment under.
-func (o *Oracle) reassemblyKey(decodedWidth int, id uint64) uint64 {
-	if decodedWidth == 0 {
-		return id
-	}
-	return aff.WidthKey(decodedWidth, id)
-}
+// Opened is part of truth.Observer; the tracker counts openings.
+func (o *Oracle) Opened(*truth.Tx, *truth.Frame) {}
 
-// FrameSent ingests a transmission: ground truth advances. The sender is
-// attributed from the Truth trailer's originator, not the radio that put
-// the frame on air: relays re-broadcast fragments under their own radio
-// identity, and in single-hop figures the two coincide by construction.
-func (o *Oracle) FrameSent(f radio.Frame) {
-	now := o.now()
-	o.prune(now)
-	payload := f.Payload
-	if o.unwrap != nil {
-		inner, ok := o.unwrap(payload)
-		if !ok {
-			o.rep.Unaudited++
-			return
-		}
-		payload = inner
-	}
-	decoded, err := o.codec.Decode(payload)
-	if err != nil {
-		o.rep.Unaudited++
-		return
-	}
-	o.rep.FragmentsSent++
-	switch fr := decoded.(type) {
-	case *frame.Intro:
-		if fr.Truth == nil {
-			o.rep.Unaudited++
-			return
-		}
-		k := txKey{fr.Truth.Node, fr.Truth.Seq}
-		key := o.reassemblyKey(fr.IDBits, fr.ID)
-		if t, ok := o.closed[k]; ok {
-			// A relay re-airing the introduction of a transaction whose
-			// originator already finished (or walked away from) it: verify
-			// the copy against ground truth without reopening anything.
-			if t.key != key || (t.haveLen && (t.totalLen != fr.TotalLen || t.checksum != fr.Checksum)) {
-				o.rep.ConservationViolations++
-			}
-			return
-		}
-		t := o.lookup(k, radio.NodeID(fr.Truth.Node), key, now)
-		if !t.haveLen {
-			t.haveLen = true
-			t.totalLen = fr.TotalLen
-			t.checksum = fr.Checksum
-			t.buf = make([]byte, fr.TotalLen)
-			t.covered = make([]bool, fr.TotalLen)
-		}
-	case *frame.Data:
-		if fr.Truth == nil {
-			o.rep.Unaudited++
-			return
-		}
-		k := txKey{fr.Truth.Node, fr.Truth.Seq}
-		key := o.reassemblyKey(fr.IDBits, fr.ID)
-		end := fr.Offset + len(fr.Payload)
-		if t, ok := o.closed[k]; ok {
-			// A relayed copy of a retired transaction's data fragment must
-			// match the bytes its originator actually sent.
-			if t.key != key || !t.haveLen || end > t.totalLen {
-				o.rep.ConservationViolations++
-				return
-			}
-			for i, b := range fr.Payload {
-				at := fr.Offset + i
-				if !t.covered[at] || t.buf[at] != b {
-					o.rep.ConservationViolations++
-					return
-				}
-			}
-			return
-		}
-		t := o.lookup(k, radio.NodeID(fr.Truth.Node), key, now)
-		if !t.haveLen {
-			// The fragmenter always airs the introduction first, so a data
-			// fragment for an unknown transaction means a protocol bug.
-			o.rep.ConservationViolations++
-			return
-		}
-		if end > t.totalLen {
-			o.rep.ConservationViolations++
-			return
-		}
-		for i, b := range fr.Payload {
-			at := fr.Offset + i
-			if !t.covered[at] {
-				t.covered[at] = true
-				t.got++
-			}
-			t.buf[at] = b
-		}
-		if end == t.totalLen {
-			o.close(t, now)
-		}
+// Sent audits one fragment put on air: a fragment contradicting ground
+// truth is a conservation violation.
+func (o *Oracle) Sent(_ *truth.Frame, _ *truth.Tx, violation bool) {
+	if violation {
+		o.rep.ConservationViolations++
 	}
 }
 
-// lookup finds or opens the ground-truth record for a truth key, checking
-// the invariants a fragment's arrival can violate.
-func (o *Oracle) lookup(k txKey, sender radio.NodeID, key uint64, now time.Duration) *tx {
-	if t, ok := o.open[k]; ok {
-		if t.key != key {
-			// A transaction changed identifier (or width) mid-flight.
-			o.rep.FreshnessViolations++
-		}
-		if t.stalled {
-			// A fragment after a long CSMA-contention gap: the
-			// transaction was dormant, not dead.
-			t.stalled = false
-			o.openByKey[t.key]++
-			o.rep.TransactionsRevived++
-		}
-		t.lastSent = now
-		return t
-	}
-	// A new transaction from this sender finishes off its previous one:
-	// the transmit queue is FIFO, so fragments of an older transaction
-	// can never air once a newer one has begun — if the old one is still
-	// open, a crash dropped the rest of its queue. Retiring it here,
-	// rather than flagging a freshness violation when a restarted
-	// selector legitimately redraws the same key, keeps the audit aligned
-	// with ground truth.
-	if prev, ok := o.current[sender]; ok && prev != k {
-		if pt, live := o.open[prev]; live {
-			o.abandon(pt, now)
-		}
-	}
-	o.current[sender] = k
-	t := &tx{truth: k, sender: sender, key: key, lastSent: now}
-	// True collisions: this key already carries another live transaction,
-	// so receivers will merge fragments of distinct transactions.
-	if o.openByKey[key] > 0 {
-		o.rep.CollisionEvents++
-	}
-	o.open[k] = t
-	o.openByKey[key]++
-	o.rep.TransactionsOpened++
-	return t
-}
-
-// retire removes a transaction from the open set and parks it in the
-// closed set for the delivery-audit retention window.
-func (o *Oracle) retire(t *tx, now time.Duration) {
-	delete(o.open, t.truth)
-	if !t.stalled {
-		o.openByKey[t.key]--
-		if o.openByKey[t.key] <= 0 {
-			delete(o.openByKey, t.key)
-		}
-	}
-	t.closedAt = now
-	o.closed[t.truth] = t
-}
-
-// close retires a transaction whose final fragment went on air.
-func (o *Oracle) close(t *tx, now time.Duration) {
-	o.retire(t, now)
-	o.rep.TransactionsClosed++
-}
-
-// abandon retires a transaction its sender walked away from (the FIFO
-// queue moved on, so it can never complete). It stays in the closed set
-// briefly: a frame of it may still be in flight when the verdict lands.
-func (o *Oracle) abandon(t *tx, now time.Duration) {
-	o.retire(t, now)
-	o.rep.TransactionsAbandoned++
-}
-
-// prune marks open transactions with no send activity dormant — they stop
-// counting toward density, but their ground truth is kept in case a
-// fragment airs after a long contention gap — and drops closed
-// transactions past the delivery-audit retention window.
-func (o *Oracle) prune(now time.Duration) {
-	for _, t := range o.open {
-		if !t.stalled && now-t.lastSent > o.stall {
-			t.stalled = true
-			o.openByKey[t.key]--
-			if o.openByKey[t.key] <= 0 {
-				delete(o.openByKey, t.key)
-			}
-			o.rep.TransactionsStalled++
-		}
-	}
-	for k, t := range o.closed {
-		if now-t.closedAt > o.retain {
-			delete(o.closed, k)
-		}
-	}
-}
-
-// find returns the ground-truth record for a truth key, open or recently
-// closed.
-func (o *Oracle) find(k txKey) *tx {
-	if t, ok := o.open[k]; ok {
-		return t
-	}
-	return o.closed[k]
-}
-
-// FrameDelivered audits one successful reception: fragment conservation.
-// A corrupted delivery (fault injection damaged this receiver's copy) is
+// Fate audits one reception: fragment conservation on every delivery. A
+// corrupted delivery (fault injection damaged this receiver's copy) is
 // counted but not byte-checked — catching it is the checksum layer's job.
-func (o *Oracle) FrameDelivered(to radio.NodeID, f radio.Frame, corrupted bool) {
-	o.rep.FragmentsDelivered++
-	if corrupted {
+func (o *Oracle) Fate(_ radio.NodeID, f *truth.Frame, tx *truth.Tx, fate radio.Fate) {
+	switch fate {
+	case radio.FateCorrupted:
+		o.rep.FragmentsDelivered++
 		o.rep.CorruptedDeliveries++
 		return
+	case radio.FateDelivered:
+		o.rep.FragmentsDelivered++
+	default:
+		return
 	}
-	payload := f.Payload
-	if o.unwrap != nil {
-		inner, ok := o.unwrap(payload)
-		if !ok {
-			o.rep.Unaudited++
-			return
-		}
-		payload = inner
-	}
-	decoded, err := o.codec.Decode(payload)
-	if err != nil {
+	if f == nil || f.Truth == nil {
 		o.rep.Unaudited++
 		return
 	}
-	switch fr := decoded.(type) {
-	case *frame.Intro:
-		if fr.Truth == nil {
-			o.rep.Unaudited++
-			return
-		}
-		t := o.find(txKey{fr.Truth.Node, fr.Truth.Seq})
-		if t == nil || !t.haveLen || t.totalLen != fr.TotalLen || t.checksum != fr.Checksum {
+	if f.Intro {
+		if tx == nil || !tx.HaveLen || tx.TotalLen != f.TotalLen || tx.Checksum != f.Checksum {
 			o.rep.ConservationViolations++
 		}
-	case *frame.Data:
-		if fr.Truth == nil {
-			o.rep.Unaudited++
-			return
-		}
-		t := o.find(txKey{fr.Truth.Node, fr.Truth.Seq})
-		if t == nil || !t.haveLen {
-			o.rep.ConservationViolations++
-			return
-		}
-		end := fr.Offset + len(fr.Payload)
-		if end > t.totalLen {
-			o.rep.ConservationViolations++
-			return
-		}
-		for i, b := range fr.Payload {
-			at := fr.Offset + i
-			if !t.covered[at] || t.buf[at] != b {
-				// Delivered bytes the sender never transmitted.
-				o.rep.ConservationViolations++
-				return
-			}
-		}
+		return
+	}
+	if tx == nil || !tx.Covers(f.Offset, f.Payload) {
+		// Delivered bytes the sender never transmitted.
+		o.rep.ConservationViolations++
 	}
 }
 
@@ -457,52 +138,58 @@ func (o *Oracle) VerifyDelivered(at radio.NodeID, p aff.Packet) {
 		o.rep.Unaudited++
 		return
 	}
-	t := o.find(txKey{p.Truth.Node, p.Truth.Seq})
-	if t == nil || !t.haveLen {
+	tx := o.tr.Find(truth.Key{Node: p.Truth.Node, Seq: p.Truth.Seq})
+	if tx == nil || !tx.HaveLen {
 		// Delivered later than the retention window, or never sent. The
 		// retention window is sized to the reassembly timeout, so a
 		// legitimate delivery cannot outlive it.
 		o.rep.Misdeliveries++
 		return
 	}
-	if p.ID != t.key || len(p.Data) != t.totalLen {
+	if p.ID != tx.Key || len(p.Data) != tx.TotalLen {
 		o.rep.Misdeliveries++
 		return
 	}
-	for i, b := range p.Data {
-		if t.buf[i] != b {
+	for i, b := range tx.Payload() {
+		if p.Data[i] != b {
 			o.rep.Misdeliveries++
 			return
 		}
 	}
 }
 
-// VisibleT returns the true transaction density at node v right now: open
+// DeliveryAudit returns VerifyDelivered bound to one receiver, for
+// node.AFFOptions.OnDeliver; nil (no audit) on a nil oracle.
+func (o *Oracle) DeliveryAudit(at radio.NodeID) func(aff.Packet) {
+	if o == nil {
+		return nil
+	}
+	return func(p aff.Packet) { o.VerifyDelivered(at, p) }
+}
+
+// VisibleT returns the true transaction density at node v right now: live
 // transactions whose sender is v itself or connected to v. A node with no
-// transaction of its own currently open still counts one for itself — a
+// transaction of its own currently live still counts one for itself — a
 // sender's next transaction always contends with what it hears, and the
 // Equation 4 set-point is undefined below T=1 — matching the experiment
-// probe's "itself plus awake neighbors" convention.
+// probe's "itself plus awake neighbors" convention. It reads the tracker
+// without changing its state.
 func (o *Oracle) VisibleT(v radio.NodeID) int {
-	o.prune(o.now())
 	n := 0
 	own := false
-	for _, t := range o.open {
-		if t.stalled {
-			continue
-		}
+	o.tr.EachLive(func(tx *truth.Tx) {
 		switch {
-		case t.sender == v:
+		case tx.Sender == v:
 			n++
 			own = true
 		case o.visible != nil:
-			if o.visible(t.sender, v) {
+			if o.visible(tx.Sender, v) {
 				n++
 			}
-		case o.topo == nil || o.topo.Connected(t.sender, v):
+		case o.topo == nil || o.topo.Connected(tx.Sender, v):
 			n++
 		}
-	}
+	})
 	if !own {
 		n++
 	}
@@ -510,10 +197,7 @@ func (o *Oracle) VisibleT(v radio.NodeID) int {
 }
 
 // OpenCount reports open transactions medium-wide (tests, debugging).
-func (o *Oracle) OpenCount() int {
-	o.prune(o.now())
-	return len(o.open)
-}
+func (o *Oracle) OpenCount() int { return o.tr.OpenCount() }
 
 // Probe records one scoring sample for node v: the estimator's error
 // (estimate minus smoothed true density) and the width controller's gap
@@ -541,6 +225,20 @@ func (o *Oracle) Probe(v radio.NodeID, estimate float64, achieved, dataBits, min
 	return t, h
 }
 
-// Report returns a copy of the conformance report accumulated so far. The
-// sample slices are shared with the oracle; callers must not mutate them.
-func (o *Oracle) Report() Report { return o.rep }
+// Report returns a copy of the conformance report accumulated so far: the
+// oracle's audit tallies plus the tracker's lifecycle counts. The sample
+// slices are shared with the oracle; callers must not mutate them.
+func (o *Oracle) Report() Report {
+	r := o.rep
+	c := o.tr.Counts()
+	r.TransactionsOpened = c.Opened
+	r.TransactionsClosed = c.Closed
+	r.TransactionsStalled = c.Stalled
+	r.TransactionsRevived = c.Revived
+	r.TransactionsAbandoned = c.Abandoned
+	r.FragmentsSent = c.FragmentsSent
+	r.Unaudited += c.Unattributed
+	r.CollisionEvents = c.Collisions
+	r.FreshnessViolations = c.Freshness
+	return r
+}

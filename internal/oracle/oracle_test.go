@@ -10,6 +10,7 @@ import (
 	"retri/internal/frame"
 	"retri/internal/metrics"
 	"retri/internal/radio"
+	"retri/internal/truth"
 )
 
 // testAFF is a small fixed-width instrumented wire format.
@@ -21,25 +22,35 @@ func testAFF() aff.Config {
 	}
 }
 
-func newTestOracle(t *testing.T, now *time.Duration) *Oracle {
+// newOracleOn attaches an oracle to a fresh tracker observing cfg.
+func newOracleOn(t *testing.T, cfg aff.Config, oc Config, now *time.Duration) (*truth.Tracker, *Oracle) {
 	t.Helper()
-	o, err := New(Config{AFF: testAFF(), Now: func() time.Duration { return *now }})
+	tr, err := truth.New(truth.Config{AFF: cfg, Now: func() time.Duration { return *now }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return o
+	o, err := New(tr, oc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr, o
+}
+
+func newTestOracle(t *testing.T, now *time.Duration) (*truth.Tracker, *Oracle) {
+	t.Helper()
+	return newOracleOn(t, testAFF(), Config{}, now)
 }
 
 // sendTx airs a full transaction (intro + one data fragment) from the
 // given node and returns the frames for reuse on the delivery side.
-func sendTx(t *testing.T, o *Oracle, from radio.NodeID, id uint64, truth frame.Truth, payload []byte) []radio.Frame {
+func sendTx(t *testing.T, tr *truth.Tracker, from radio.NodeID, id uint64, trailer frame.Truth, payload []byte) []radio.Frame {
 	t.Helper()
 	codec := frame.AFFCodec{IDBits: 8, Instrument: true}
-	ib, ibits, err := codec.EncodeIntro(frame.Intro{ID: id, TotalLen: len(payload), Checksum: 7, Truth: &truth})
+	ib, ibits, err := codec.EncodeIntro(frame.Intro{ID: id, TotalLen: len(payload), Checksum: 7, Truth: &trailer})
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, dbits, err := codec.EncodeData(frame.Data{ID: id, Offset: 0, Payload: payload, Truth: &truth})
+	db, dbits, err := codec.EncodeData(frame.Data{ID: id, Offset: 0, Payload: payload, Truth: &trailer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +59,7 @@ func sendTx(t *testing.T, o *Oracle, from radio.NodeID, id uint64, truth frame.T
 		{From: from, Payload: db, Bits: dbits},
 	}
 	for _, f := range frames {
-		o.FrameSent(f)
+		tr.FrameSent(f)
 	}
 	return frames
 }
@@ -56,19 +67,23 @@ func sendTx(t *testing.T, o *Oracle, from radio.NodeID, id uint64, truth frame.T
 func TestOracleRequiresInstrument(t *testing.T) {
 	cfg := testAFF()
 	cfg.Instrument = false
-	if _, err := New(Config{AFF: cfg}); err == nil {
-		t.Fatal("uninstrumented config accepted")
+	tr, err := truth.New(truth.Config{AFF: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(tr, Config{}); err == nil {
+		t.Fatal("uninstrumented tracker accepted")
 	}
 }
 
 func TestOracleTransactionLifecycle(t *testing.T) {
 	now := time.Duration(0)
-	o := newTestOracle(t, &now)
+	tr, o := newTestOracle(t, &now)
 
 	codec := frame.AFFCodec{IDBits: 8, Instrument: true}
 	truth := frame.Truth{Node: 1, Seq: 1}
 	ib, ibits, _ := codec.EncodeIntro(frame.Intro{ID: 5, TotalLen: 4, Checksum: 7, Truth: &truth})
-	o.FrameSent(radio.Frame{From: 1, Payload: ib, Bits: ibits})
+	tr.FrameSent(radio.Frame{From: 1, Payload: ib, Bits: ibits})
 	if got := o.OpenCount(); got != 1 {
 		t.Fatalf("open after intro = %d, want 1", got)
 	}
@@ -77,7 +92,7 @@ func TestOracleTransactionLifecycle(t *testing.T) {
 	}
 
 	db, dbits, _ := codec.EncodeData(frame.Data{ID: 5, Offset: 0, Payload: []byte{1, 2, 3, 4}, Truth: &truth})
-	o.FrameSent(radio.Frame{From: 1, Payload: db, Bits: dbits})
+	tr.FrameSent(radio.Frame{From: 1, Payload: db, Bits: dbits})
 	rep := o.Report()
 	if o.OpenCount() != 0 || rep.TransactionsClosed != 1 {
 		t.Errorf("final fragment did not close: open=%d closed=%d", o.OpenCount(), rep.TransactionsClosed)
@@ -87,8 +102,8 @@ func TestOracleTransactionLifecycle(t *testing.T) {
 	}
 
 	// Delivery of the sent frames is conservation-clean.
-	o.FrameDelivered(2, radio.Frame{From: 1, Payload: ib, Bits: ibits}, false)
-	o.FrameDelivered(2, radio.Frame{From: 1, Payload: db, Bits: dbits}, false)
+	tr.FrameFate(2, radio.Frame{From: 1, Payload: ib, Bits: ibits}, radio.FateDelivered)
+	tr.FrameFate(2, radio.Frame{From: 1, Payload: db, Bits: dbits}, radio.FateDelivered)
 	if rep := o.Report(); rep.ConservationViolations != 0 || rep.FragmentsDelivered != 2 {
 		t.Errorf("clean delivery audit: %+v", rep)
 	}
@@ -102,9 +117,9 @@ func TestOracleTransactionLifecycle(t *testing.T) {
 
 func TestOracleDetectsMisdelivery(t *testing.T) {
 	now := time.Duration(0)
-	o := newTestOracle(t, &now)
+	tr, o := newTestOracle(t, &now)
 	truth := frame.Truth{Node: 1, Seq: 1}
-	sendTx(t, o, 1, 5, truth, []byte{1, 2, 3, 4})
+	sendTx(t, tr, 1, 5, truth, []byte{1, 2, 3, 4})
 
 	// Wrong bytes, wrong key, wrong length, unknown transaction.
 	o.VerifyDelivered(2, aff.Packet{ID: 5, Data: []byte{9, 9, 9, 9}, Truth: &truth})
@@ -122,20 +137,20 @@ func TestOracleDetectsMisdelivery(t *testing.T) {
 
 func TestOracleDetectsConservationViolation(t *testing.T) {
 	now := time.Duration(0)
-	o := newTestOracle(t, &now)
+	tr, o := newTestOracle(t, &now)
 	truth := frame.Truth{Node: 1, Seq: 1}
-	sendTx(t, o, 1, 5, truth, []byte{1, 2, 3, 4})
+	sendTx(t, tr, 1, 5, truth, []byte{1, 2, 3, 4})
 
 	// A delivered data fragment whose bytes were never sent.
 	codec := frame.AFFCodec{IDBits: 8, Instrument: true}
 	db, dbits, _ := codec.EncodeData(frame.Data{ID: 5, Offset: 0, Payload: []byte{9, 9}, Truth: &truth})
-	o.FrameDelivered(2, radio.Frame{From: 1, Payload: db, Bits: dbits}, false)
+	tr.FrameFate(2, radio.Frame{From: 1, Payload: db, Bits: dbits}, radio.FateDelivered)
 	if rep := o.Report(); rep.ConservationViolations != 1 {
 		t.Errorf("conservation violations = %d, want 1", rep.ConservationViolations)
 	}
 
 	// A corrupted delivery is counted, not audited.
-	o.FrameDelivered(2, radio.Frame{From: 1, Payload: db, Bits: dbits}, true)
+	tr.FrameFate(2, radio.Frame{From: 1, Payload: db, Bits: dbits}, radio.FateCorrupted)
 	if rep := o.Report(); rep.ConservationViolations != 1 || rep.CorruptedDeliveries != 1 {
 		t.Errorf("corrupted delivery audited: %+v", rep)
 	}
@@ -143,7 +158,7 @@ func TestOracleDetectsConservationViolation(t *testing.T) {
 
 func TestOracleDetectsCollisionAndFreshness(t *testing.T) {
 	now := time.Duration(0)
-	o := newTestOracle(t, &now)
+	tr, o := newTestOracle(t, &now)
 	codec := frame.AFFCodec{IDBits: 8, Instrument: true}
 
 	// Two senders open transactions under the same identifier: a true
@@ -151,8 +166,8 @@ func TestOracleDetectsCollisionAndFreshness(t *testing.T) {
 	t1, t2 := frame.Truth{Node: 1, Seq: 1}, frame.Truth{Node: 2, Seq: 1}
 	ib1, b1, _ := codec.EncodeIntro(frame.Intro{ID: 5, TotalLen: 2, Checksum: 7, Truth: &t1})
 	ib2, b2, _ := codec.EncodeIntro(frame.Intro{ID: 5, TotalLen: 2, Checksum: 8, Truth: &t2})
-	o.FrameSent(radio.Frame{From: 1, Payload: ib1, Bits: b1})
-	o.FrameSent(radio.Frame{From: 2, Payload: ib2, Bits: b2})
+	tr.FrameSent(radio.Frame{From: 1, Payload: ib1, Bits: b1})
+	tr.FrameSent(radio.Frame{From: 2, Payload: ib2, Bits: b2})
 	rep := o.Report()
 	if rep.CollisionEvents != 1 || rep.FreshnessViolations != 0 {
 		t.Errorf("collisions=%d freshness=%d, want 1/0", rep.CollisionEvents, rep.FreshnessViolations)
@@ -161,7 +176,7 @@ func TestOracleDetectsCollisionAndFreshness(t *testing.T) {
 	// A transaction switching identifier mid-flight is a freshness
 	// violation.
 	db, bd, _ := codec.EncodeData(frame.Data{ID: 6, Offset: 0, Payload: []byte{1}, Truth: &t1})
-	o.FrameSent(radio.Frame{From: 1, Payload: db, Bits: bd})
+	tr.FrameSent(radio.Frame{From: 1, Payload: db, Bits: bd})
 	if rep := o.Report(); rep.FreshnessViolations != 1 {
 		t.Errorf("freshness violations = %d, want 1 after mid-flight change", rep.FreshnessViolations)
 	}
@@ -172,7 +187,7 @@ func TestOracleDetectsCollisionAndFreshness(t *testing.T) {
 	// transaction, not a freshness violation.
 	t3 := frame.Truth{Node: 1, Seq: 2}
 	ib3, b3, _ := codec.EncodeIntro(frame.Intro{ID: 5, TotalLen: 2, Checksum: 9, Truth: &t3})
-	o.FrameSent(radio.Frame{From: 1, Payload: ib3, Bits: b3})
+	tr.FrameSent(radio.Frame{From: 1, Payload: ib3, Bits: b3})
 	rep = o.Report()
 	if rep.FreshnessViolations != 1 || rep.CollisionEvents != 2 {
 		t.Errorf("freshness=%d collisions=%d, want 1/2 after crash-redraw", rep.FreshnessViolations, rep.CollisionEvents)
@@ -184,11 +199,11 @@ func TestOracleDetectsCollisionAndFreshness(t *testing.T) {
 
 func TestOracleStallPruning(t *testing.T) {
 	now := time.Duration(0)
-	o := newTestOracle(t, &now)
+	tr, o := newTestOracle(t, &now)
 	codec := frame.AFFCodec{IDBits: 8, Instrument: true}
 	truth := frame.Truth{Node: 1, Seq: 1}
 	ib, bits, _ := codec.EncodeIntro(frame.Intro{ID: 5, TotalLen: 4, Checksum: 7, Truth: &truth})
-	o.FrameSent(radio.Frame{From: 1, Payload: ib, Bits: bits})
+	tr.FrameSent(radio.Frame{From: 1, Payload: ib, Bits: bits})
 
 	// The sender goes quiet: no more fragments. Past the stall timeout
 	// the transaction no longer counts toward anyone's density.
@@ -196,25 +211,18 @@ func TestOracleStallPruning(t *testing.T) {
 	if got := o.VisibleT(2); got != 1 {
 		t.Errorf("VisibleT after stall = %d, want floor 1", got)
 	}
-	if rep := o.Report(); rep.TransactionsStalled != 1 {
-		t.Errorf("stalled = %d, want 1", rep.TransactionsStalled)
-	}
 
 	// A late fragment (a long CSMA contention gap, not a death) revives
 	// the transaction: density recovers and the transaction can still
 	// close with a clean conservation audit.
 	db, dbits, _ := codec.EncodeData(frame.Data{ID: 5, Offset: 0, Payload: []byte{1, 2}, Truth: &truth})
-	o.FrameSent(radio.Frame{From: 1, Payload: db, Bits: dbits})
+	tr.FrameSent(radio.Frame{From: 1, Payload: db, Bits: dbits})
 	if got := o.VisibleT(2); got != 2 {
 		t.Errorf("VisibleT after revival = %d, want 2", got)
 	}
 	db2, d2bits, _ := codec.EncodeData(frame.Data{ID: 5, Offset: 2, Payload: []byte{3, 4}, Truth: &truth})
-	o.FrameSent(radio.Frame{From: 1, Payload: db2, Bits: d2bits})
-	rep := o.Report()
-	if rep.TransactionsRevived != 1 || rep.TransactionsClosed != 1 {
-		t.Errorf("revived=%d closed=%d, want 1/1", rep.TransactionsRevived, rep.TransactionsClosed)
-	}
-	if err := rep.Check(); err != nil {
+	tr.FrameSent(radio.Frame{From: 1, Payload: db2, Bits: d2bits})
+	if err := o.Report().Check(); err != nil {
 		t.Errorf("revival flagged as violation: %v", err)
 	}
 }
@@ -225,15 +233,12 @@ func TestOracleVisibleTRespectsTopology(t *testing.T) {
 	disk.Place(1, radio.Point{X: 0, Y: 0})
 	disk.Place(2, radio.Point{X: 5, Y: 0})   // in range of 1
 	disk.Place(3, radio.Point{X: 100, Y: 0}) // out of range
-	o, err := New(Config{AFF: testAFF(), Topo: disk, Now: func() time.Duration { return now }})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr, o := newOracleOn(t, testAFF(), Config{Topo: disk}, &now)
 	sendTx := func(from radio.NodeID, seq uint32, id uint64) {
 		codec := frame.AFFCodec{IDBits: 8, Instrument: true}
 		truth := frame.Truth{Node: uint32(from), Seq: seq}
 		ib, bits, _ := codec.EncodeIntro(frame.Intro{ID: id, TotalLen: 4, Checksum: 7, Truth: &truth})
-		o.FrameSent(radio.Frame{From: from, Payload: ib, Bits: bits})
+		tr.FrameSent(radio.Frame{From: from, Payload: ib, Bits: bits})
 	}
 	sendTx(1, 1, 5)
 	sendTx(3, 1, 6)
@@ -257,10 +262,7 @@ func TestOracleAdaptiveWidthKeys(t *testing.T) {
 	cfg := testAFF()
 	cfg.Space = core.MustSpace(16)
 	cfg.AdaptiveWidth = true
-	o, err := New(Config{AFF: cfg, Now: func() time.Duration { return now }})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr, o := newOracleOn(t, cfg, Config{}, &now)
 	// A 4-bit id 3 and a 9-bit id 3 are distinct transactions, not a
 	// collision.
 	for i, w := range []int{4, 9} {
@@ -270,7 +272,7 @@ func TestOracleAdaptiveWidthKeys(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o.FrameSent(radio.Frame{From: radio.NodeID(i + 1), Payload: ib, Bits: bits})
+		tr.FrameSent(radio.Frame{From: radio.NodeID(i + 1), Payload: ib, Bits: bits})
 	}
 	rep := o.Report()
 	if rep.CollisionEvents != 0 {
@@ -283,8 +285,8 @@ func TestOracleAdaptiveWidthKeys(t *testing.T) {
 
 func TestOracleProbe(t *testing.T) {
 	now := time.Duration(0)
-	o := newTestOracle(t, &now)
-	sendTx(t, o, 1, 5, frame.Truth{Node: 1, Seq: 1}, []byte{1}) // closes immediately
+	tr, o := newTestOracle(t, &now)
+	sendTx(t, tr, 1, 5, frame.Truth{Node: 1, Seq: 1}, []byte{1}) // closes immediately
 
 	// No open transactions: truth is the floor of 1.
 	opt := OptimalWidth(384, 1, 2, 16)
@@ -315,7 +317,7 @@ func TestOracleProbe(t *testing.T) {
 	codec := frame.AFFCodec{IDBits: 8, Instrument: true}
 	truth := frame.Truth{Node: 3, Seq: 1}
 	ib, bits, _ := codec.EncodeIntro(frame.Intro{ID: 9, TotalLen: 4, Checksum: 7, Truth: &truth})
-	o.FrameSent(radio.Frame{From: 3, Payload: ib, Bits: bits})
+	tr.FrameSent(radio.Frame{From: 3, Payload: ib, Bits: bits})
 	o.Probe(2, 1.5, opt, 384, 2, 16)
 	rep = o.Report()
 	if got := rep.EstErrors[len(rep.EstErrors)-1]; math.Abs(got) > 1e-9 {
@@ -359,10 +361,10 @@ func TestReportMergeAndSnapshot(t *testing.T) {
 
 func TestOracleUnauditedFrames(t *testing.T) {
 	now := time.Duration(0)
-	o := newTestOracle(t, &now)
+	tr, o := newTestOracle(t, &now)
 	// Undecodable garbage at send and delivery.
-	o.FrameSent(radio.Frame{From: 1, Payload: nil, Bits: 0})
-	o.FrameDelivered(2, radio.Frame{From: 1, Payload: nil, Bits: 0}, false)
+	tr.FrameSent(radio.Frame{From: 1, Payload: nil, Bits: 0})
+	tr.FrameFate(2, radio.Frame{From: 1, Payload: nil, Bits: 0}, radio.FateDelivered)
 	// A packet without a truth trailer cannot be audited.
 	o.VerifyDelivered(2, aff.Packet{ID: 5, Data: []byte{1}})
 	rep := o.Report()

@@ -134,10 +134,10 @@ type Frame struct {
 
 // FrameObserver watches raw frames from the simulator's privileged
 // viewpoint: unlike trace.Tracer it sees payload bytes and the ground-truth
-// sender, so a conformance oracle can decode instrumented fragments and
-// audit the protocol under test. Implementations must be passive — no
-// randomness draws, no event scheduling, no mutation of the payload — so
-// that attaching one cannot perturb the simulation.
+// sender, and each delivery carries the copy the receiver got, corruption
+// included. Implementations must be passive — no randomness draws, no
+// event scheduling, no mutation of the payload — so that attaching one
+// cannot perturb the simulation.
 type FrameObserver interface {
 	// FrameSent fires once per transmission, when the frame is put on air.
 	FrameSent(f Frame)
@@ -182,7 +182,8 @@ func (f Fate) String() string {
 }
 
 // FateObserver watches every per-receiver reception outcome from the
-// simulator's privileged viewpoint — the span tracer's channel-fate feed.
+// simulator's privileged viewpoint — the feed of the ground-truth tracker
+// (internal/truth) that the conformance oracle and the span tracer read.
 // Where FrameObserver reports only transmissions and successful
 // deliveries, a FateObserver additionally hears about every loss and why.
 // FrameFate always receives the sender's original payload, even when a
@@ -267,8 +268,8 @@ func (m *Medium) SetTracer(t trace.Tracer) { m.tracer = t }
 func (m *Medium) SetFrameObserver(o FrameObserver) { m.observer = o }
 
 // SetFateObserver installs a privileged per-receiver fate observer; nil
-// disables it. It is a separate slot from the frame observer so the
-// conformance oracle and the span tracer can watch one medium together.
+// disables it. One slot suffices: the ground-truth tracker installed here
+// fans its decoded feed out to the oracle and the span tracer alike.
 func (m *Medium) SetFateObserver(o FateObserver) { m.fates = o }
 
 // fate reports one reception verdict when a fate observer is installed;

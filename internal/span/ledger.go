@@ -12,6 +12,7 @@ import (
 
 	"retri/internal/frame"
 	"retri/internal/radio"
+	"retri/internal/truth"
 )
 
 // Record is the flat, serializable form of one span: everything the
@@ -85,13 +86,10 @@ func recordOf(trial string, s *Span) Record {
 		Retry:    s.Retry,
 		Parent:   s.Parent,
 		QueuedNS: int64(s.QueuedAt),
-		OpenedNS: int64(s.OpenedAt),
-		ClosedNS: int64(s.ClosedAt),
-		TotalLen: s.TotalLen,
-		State:    s.state.String(),
+		OpenedNS: -1,
+		ClosedNS: -1,
+		State:    s.State().String(),
 		Outcome:  s.Outcome(),
-		Collided: s.Collided,
-		Revives:  s.Revives,
 
 		FragsSent:        s.FragsSent,
 		Deliveries:       s.Deliveries,
@@ -103,6 +101,15 @@ func recordOf(trial string, s *Span) Record {
 		Anomalies:        s.Anomalies,
 		Frags:            s.Frags,
 		Events:           s.Events,
+	}
+	if tx := s.tx; tx != nil {
+		r.OpenedNS = int64(tx.OpenedAt)
+		if tx.State != truth.Open {
+			r.ClosedNS = int64(tx.ClosedAt)
+		}
+		r.TotalLen = tx.TotalLen
+		r.Collided = tx.Collided
+		r.Revives = tx.Revives
 	}
 	if s.Truth != nil {
 		r.HasTruth = true

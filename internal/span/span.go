@@ -13,12 +13,13 @@
 //   - ARQ retry links joining a retransmission's fresh identifier back
 //     to its parent attempt, so a retry chain reads as one thread.
 //
-// The tracer ingests the same event feeds the oracle does plus the
-// sender- and receiver-side hooks (node.SpanSink, arq.AttemptObserver,
-// radio.FateObserver, adapt.Config.OnChange), and mirrors the oracle's
-// ground-truth state machine exactly — same stall, revive, FIFO-abandon
-// and retention rules — so span-derived lifecycle counts are
-// conformance-checkable against the oracle's report.
+// The lifecycle itself — open, stall, revive, FIFO-abandon, close,
+// collision parties, retention — is the ground-truth tracker's
+// (internal/truth): the tracer is one of its consumers, alongside the
+// oracle when both are attached, so span-derived lifecycle counts are the
+// oracle's by construction. The tracer adds the sender- and
+// receiver-side hooks (node.SpanSink, arq.AttemptObserver,
+// adapt.Config.OnChange) the tracker does not see.
 //
 // Like the oracle it is strictly passive: no randomness, no scheduled
 // events, no payload mutation. Attaching it cannot perturb a run.
@@ -26,46 +27,21 @@
 // It works in two attribution modes. With aff.Config.Instrument the
 // Truth trailer keys every fragment to its transaction exactly (the
 // conformance-grade mode). Without instrumentation — a flagless figure
-// whose wire format must not change — fragments are attributed by
-// (sender, reassembly key) against each sender's FIFO transmit order,
-// which is exact for everything except a sender redrawing the same
-// identifier for consecutive transactions without an intervening intro.
+// whose wire format must not change — the tracer resolves identities for
+// the tracker by (sender, reassembly key) against each sender's FIFO
+// transmit order, which is exact for everything except a sender redrawing
+// the same identifier for consecutive transactions without an
+// intervening intro.
 package span
 
 import (
-	"errors"
-	"fmt"
 	"time"
 
 	"retri/internal/aff"
 	"retri/internal/frame"
 	"retri/internal/radio"
+	"retri/internal/truth"
 )
-
-// Config parameterizes a Tracer. The lifecycle timing knobs default
-// exactly as the oracle's do, so the two state machines stay in step.
-type Config struct {
-	// AFF is the wire-format configuration of the stack under trace.
-	// Instrument selects truth-keyed attribution; without it the tracer
-	// falls back to per-sender FIFO matching.
-	AFF aff.Config
-	// Now supplies virtual time (pass the engine's clock).
-	Now func() time.Duration
-	// StallTimeout marks open transactions with no send activity
-	// dormant. Zero selects the AFF reassembly timeout.
-	StallTimeout time.Duration
-	// Retain keeps closed transactions findable for late receiver-side
-	// events. Zero selects StallTimeout.
-	Retain time.Duration
-	// Unwrap, when set, strips a transport envelope (the flood relay's
-	// hop-scope header) from every observed frame before AFF decoding,
-	// mirroring the oracle's hook; ok=false counts the frame
-	// Unattributed. Nil observes raw payloads.
-	Unwrap func(payload []byte) (inner []byte, ok bool)
-}
-
-// txKey is the instrumentation trailer's (node, sequence) pair.
-type txKey struct{ node, seq uint32 }
 
 // skey addresses a span by its sender and on-air reassembly key — the
 // only identity visible without instrumentation.
@@ -153,12 +129,6 @@ type Span struct {
 	Parent int // Index of the previous attempt in the retry chain, -1 for none
 
 	QueuedAt time.Duration // TxOpen instant; -1 for synthesized spans
-	OpenedAt time.Duration // first fragment on air; -1 while queued
-	ClosedAt time.Duration // final fragment on air / abandonment; -1 while open
-
-	TotalLen int
-	Collided bool // shared a live reassembly key with another span
-	Revives  int  // times a stall was revived by a late fragment
 
 	Frags  []Frag
 	Events []Event
@@ -172,29 +142,40 @@ type Span struct {
 	BudgetExhausted  bool // ARQ abandoned the retry chain at this attempt
 	Anomalies        int  // frames that violated fragmenter invariants
 
-	state     State
-	stalled   bool
-	haveLen   bool
-	introSent bool
-	lastSent  time.Duration
-	closedAt  time.Duration // retention clock (abandon included)
-	fragAt    map[int]int   // offset (-1 intro) -> index into Frags
+	// tx is the ground-truth lifecycle record, nil while queued.
+	tx     *truth.Tx
+	fragAt map[int]int // offset (-1 intro) -> index into Frags
 }
 
-// State reports the span's lifecycle position.
-func (s *Span) State() State { return s.state }
+// Lifecycle returns the span's ground-truth transaction record (open and
+// close instants, collision, revives, length), or nil while queued.
+func (s *Span) Lifecycle() *truth.Tx { return s.tx }
 
-// Stalled reports whether an open span is currently dormant.
-func (s *Span) Stalled() bool { return s.stalled }
+// State reports the span's lifecycle position.
+func (s *Span) State() State {
+	if s.tx == nil {
+		return StateQueued
+	}
+	switch s.tx.State {
+	case truth.Closed:
+		return StateClosed
+	case truth.Abandoned:
+		return StateAbandoned
+	}
+	return StateOpen
+}
+
+// Stalled reports whether the span's transaction is dormant.
+func (s *Span) Stalled() bool { return s.tx != nil && s.tx.Stalled }
 
 // Outcome classifies what ultimately happened to the transaction, in
 // precedence order: delivery evidence wins, then the failure root
 // causes, then the residual states.
 func (s *Span) Outcome() string {
-	switch {
+	switch st := s.State(); {
 	case s.Deliveries > 0:
 		return "delivered"
-	case s.Collided:
+	case s.tx != nil && s.tx.Collided:
 		return "collided"
 	case s.RejectedChecksum+s.RejectedConflict > 0:
 		return "rejected"
@@ -208,13 +189,13 @@ func (s *Span) Outcome() string {
 		return "retry-budget-exhausted"
 	case s.Expired > 0:
 		return "expired"
-	case s.state == StateAbandoned:
+	case st == StateAbandoned:
 		return "abandoned"
-	case s.state == StateQueued:
+	case st == StateQueued:
 		return "never-aired"
-	case s.state == StateOpen && s.stalled:
+	case st == StateOpen && s.Stalled():
 		return "stalled"
-	case s.state == StateOpen:
+	case st == StateOpen:
 		return "in-flight"
 	}
 	// Closed with no receiver evidence: every copy died on the channel.
@@ -229,9 +210,8 @@ type WidthChange struct {
 	To   int           `json:"to"`
 }
 
-// Report aggregates span lifecycle counts. The lifecycle fields mirror
-// the oracle report field for field so a conformance test can compare
-// the two machines directly.
+// Report aggregates span lifecycle counts. The lifecycle fields are the
+// tracker's, field for field the ones the oracle reports.
 type Report struct {
 	Spans               int64 // spans recorded, including never-aired
 	Opened              int64
@@ -242,7 +222,7 @@ type Report struct {
 	FragmentsSent       int64
 	CollisionEvents     int64
 	FreshnessViolations int64
-	Unattributed        int64 // send-side frames the tracer could not read
+	Unattributed        int64 // send-side frames the tracker could not read
 	PacketsDelivered    int64 // complete packets handed up by receivers
 	OrphanEvents        int64 // receiver/fate events with no matching span
 	Anomalies           int64 // fragmenter-invariant violations observed
@@ -265,39 +245,28 @@ func (r *Report) Merge(o Report) {
 	r.Anomalies += o.Anomalies
 }
 
-// Tracer assembles spans from the measurement hooks. It implements
-// radio.FateObserver, satisfies node.SpanSink and arq.AttemptObserver
-// structurally, and accepts adapt width-change notifications. Like
-// every protocol component it is single-threaded within one trial.
+// Tracer assembles spans from the measurement hooks. It consumes a
+// truth.Tracker (truth.Observer), satisfies node.SpanSink and
+// arq.AttemptObserver structurally, and accepts adapt width-change
+// notifications. Like every protocol component it is single-threaded
+// within one trial.
 type Tracer struct {
-	codec      frame.AFFCodec
-	instrument bool
-	bits       int
-	now        func() time.Duration
-	stall      time.Duration
-	retain     time.Duration
-	unwrap     func(payload []byte) ([]byte, bool)
+	tr *truth.Tracker
 
 	spans  []*Span
 	widths []WidthChange
 
-	// Truth-keyed lifecycle state (instrumented mode) — the exact shape
-	// of the oracle's open/closed/current maps.
-	queuedTruth map[txKey]*Span
-	openTruth   map[txKey]*Span
-	closedTruth map[txKey]*Span
-	current     map[radio.NodeID]txKey
-
-	// FIFO lifecycle state (uninstrumented mode).
+	// Draws not yet on air: keyed by trailer (instrumented mode) or queued
+	// per sender in transmit order (FIFO mode).
+	queuedTruth map[truth.Key]*Span
 	queuedFIFO  map[radio.NodeID][]*Span
-	currentFIFO map[radio.NodeID]*Span
+	// fifoSeq numbers the synthetic identities FIFO mode hands the
+	// tracker.
+	fifoSeq uint32
 
-	// liveByKey lists live (non-stalled) open spans per reassembly key:
-	// its length is the oracle's openByKey count, and the list lets the
-	// tracer mark every party to a collision.
-	liveByKey map[uint64][]*Span
 	// bySenderKey and lastByKey are best-effort attribution indexes for
-	// fate and receiver-side events (latest span wins).
+	// fate and receiver-side events without a usable trailer (latest span
+	// wins).
 	bySenderKey map[skey]*Span
 	lastByKey   map[uint64]*Span
 	// lastQueued and arqLast thread ARQ retry chains: the span TxOpen
@@ -305,81 +274,28 @@ type Tracer struct {
 	lastQueued map[radio.NodeID]*Span
 	arqLast    map[arqKey]*Span
 
-	retained []*Span // closed/abandoned spans inside the retention window
-
 	rep Report
 }
 
-var _ radio.FateObserver = (*Tracer)(nil)
+var _ truth.Observer = (*Tracer)(nil)
 
-// New builds a tracer for the given wire format.
-func New(cfg Config) (*Tracer, error) {
-	if cfg.AFF.Space.Bits() < 1 {
-		return nil, errors.New("span: config needs an identifier space")
-	}
-	if cfg.Now == nil {
-		cfg.Now = func() time.Duration { return 0 }
-	}
-	if cfg.StallTimeout <= 0 {
-		cfg.StallTimeout = cfg.AFF.ReassemblyTimeout
-	}
-	if cfg.StallTimeout <= 0 {
-		cfg.StallTimeout = 250 * time.Millisecond
-	}
-	if cfg.Retain <= 0 {
-		cfg.Retain = cfg.StallTimeout
-	}
-	return &Tracer{
-		codec: frame.AFFCodec{
-			IDBits:      cfg.AFF.Space.Bits(),
-			Instrument:  cfg.AFF.Instrument,
-			InBandWidth: cfg.AFF.AdaptiveWidth,
-		},
-		instrument:  cfg.AFF.Instrument,
-		bits:        cfg.AFF.Space.Bits(),
-		now:         cfg.Now,
-		stall:       cfg.StallTimeout,
-		retain:      cfg.Retain,
-		unwrap:      cfg.Unwrap,
-		queuedTruth: make(map[txKey]*Span),
-		openTruth:   make(map[txKey]*Span),
-		closedTruth: make(map[txKey]*Span),
-		current:     make(map[radio.NodeID]txKey),
+// New attaches a span tracer to a tracker. On an uninstrumented wire
+// format it resolves identities by per-sender FIFO order.
+func New(tr *truth.Tracker) *Tracer {
+	t := &Tracer{
+		tr:          tr,
+		queuedTruth: make(map[truth.Key]*Span),
 		queuedFIFO:  make(map[radio.NodeID][]*Span),
-		currentFIFO: make(map[radio.NodeID]*Span),
-		liveByKey:   make(map[uint64][]*Span),
 		bySenderKey: make(map[skey]*Span),
 		lastByKey:   make(map[uint64]*Span),
 		lastQueued:  make(map[radio.NodeID]*Span),
 		arqLast:     make(map[arqKey]*Span),
-	}, nil
-}
-
-// MustNew is New for configurations known valid (tests, harness glue).
-func MustNew(cfg Config) *Tracer {
-	t, err := New(cfg)
-	if err != nil {
-		panic(fmt.Sprintf("span.MustNew: %v", err))
 	}
+	if !tr.Instrumented() {
+		tr.SetResolver(t.resolveFIFO)
+	}
+	tr.Attach(t)
 	return t
-}
-
-// reassemblyKey maps a decoded width and identifier to the key the
-// reassembler files the fragment under (the oracle's convention).
-func (t *Tracer) reassemblyKey(decodedWidth int, id uint64) uint64 {
-	if decodedWidth == 0 {
-		return id
-	}
-	return aff.WidthKey(decodedWidth, id)
-}
-
-// widthOf normalizes a decoded in-band width (0 = fixed format) to the
-// actual identifier width in bits.
-func (t *Tracer) widthOf(decodedWidth int) int {
-	if decodedWidth == 0 {
-		return t.bits
-	}
-	return decodedWidth
 }
 
 // ---- sender-side hooks (node.SpanSink) ----
@@ -400,16 +316,13 @@ func (t *Tracer) TxOpen(sender radio.NodeID, tx aff.Transaction, key uint64, str
 		ARQSeq:   -1,
 		Retry:    -1,
 		Parent:   -1,
-		QueuedAt: t.now(),
-		OpenedAt: -1,
-		ClosedAt: -1,
-		state:    StateQueued,
+		QueuedAt: t.tr.Now(),
 		fragAt:   make(map[int]int),
 	}
 	t.spans = append(t.spans, s)
 	t.rep.Spans++
-	if t.instrument && tx.Truth != nil {
-		t.queuedTruth[txKey{tx.Truth.Node, tx.Truth.Seq}] = s
+	if t.tr.Instrumented() && tx.Truth != nil {
+		t.queuedTruth[truth.Key{Node: tx.Truth.Node, Seq: tx.Truth.Seq}] = s
 	} else {
 		t.queuedFIFO[sender] = append(t.queuedFIFO[sender], s)
 	}
@@ -425,7 +338,7 @@ func (t *Tracer) RxDelivered(receiver radio.NodeID, p aff.Packet) {
 		return
 	}
 	s.Deliveries++
-	s.Events = append(s.Events, Event{At: t.now(), Node: receiver, Kind: "delivered"})
+	s.Events = append(s.Events, Event{At: t.tr.Now(), Node: receiver, Kind: "delivered"})
 }
 
 // RxRejected records a never-misdeliver rejection: a reassembled packet
@@ -443,7 +356,7 @@ func (t *Tracer) RxRejected(receiver radio.NodeID, key uint64, checksum bool) {
 	} else {
 		s.RejectedConflict++
 	}
-	s.Events = append(s.Events, Event{At: t.now(), Node: receiver, Kind: kind})
+	s.Events = append(s.Events, Event{At: t.tr.Now(), Node: receiver, Kind: kind})
 }
 
 // RxExpired records a receiver abandoning partial reassembly state.
@@ -454,7 +367,7 @@ func (t *Tracer) RxExpired(receiver radio.NodeID, key uint64) {
 		return
 	}
 	s.Expired++
-	s.Events = append(s.Events, Event{At: t.now(), Node: receiver, Kind: "expired"})
+	s.Events = append(s.Events, Event{At: t.tr.Now(), Node: receiver, Kind: "expired"})
 }
 
 // RxEvicted records a receiver's MaxPartials cap evicting partial
@@ -467,7 +380,7 @@ func (t *Tracer) RxEvicted(receiver radio.NodeID, key uint64) {
 		return
 	}
 	s.Evicted++
-	s.Events = append(s.Events, Event{At: t.now(), Node: receiver, Kind: "evicted"})
+	s.Events = append(s.Events, Event{At: t.tr.Now(), Node: receiver, Kind: "evicted"})
 }
 
 // ARQAbandon marks a retry chain's final attempt: the ARQ endpoint
@@ -507,118 +420,109 @@ func (t *Tracer) ARQAttempt(sender radio.NodeID, seq uint32, attempt int, hasPre
 // NoteWidthChange records an adaptive-width controller move (wire it to
 // adapt.Config.OnChange).
 func (t *Tracer) NoteWidthChange(node radio.NodeID, oldBits, newBits int) {
-	t.widths = append(t.widths, WidthChange{At: t.now(), Node: node, From: oldBits, To: newBits})
+	t.widths = append(t.widths, WidthChange{At: t.tr.Now(), Node: node, From: oldBits, To: newBits})
 }
 
-// ---- medium hooks (radio.FateObserver) ----
+// ---- tracker feed (truth.Observer) ----
 
-// FrameSent advances the lifecycle machine: prune, decode, attribute,
-// record — the oracle's FrameSent shape, step for step.
-func (t *Tracer) FrameSent(f radio.Frame) {
-	now := t.now()
-	t.prune(now)
-	payload := f.Payload
-	if t.unwrap != nil {
-		inner, ok := t.unwrap(payload)
-		if !ok {
-			t.rep.Unattributed++
-			return
-		}
-		payload = inner
+// resolveFIFO is the uninstrumented identity resolver: a sender's
+// transactions never interleave, so its current transaction continues
+// while the key matches (an intro after that transaction's intro means
+// the selector redrew the same key for a new one), and anything else
+// begins the sender's next transaction under a fresh synthetic key.
+func (t *Tracer) resolveFIFO(f *truth.Frame) truth.Key {
+	sender := f.Raw.From
+	if cur := t.tr.Current(sender); cur != nil && cur.Key == f.Key && (!f.Intro || !cur.HaveLen) {
+		return cur.Truth
 	}
-	decoded, err := t.codec.Decode(payload)
-	if err != nil {
-		t.rep.Unattributed++
-		return
-	}
-	t.rep.FragmentsSent++
-	switch fr := decoded.(type) {
-	case *frame.Intro:
-		if t.instrument && fr.Truth == nil {
-			t.rep.Unattributed++
-			return
-		}
-		s := t.attributeSend(fr.Truth, f.From, t.reassemblyKey(fr.IDBits, fr.ID), fr.ID, t.widthOf(fr.IDBits), true, now)
-		if !s.haveLen {
-			s.haveLen = true
-			s.TotalLen = fr.TotalLen
-		}
-		if _, dup := s.fragAt[-1]; dup {
-			// A relay re-airing the introduction: the span already has it.
-			return
-		}
-		s.introSent = true
-		t.recordFrag(s, true, -1, 0, now)
-	case *frame.Data:
-		if t.instrument && fr.Truth == nil {
-			t.rep.Unattributed++
-			return
-		}
-		s := t.attributeSend(fr.Truth, f.From, t.reassemblyKey(fr.IDBits, fr.ID), fr.ID, t.widthOf(fr.IDBits), false, now)
-		if !s.haveLen {
-			// The fragmenter airs the introduction first; a data frame
-			// for an unknown transaction is a protocol bug.
-			s.Anomalies++
-			t.rep.Anomalies++
-			return
-		}
-		end := fr.Offset + len(fr.Payload)
-		if end > s.TotalLen {
-			s.Anomalies++
-			t.rep.Anomalies++
-			return
-		}
-		if _, dup := s.fragAt[fr.Offset]; dup {
-			// A relayed copy of a fragment already recorded at its first
-			// airing: fates still attribute to that record.
-			return
-		}
-		t.recordFrag(s, false, fr.Offset, len(fr.Payload), now)
-		if end == s.TotalLen {
-			t.close(s, now)
-		}
-	}
+	t.fifoSeq++
+	return truth.Key{Node: uint32(sender), Seq: t.fifoSeq}
 }
 
-// FrameFate attributes one receiver's copy of a frame to its span and
-// records the channel verdict. Strictly read-only on lifecycle state:
-// fates arrive at delivery instants, not send instants, and must not
-// perturb the open/stalled bookkeeping the oracle parity rests on.
-func (t *Tracer) FrameFate(to radio.NodeID, f radio.Frame, fate radio.Fate) {
-	payload := f.Payload
-	if t.unwrap != nil {
-		inner, ok := t.unwrap(payload)
-		if !ok {
-			return
+// Opened binds a transaction that just went on air to its span: the
+// queued draw it came from, or a synthesized span when no draw was
+// recorded (span sink not wired on that node, or a crash raced the hook).
+func (t *Tracer) Opened(tx *truth.Tx, f *truth.Frame) {
+	var s *Span
+	if t.tr.Instrumented() {
+		if s = t.queuedTruth[tx.Truth]; s != nil {
+			delete(t.queuedTruth, tx.Truth)
 		}
-		payload = inner
+	} else {
+		// Pop the sender's queue up to the matching draw; skipped entries
+		// died with a crashed transmit queue and stay never-aired.
+		q := t.queuedFIFO[tx.Sender]
+		for len(q) > 0 {
+			head := q[0]
+			q = q[1:]
+			if head.Key == tx.Key {
+				s = head
+				break
+			}
+		}
+		t.queuedFIFO[tx.Sender] = q
 	}
-	decoded, err := t.codec.Decode(payload)
-	if err != nil {
+	if s == nil {
+		s = &Span{
+			Index:    len(t.spans),
+			Sender:   tx.Sender,
+			Key:      tx.Key,
+			Width:    f.Width,
+			ID:       f.ID,
+			ARQSeq:   -1,
+			Retry:    -1,
+			Parent:   -1,
+			QueuedAt: -1,
+			fragAt:   make(map[int]int),
+		}
+		if t.tr.Instrumented() {
+			s.Truth = &frame.Truth{Node: tx.Truth.Node, Seq: tx.Truth.Seq}
+		}
+		t.spans = append(t.spans, s)
+		t.rep.Spans++
+	}
+	s.tx = tx
+	tx.Tag = s
+	t.bySenderKey[skey{s.Sender, s.Key}] = s
+	t.lastByKey[s.Key] = s
+}
+
+// Sent records one fragment on its span. Relayed copies of a fragment
+// already recorded at its first airing add nothing: their fates still
+// attribute to that record.
+func (t *Tracer) Sent(f *truth.Frame, tx *truth.Tx, violation bool) {
+	s := spanOf(tx)
+	if violation {
+		s.Anomalies++
+		t.rep.Anomalies++
 		return
 	}
-	var (
-		truth  *frame.Truth
-		key    uint64
-		offset int
-	)
-	switch fr := decoded.(type) {
-	case *frame.Intro:
-		truth, key, offset = fr.Truth, t.reassemblyKey(fr.IDBits, fr.ID), -1
-	case *frame.Data:
-		truth, key, offset = fr.Truth, t.reassemblyKey(fr.IDBits, fr.ID), fr.Offset
-	default:
+	if _, dup := s.fragAt[f.Offset]; dup {
 		return
 	}
-	s := t.findForFate(truth, f.From, key)
+	s.FragsSent++
+	s.fragAt[f.Offset] = len(s.Frags)
+	s.Frags = append(s.Frags, Frag{Intro: f.Intro, Offset: f.Offset, Len: len(f.Payload), At: t.tr.Now()})
+}
+
+// Fate attributes one receiver's copy of a frame to its span and records
+// the channel verdict.
+func (t *Tracer) Fate(_ radio.NodeID, f *truth.Frame, tx *truth.Tx, fate radio.Fate) {
+	if f == nil {
+		return
+	}
+	s := spanOf(tx)
+	if s == nil {
+		s = t.bySenderKey[skey{f.Raw.From, f.Key}]
+	}
 	if s == nil {
 		t.rep.OrphanEvents++
 		return
 	}
-	i, ok := s.fragAt[offset]
+	i, ok := s.fragAt[f.Offset]
 	if !ok {
 		// A fate for a fragment the send path never recorded (an
-		// anomalous frame the lifecycle machine refused): drop it.
+		// anomalous frame): drop it.
 		return
 	}
 	bumpFate(&s.Frags[i], fate)
@@ -643,273 +547,26 @@ func bumpFate(fr *Frag, fate radio.Fate) {
 	}
 }
 
-// ---- lifecycle machine ----
-
-// attributeSend finds or opens the span a transmitted fragment belongs
-// to, mirroring the oracle's lookup: freshness check, stall revival,
-// FIFO abandonment of the sender's previous transaction, and collision
-// detection at open.
-func (t *Tracer) attributeSend(truth *frame.Truth, sender radio.NodeID, key, id uint64, width int, isIntro bool, now time.Duration) *Span {
-	if t.instrument && truth != nil {
-		return t.lookupTruth(txKey{truth.Node, truth.Seq}, sender, key, id, width, now)
+// spanOf returns the span bound to a tracked transaction, or nil.
+func spanOf(tx *truth.Tx) *Span {
+	if tx == nil {
+		return nil
 	}
-	return t.lookupFIFO(sender, key, id, width, isIntro, now)
-}
-
-// lookupTruth is the oracle's lookup, verbatim, producing spans.
-func (t *Tracer) lookupTruth(k txKey, sender radio.NodeID, key, id uint64, width int, now time.Duration) *Span {
-	if s, ok := t.openTruth[k]; ok {
-		if s.Key != key {
-			t.rep.FreshnessViolations++
-		}
-		if s.stalled {
-			s.stalled = false
-			t.addLive(s)
-			s.Revives++
-			t.rep.Revived++
-		}
-		s.lastSent = now
-		return s
-	}
-	if s, ok := t.closedTruth[k]; ok {
-		// A relay re-airing a fragment of a retired span: attribute the
-		// copy without touching lifecycle state — the originator's story
-		// already ended.
-		return s
-	}
-	if prev, ok := t.current[sender]; ok && prev != k {
-		if ps, live := t.openTruth[prev]; live {
-			t.abandon(ps, now)
-		}
-	}
-	t.current[sender] = k
-	s := t.queuedTruth[k]
-	if s != nil {
-		delete(t.queuedTruth, k)
-	} else {
-		s = t.synthesize(k, sender, key, id, width)
-	}
-	t.openSpan(s, now)
-	t.openTruth[k] = s
+	s, _ := tx.Tag.(*Span)
 	return s
-}
-
-// lookupFIFO attributes a fragment without instrumentation: a sender's
-// transactions never interleave, so the current span continues while
-// the key matches (an intro after this span's intro means the selector
-// redrew the same key for a new transaction), and anything else begins
-// the sender's next queued transaction.
-func (t *Tracer) lookupFIFO(sender radio.NodeID, key, id uint64, width int, isIntro bool, now time.Duration) *Span {
-	if cur := t.currentFIFO[sender]; cur != nil && cur.state == StateOpen && cur.Key == key {
-		if !isIntro || !cur.introSent {
-			if cur.stalled {
-				cur.stalled = false
-				t.addLive(cur)
-				cur.Revives++
-				t.rep.Revived++
-			}
-			cur.lastSent = now
-			return cur
-		}
-	}
-	if cur := t.currentFIFO[sender]; cur != nil && cur.state == StateOpen {
-		t.abandon(cur, now)
-	}
-	// Pop the sender's queue up to the matching draw; skipped entries
-	// died with a crashed transmit queue and stay never-aired.
-	var s *Span
-	q := t.queuedFIFO[sender]
-	for len(q) > 0 {
-		head := q[0]
-		q = q[1:]
-		if head.Key == key {
-			s = head
-			break
-		}
-	}
-	t.queuedFIFO[sender] = q
-	if s == nil {
-		s = t.synthesize(txKey{}, sender, key, id, width)
-	}
-	t.openSpan(s, now)
-	t.currentFIFO[sender] = s
-	return s
-}
-
-// synthesize covers a fragment with no recorded selector draw (span
-// sink not wired on that node, or a crash raced the hook): the span
-// exists so lifecycle counts still mirror the oracle.
-func (t *Tracer) synthesize(k txKey, sender radio.NodeID, key, id uint64, width int) *Span {
-	s := &Span{
-		Index:    len(t.spans),
-		Sender:   sender,
-		Key:      key,
-		Width:    width,
-		ID:       id,
-		ARQSeq:   -1,
-		Retry:    -1,
-		Parent:   -1,
-		QueuedAt: -1,
-		OpenedAt: -1,
-		ClosedAt: -1,
-		state:    StateQueued,
-		fragAt:   make(map[int]int),
-	}
-	if t.instrument {
-		s.Truth = &frame.Truth{Node: k.node, Seq: k.seq}
-	}
-	t.spans = append(t.spans, s)
-	t.rep.Spans++
-	return s
-}
-
-// openSpan moves a queued span on air, counting a collision event when
-// its reassembly key already carries another live transaction — and
-// marking every party, which the oracle's bare counter cannot.
-func (t *Tracer) openSpan(s *Span, now time.Duration) {
-	if peers := t.liveByKey[s.Key]; len(peers) > 0 {
-		t.rep.CollisionEvents++
-		s.Collided = true
-		for _, p := range peers {
-			p.Collided = true
-		}
-	}
-	s.state = StateOpen
-	s.OpenedAt = now
-	s.lastSent = now
-	t.addLive(s)
-	t.bySenderKey[skey{s.Sender, s.Key}] = s
-	t.lastByKey[s.Key] = s
-	t.rep.Opened++
-}
-
-// close retires a span whose final data fragment went on air.
-func (t *Tracer) close(s *Span, now time.Duration) {
-	t.retire(s, now)
-	s.state = StateClosed
-	t.rep.Closed++
-}
-
-// abandon retires a span its sender walked away from.
-func (t *Tracer) abandon(s *Span, now time.Duration) {
-	t.retire(s, now)
-	s.state = StateAbandoned
-	t.rep.Abandoned++
-}
-
-// retire removes a span from the open set, keeping it findable for the
-// retention window so in-flight frames and receiver verdicts still
-// attribute.
-func (t *Tracer) retire(s *Span, now time.Duration) {
-	if s.Truth != nil {
-		delete(t.openTruth, txKey{s.Truth.Node, s.Truth.Seq})
-	}
-	if t.currentFIFO[s.Sender] == s {
-		delete(t.currentFIFO, s.Sender)
-	}
-	if !s.stalled {
-		t.removeLive(s)
-	}
-	s.ClosedAt = now
-	s.closedAt = now
-	if s.Truth != nil {
-		t.closedTruth[txKey{s.Truth.Node, s.Truth.Seq}] = s
-	}
-	t.retained = append(t.retained, s)
-}
-
-// prune stalls idle open spans and drops retained spans past the
-// retention window — the oracle's prune, applied at send instants.
-func (t *Tracer) prune(now time.Duration) {
-	for _, s := range t.openTruth {
-		t.stallIfIdle(s, now)
-	}
-	for _, s := range t.currentFIFO {
-		t.stallIfIdle(s, now)
-	}
-	if len(t.retained) == 0 {
-		return
-	}
-	kept := t.retained[:0]
-	for _, s := range t.retained {
-		if now-s.closedAt > t.retain {
-			if s.Truth != nil {
-				k := txKey{s.Truth.Node, s.Truth.Seq}
-				if t.closedTruth[k] == s {
-					delete(t.closedTruth, k)
-				}
-			}
-			continue
-		}
-		kept = append(kept, s)
-	}
-	t.retained = kept
-}
-
-func (t *Tracer) stallIfIdle(s *Span, now time.Duration) {
-	if s.state == StateOpen && !s.stalled && now-s.lastSent > t.stall {
-		s.stalled = true
-		t.removeLive(s)
-		t.rep.Stalled++
-	}
-}
-
-func (t *Tracer) addLive(s *Span) {
-	t.liveByKey[s.Key] = append(t.liveByKey[s.Key], s)
-}
-
-func (t *Tracer) removeLive(s *Span) {
-	peers := t.liveByKey[s.Key]
-	for i, p := range peers {
-		if p == s {
-			peers = append(peers[:i], peers[i+1:]...)
-			break
-		}
-	}
-	if len(peers) == 0 {
-		delete(t.liveByKey, s.Key)
-	} else {
-		t.liveByKey[s.Key] = peers
-	}
 }
 
 // findForRx attributes a receiver-side event. Truth is exact when
 // present; otherwise the latest span opened under the key is the best
 // witness (exact except under an active identifier collision, which the
-// Collided mark already flags).
-func (t *Tracer) findForRx(truth *frame.Truth, key uint64) *Span {
-	if truth != nil {
-		k := txKey{truth.Node, truth.Seq}
-		if s, ok := t.openTruth[k]; ok {
-			return s
-		}
-		if s, ok := t.closedTruth[k]; ok {
+// collision mark already flags).
+func (t *Tracer) findForRx(tr *frame.Truth, key uint64) *Span {
+	if tr != nil {
+		if s := spanOf(t.tr.Find(truth.Key{Node: tr.Node, Seq: tr.Seq})); s != nil {
 			return s
 		}
 	}
 	return t.lastByKey[key]
-}
-
-// findForFate attributes a channel fate, which arrives at a delivery
-// instant possibly long after the span closed.
-func (t *Tracer) findForFate(truth *frame.Truth, sender radio.NodeID, key uint64) *Span {
-	if truth != nil {
-		k := txKey{truth.Node, truth.Seq}
-		if s, ok := t.openTruth[k]; ok {
-			return s
-		}
-		if s, ok := t.closedTruth[k]; ok {
-			return s
-		}
-	}
-	return t.bySenderKey[skey{sender, key}]
-}
-
-// recordFrag appends one transmitted fragment to its span.
-func (t *Tracer) recordFrag(s *Span, intro bool, offset, n int, now time.Duration) {
-	s.FragsSent++
-	s.fragAt[offset] = len(s.Frags)
-	s.Frags = append(s.Frags, Frag{Intro: intro, Offset: offset, Len: n, At: now})
 }
 
 // ---- results ----
@@ -921,5 +578,18 @@ func (t *Tracer) Spans() []*Span { return t.spans }
 // WidthChanges returns the recorded width-controller moves.
 func (t *Tracer) WidthChanges() []WidthChange { return t.widths }
 
-// Report returns a copy of the lifecycle counts accumulated so far.
-func (t *Tracer) Report() Report { return t.rep }
+// Report returns the span tallies plus the tracker's lifecycle counts.
+func (t *Tracer) Report() Report {
+	r := t.rep
+	c := t.tr.Counts()
+	r.Opened = c.Opened
+	r.Closed = c.Closed
+	r.Stalled = c.Stalled
+	r.Revived = c.Revived
+	r.Abandoned = c.Abandoned
+	r.FragmentsSent = c.FragmentsSent
+	r.CollisionEvents = c.Collisions
+	r.FreshnessViolations = c.Freshness
+	r.Unattributed = c.Unattributed
+	return r
+}

@@ -11,11 +11,13 @@ import (
 	"retri/internal/core"
 	"retri/internal/frame"
 	"retri/internal/radio"
+	"retri/internal/truth"
 )
 
-// harness bundles a tracer with a settable clock and the codec that
-// produces its frames.
+// harness bundles a tracer and the tracker feeding it with a settable
+// clock and the codec that produces its frames.
 type harness struct {
+	trk   *truth.Tracker
 	tr    *Tracer
 	codec frame.AFFCodec
 	now   time.Duration
@@ -24,7 +26,7 @@ type harness struct {
 func newHarness(t *testing.T, instrument bool) *harness {
 	t.Helper()
 	h := &harness{}
-	cfg := Config{
+	trk, err := truth.New(truth.Config{
 		AFF: aff.Config{
 			Space:             core.MustSpace(8),
 			MTU:               27,
@@ -32,12 +34,12 @@ func newHarness(t *testing.T, instrument bool) *harness {
 			ReassemblyTimeout: 100 * time.Millisecond,
 		},
 		Now: func() time.Duration { return h.now },
-	}
-	tr, err := New(cfg)
+	})
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("truth.New: %v", err)
 	}
-	h.tr = tr
+	h.trk = trk
+	h.tr = New(trk)
 	h.codec = frame.AFFCodec{IDBits: 8, Instrument: instrument}
 	return h
 }
@@ -73,12 +75,12 @@ func TestLifecycleDelivered(t *testing.T) {
 	}
 
 	fi := h.intro(t, 1, 5, 4, truth)
-	h.tr.FrameSent(fi)
-	h.tr.FrameFate(2, fi, radio.FateDelivered)
+	h.trk.FrameSent(fi)
+	h.trk.FrameFate(2, fi, radio.FateDelivered)
 	h.now = 2 * time.Millisecond
 	fd := h.data(t, 1, 5, 0, []byte{1, 2, 3, 4}, truth)
-	h.tr.FrameSent(fd)
-	h.tr.FrameFate(2, fd, radio.FateDelivered)
+	h.trk.FrameSent(fd)
+	h.trk.FrameFate(2, fd, radio.FateDelivered)
 	h.tr.RxDelivered(2, aff.Packet{ID: 5, Data: []byte{1, 2, 3, 4}, Truth: truth})
 
 	rep := h.tr.Report()
@@ -89,14 +91,14 @@ func TestLifecycleDelivered(t *testing.T) {
 	if s.State() != StateClosed || s.Outcome() != "delivered" {
 		t.Fatalf("state %v outcome %q", s.State(), s.Outcome())
 	}
-	if s.Strategy != "uniform" || s.Redraws != 2 || s.Width != 8 || s.TotalLen != 4 {
+	if s.Strategy != "uniform" || s.Redraws != 2 || s.Width != 8 || s.Lifecycle().TotalLen != 4 {
 		t.Fatalf("span metadata = %+v", s)
 	}
 	if len(s.Frags) != 2 || s.Frags[0].Delivered != 1 || s.Frags[1].Delivered != 1 {
 		t.Fatalf("frags = %+v", s.Frags)
 	}
-	if s.OpenedAt != 0 || s.ClosedAt != 2*time.Millisecond {
-		t.Fatalf("times open %v close %v", s.OpenedAt, s.ClosedAt)
+	if tx := s.Lifecycle(); tx.OpenedAt != 0 || tx.ClosedAt != 2*time.Millisecond {
+		t.Fatalf("times open %v close %v", tx.OpenedAt, tx.ClosedAt)
 	}
 	if len(s.Events) != 1 || s.Events[0].Kind != "delivered" || s.Events[0].Node != 2 {
 		t.Fatalf("events = %+v", s.Events)
@@ -109,15 +111,15 @@ func TestCollisionMarksEveryParty(t *testing.T) {
 	t2 := &frame.Truth{Node: 2, Seq: 0}
 	h.open(1, 7, t1, "uniform", 0)
 	h.open(2, 7, t2, "uniform", 0)
-	h.tr.FrameSent(h.intro(t, 1, 7, 8, t1))
-	h.tr.FrameSent(h.intro(t, 2, 7, 8, t2))
+	h.trk.FrameSent(h.intro(t, 1, 7, 8, t1))
+	h.trk.FrameSent(h.intro(t, 2, 7, 8, t2))
 
 	rep := h.tr.Report()
 	if rep.CollisionEvents != 1 {
 		t.Fatalf("CollisionEvents = %d, want 1", rep.CollisionEvents)
 	}
 	for i, s := range h.tr.Spans() {
-		if !s.Collided {
+		if !s.Lifecycle().Collided {
 			t.Fatalf("span %d not marked collided", i)
 		}
 		if s.Outcome() != "collided" {
@@ -131,36 +133,33 @@ func TestStallReviveAbandon(t *testing.T) {
 	tA := &frame.Truth{Node: 1, Seq: 0}
 	tB := &frame.Truth{Node: 1, Seq: 1}
 	h.open(1, 3, tA, "uniform", 0)
-	h.tr.FrameSent(h.intro(t, 1, 3, 8, tA))
-	h.tr.FrameSent(h.data(t, 1, 3, 0, []byte{1, 2, 3, 4}, tA))
+	h.trk.FrameSent(h.intro(t, 1, 3, 8, tA))
+	h.trk.FrameSent(h.data(t, 1, 3, 0, []byte{1, 2, 3, 4}, tA))
 
 	// Idle past the stall timeout; an unrelated frame triggers the prune.
 	h.now = 150 * time.Millisecond
 	other := &frame.Truth{Node: 9, Seq: 0}
 	h.open(9, 200, other, "uniform", 0)
-	h.tr.FrameSent(h.intro(t, 9, 200, 1, other))
-	if rep := h.tr.Report(); rep.Stalled != 1 {
-		t.Fatalf("Stalled = %d, want 1", rep.Stalled)
-	}
+	h.trk.FrameSent(h.intro(t, 9, 200, 1, other))
 	sA := h.tr.Spans()[0]
 	if !sA.Stalled() || sA.Outcome() != "stalled" {
 		t.Fatalf("span A stalled=%v outcome=%q", sA.Stalled(), sA.Outcome())
 	}
 
 	// A late fragment revives the stalled transaction.
-	h.tr.FrameSent(h.data(t, 1, 3, 4, []byte{5, 6}, tA))
-	if rep := h.tr.Report(); rep.Revived != 1 {
-		t.Fatalf("Revived = %d, want 1", rep.Revived)
-	}
-	if sA.Stalled() || sA.Revives != 1 {
-		t.Fatalf("span A after revive: stalled=%v revives=%d", sA.Stalled(), sA.Revives)
+	h.trk.FrameSent(h.data(t, 1, 3, 4, []byte{5, 6}, tA))
+	if sA.Stalled() || sA.Outcome() != "in-flight" {
+		t.Fatalf("span A after revive: stalled=%v outcome=%q", sA.Stalled(), sA.Outcome())
 	}
 
-	// A new transaction from the same sender abandons the open one.
+	// A new transaction from the same sender abandons the open one, and
+	// the ledger keeps its revive.
 	h.open(1, 4, tB, "uniform", 0)
-	h.tr.FrameSent(h.intro(t, 1, 4, 2, tB))
-	if rep := h.tr.Report(); rep.Abandoned != 1 {
-		t.Fatalf("Abandoned = %d, want 1", rep.Abandoned)
+	h.trk.FrameSent(h.intro(t, 1, 4, 2, tB))
+	l := NewLedger()
+	l.AddTrial("trial-0", h.tr)
+	if r := l.Records()[0]; r.Revives != 1 || r.State != "abandoned" || r.ClosedNS != int64(150*time.Millisecond) {
+		t.Fatalf("span A record = %+v", r)
 	}
 	if sA.State() != StateAbandoned || sA.Outcome() != "abandoned" {
 		t.Fatalf("span A state %v outcome %q", sA.State(), sA.Outcome())
@@ -171,9 +170,9 @@ func TestFreshnessViolationCounted(t *testing.T) {
 	h := newHarness(t, true)
 	tr := &frame.Truth{Node: 1, Seq: 0}
 	h.open(1, 3, tr, "uniform", 0)
-	h.tr.FrameSent(h.intro(t, 1, 3, 8, tr))
+	h.trk.FrameSent(h.intro(t, 1, 3, 8, tr))
 	// Same transaction, different identifier: a mid-flight change.
-	h.tr.FrameSent(h.data(t, 1, 9, 0, []byte{1}, tr))
+	h.trk.FrameSent(h.data(t, 1, 9, 0, []byte{1}, tr))
 	if rep := h.tr.Report(); rep.FreshnessViolations != 1 {
 		t.Fatalf("FreshnessViolations = %d, want 1", rep.FreshnessViolations)
 	}
@@ -186,8 +185,8 @@ func TestTruthlessFIFOAttribution(t *testing.T) {
 
 	// Sender's first draw never airs (queue died); the second does. FIFO
 	// matching must skip the dead draw and attribute to the second span.
-	h.tr.FrameSent(h.intro(t, 1, 9, 2, nil))
-	h.tr.FrameSent(h.data(t, 1, 9, 0, []byte{1, 2}, nil))
+	h.trk.FrameSent(h.intro(t, 1, 9, 2, nil))
+	h.trk.FrameSent(h.data(t, 1, 9, 0, []byte{1, 2}, nil))
 
 	spans := h.tr.Spans()
 	if len(spans) != 2 {
@@ -209,16 +208,16 @@ func TestTruthlessSameKeyRedrawSplitsOnIntro(t *testing.T) {
 	h := newHarness(t, false)
 	h.open(1, 5, nil, "uniform", 0)
 	h.open(1, 5, nil, "uniform", 0)
-	h.tr.FrameSent(h.intro(t, 1, 5, 8, nil)) // tx 1 opens, never finishes
+	h.trk.FrameSent(h.intro(t, 1, 5, 8, nil)) // tx 1 opens, never finishes
 	// A second intro under the same key must begin transaction 2, not
 	// continue transaction 1.
-	h.tr.FrameSent(h.intro(t, 1, 5, 4, nil))
+	h.trk.FrameSent(h.intro(t, 1, 5, 4, nil))
 	spans := h.tr.Spans()
 	if spans[0].State() != StateAbandoned {
 		t.Fatalf("first span state %v, want abandoned", spans[0].State())
 	}
-	if spans[1].State() != StateOpen || spans[1].TotalLen != 4 {
-		t.Fatalf("second span state %v totalLen %d", spans[1].State(), spans[1].TotalLen)
+	if spans[1].State() != StateOpen || spans[1].Lifecycle().TotalLen != 4 {
+		t.Fatalf("second span state %v totalLen %d", spans[1].State(), spans[1].Lifecycle().TotalLen)
 	}
 }
 
@@ -244,7 +243,7 @@ func TestRejectionAndExpiryEvents(t *testing.T) {
 	h := newHarness(t, true)
 	tr := &frame.Truth{Node: 1, Seq: 0}
 	h.open(1, 5, tr, "uniform", 0)
-	h.tr.FrameSent(h.intro(t, 1, 5, 2, tr))
+	h.trk.FrameSent(h.intro(t, 1, 5, 2, tr))
 	h.tr.RxRejected(3, 5, false)
 	h.tr.RxRejected(4, 5, true)
 	h.tr.RxExpired(6, 5)
@@ -268,7 +267,7 @@ func TestEvictionOutcome(t *testing.T) {
 	h := newHarness(t, true)
 	tr := &frame.Truth{Node: 1, Seq: 0}
 	h.open(1, 5, tr, "uniform", 0)
-	h.tr.FrameSent(h.intro(t, 1, 5, 2, tr))
+	h.trk.FrameSent(h.intro(t, 1, 5, 2, tr))
 	h.tr.RxEvicted(2, 5)
 	s := h.tr.Spans()[0]
 	if s.Evicted != 1 || s.Expired != 0 {
@@ -281,7 +280,7 @@ func TestEvictionOutcome(t *testing.T) {
 		t.Fatalf("last event = %+v, want evicted@2", last)
 	}
 	// A surviving receiver completing the packet outranks the eviction.
-	h.tr.FrameSent(h.data(t, 1, 5, 0, []byte{1, 2}, tr))
+	h.trk.FrameSent(h.data(t, 1, 5, 0, []byte{1, 2}, tr))
 	h.tr.RxDelivered(3, aff.Packet{ID: 5, Data: []byte{1, 2}, Truth: tr})
 	if s.Outcome() != "delivered" {
 		t.Fatalf("outcome %q after delivery, want delivered", s.Outcome())
@@ -299,7 +298,7 @@ func TestBudgetExhaustedOutcome(t *testing.T) {
 	tr := &frame.Truth{Node: 1, Seq: 0}
 	h.open(1, 5, tr, "uniform", 0)
 	h.tr.ARQAttempt(1, 42, 0, false, 0, 5)
-	h.tr.FrameSent(h.intro(t, 1, 5, 2, tr))
+	h.trk.FrameSent(h.intro(t, 1, 5, 2, tr))
 	h.tr.ARQAbandon(1, 42, 1, true, 5)
 	s := h.tr.Spans()[0]
 	if !s.BudgetExhausted {
@@ -328,11 +327,11 @@ func TestLedgerCarriesDegradationFields(t *testing.T) {
 	t0 := &frame.Truth{Node: 1, Seq: 0}
 	t1 := &frame.Truth{Node: 1, Seq: 1}
 	h.open(1, 5, t0, "uniform", 0)
-	h.tr.FrameSent(h.intro(t, 1, 5, 2, t0))
+	h.trk.FrameSent(h.intro(t, 1, 5, 2, t0))
 	h.tr.RxEvicted(2, 5)
 	h.open(1, 9, t1, "uniform", 0)
 	h.tr.ARQAttempt(1, 7, 0, false, 0, 9)
-	h.tr.FrameSent(h.intro(t, 1, 9, 2, t1))
+	h.trk.FrameSent(h.intro(t, 1, 9, 2, t1))
 	h.tr.ARQAbandon(1, 7, 1, true, 9)
 
 	l := NewLedger()
@@ -370,8 +369,8 @@ func TestLedgerJSONLRoundTrip(t *testing.T) {
 	h := newHarness(t, true)
 	tr := &frame.Truth{Node: 1, Seq: 0}
 	h.open(1, 5, tr, "uniform", 1)
-	h.tr.FrameSent(h.intro(t, 1, 5, 2, tr))
-	h.tr.FrameSent(h.data(t, 1, 5, 0, []byte{1, 2}, tr))
+	h.trk.FrameSent(h.intro(t, 1, 5, 2, tr))
+	h.trk.FrameSent(h.data(t, 1, 5, 0, []byte{1, 2}, tr))
 	h.tr.NoteWidthChange(1, 8, 7)
 
 	l := NewLedger()
