@@ -147,10 +147,6 @@ type Span struct {
 	fragAt map[int]int // offset (-1 intro) -> index into Frags
 }
 
-// Lifecycle returns the span's ground-truth transaction record (open and
-// close instants, collision, revives, length), or nil while queued.
-func (s *Span) Lifecycle() *truth.Tx { return s.tx }
-
 // State reports the span's lifecycle position.
 func (s *Span) State() State {
 	if s.tx == nil {

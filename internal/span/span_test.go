@@ -91,13 +91,13 @@ func TestLifecycleDelivered(t *testing.T) {
 	if s.State() != StateClosed || s.Outcome() != "delivered" {
 		t.Fatalf("state %v outcome %q", s.State(), s.Outcome())
 	}
-	if s.Strategy != "uniform" || s.Redraws != 2 || s.Width != 8 || s.Lifecycle().TotalLen != 4 {
+	if s.Strategy != "uniform" || s.Redraws != 2 || s.Width != 8 || s.tx.TotalLen != 4 {
 		t.Fatalf("span metadata = %+v", s)
 	}
 	if len(s.Frags) != 2 || s.Frags[0].Delivered != 1 || s.Frags[1].Delivered != 1 {
 		t.Fatalf("frags = %+v", s.Frags)
 	}
-	if tx := s.Lifecycle(); tx.OpenedAt != 0 || tx.ClosedAt != 2*time.Millisecond {
+	if tx := s.tx; tx.OpenedAt != 0 || tx.ClosedAt != 2*time.Millisecond {
 		t.Fatalf("times open %v close %v", tx.OpenedAt, tx.ClosedAt)
 	}
 	if len(s.Events) != 1 || s.Events[0].Kind != "delivered" || s.Events[0].Node != 2 {
@@ -119,7 +119,7 @@ func TestCollisionMarksEveryParty(t *testing.T) {
 		t.Fatalf("CollisionEvents = %d, want 1", rep.CollisionEvents)
 	}
 	for i, s := range h.tr.Spans() {
-		if !s.Lifecycle().Collided {
+		if !s.tx.Collided {
 			t.Fatalf("span %d not marked collided", i)
 		}
 		if s.Outcome() != "collided" {
@@ -216,8 +216,8 @@ func TestTruthlessSameKeyRedrawSplitsOnIntro(t *testing.T) {
 	if spans[0].State() != StateAbandoned {
 		t.Fatalf("first span state %v, want abandoned", spans[0].State())
 	}
-	if spans[1].State() != StateOpen || spans[1].Lifecycle().TotalLen != 4 {
-		t.Fatalf("second span state %v totalLen %d", spans[1].State(), spans[1].Lifecycle().TotalLen)
+	if spans[1].State() != StateOpen || spans[1].tx.TotalLen != 4 {
+		t.Fatalf("second span state %v totalLen %d", spans[1].State(), spans[1].tx.TotalLen)
 	}
 }
 

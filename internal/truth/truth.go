@@ -75,7 +75,6 @@ type Tx struct {
 
 	State    State
 	OpenedAt time.Duration
-	LastSent time.Duration
 	ClosedAt time.Duration // valid once retired
 	// Stalled marks an open transaction dormant as of the last send
 	// instant.
@@ -95,8 +94,9 @@ type Tx struct {
 	// recording this transaction here.
 	Tag any
 
-	buf     []byte
-	covered []bool
+	lastSent time.Duration
+	buf      []byte
+	covered  []bool
 }
 
 // Payload returns the bytes the sender has put on air so far; positions
@@ -409,7 +409,7 @@ func (t *Tracker) lookup(k Key, f *Frame, now time.Duration) *Tx {
 			tx.Revives++
 			t.counts.Revived++
 		}
-		tx.LastSent = now
+		tx.lastSent = now
 		return tx
 	}
 	// A new transaction from this sender finishes off its previous one:
@@ -425,7 +425,7 @@ func (t *Tracker) lookup(k Key, f *Frame, now time.Duration) *Tx {
 		}
 	}
 	t.current[sender] = k
-	tx := &Tx{Truth: k, Sender: sender, Key: f.Key, State: Open, OpenedAt: now, LastSent: now}
+	tx := &Tx{Truth: k, Sender: sender, Key: f.Key, State: Open, OpenedAt: now, lastSent: now}
 	// True collisions: the key already carries another live transaction,
 	// so receivers will merge fragments of distinct transactions.
 	if peers := t.live[f.Key]; len(peers) > 0 {
@@ -465,7 +465,7 @@ func (t *Tracker) retire(tx *Tx, st State, now time.Duration) {
 // past the retention window, oldest first.
 func (t *Tracker) prune(now time.Duration) {
 	for _, tx := range t.open {
-		if !tx.Stalled && now-tx.LastSent > t.stall {
+		if !tx.Stalled && now-tx.lastSent > t.stall {
 			tx.Stalled = true
 			t.removeLive(tx)
 			t.counts.Stalled++
@@ -542,7 +542,7 @@ func (t *Tracker) Current(sender radio.NodeID) *Tx {
 func (t *Tracker) EachLive(fn func(*Tx)) {
 	now := t.now()
 	for _, tx := range t.open {
-		if !tx.Stalled && now-tx.LastSent <= t.stall {
+		if !tx.Stalled && now-tx.lastSent <= t.stall {
 			fn(tx)
 		}
 	}
