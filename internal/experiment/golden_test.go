@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"retri/internal/chaos"
+	"retri/internal/metrics"
 	"retri/internal/oracle"
 	"retri/internal/span"
 )
@@ -20,12 +21,14 @@ import (
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden.json from this build")
 
 // goldenDigest pins one small seeded sweep: the rendered table plus CSV,
-// the span ledger, and each row's oracle report. Stalled counts are kept
+// the span ledger, the metrics snapshot (which carries the event loop's
+// sim_* accounting), and each row's oracle report. Stalled counts are kept
 // out of the report digests and listed plainly, so a change confined to
 // them shows up as a readable diff rather than an opaque hash.
 type goldenDigest struct {
 	Output  string   `json:"output"`
 	Ledger  string   `json:"ledger"`
+	Metrics string   `json:"metrics"`
 	Oracle  []string `json:"oracle"`
 	Stalled []int64  `json:"stalled"`
 }
@@ -37,13 +40,17 @@ func sha(b []byte) string {
 
 // digestRun folds one sweep's outputs into a goldenDigest. A nil report
 // (a row the oracle does not audit) digests as "none".
-func digestRun(t *testing.T, text string, led *span.Ledger, reps []*oracle.Report) goldenDigest {
+func digestRun(t *testing.T, text string, led *span.Ledger, reg *metrics.Registry, reps []*oracle.Report) goldenDigest {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := led.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	d := goldenDigest{Output: sha([]byte(text)), Ledger: sha(buf.Bytes())}
+	snap, err := json.Marshal(reg.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := goldenDigest{Output: sha([]byte(text)), Ledger: sha(buf.Bytes()), Metrics: sha(snap)}
 	for _, r := range reps {
 		if r == nil {
 			d.Oracle = append(d.Oracle, "none")
@@ -58,10 +65,11 @@ func digestRun(t *testing.T, text string, led *span.Ledger, reps []*oracle.Repor
 	return d
 }
 
-// goldenRuns are the pinned sweeps. Each covers one of the experiments
-// that attaches the oracle or the span tracer; recovery runs with and
-// without the oracle so both span attribution modes (truth-keyed and
-// per-sender FIFO) are pinned.
+// goldenRuns are the pinned sweeps. Most cover an experiment that
+// attaches the oracle or the span tracer; recovery runs with and without
+// the oracle so both span attribution modes (truth-keyed and per-sender
+// FIFO) are pinned. Figure 4 pins the paper's saturated single-hop path
+// (engine, medium, reassembly, density) and massive the sharded core.
 var goldenRuns = []struct {
 	name string
 	run  func(t *testing.T, parallelism int, obs *Obs) (string, []*oracle.Report)
@@ -144,6 +152,33 @@ var goldenRuns = []struct {
 		}
 		return res.Render() + res.CSV(), reps
 	}},
+	{"figure4-small", func(t *testing.T, parallelism int, obs *Obs) (string, []*oracle.Report) {
+		cfg := DefaultFigure4Config()
+		cfg.Selectors = []SelectorKind{SelUniform, SelListening}
+		cfg.IDBits = []int{3, 6}
+		cfg.Duration = 10 * time.Second
+		cfg.Trials = 2
+		cfg.Parallelism = parallelism
+		cfg.Obs = obs
+		res, err := Figure4(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Render() + res.CSV(), nil
+	}},
+	{"massive-2000", func(t *testing.T, parallelism int, _ *Obs) (string, []*oracle.Report) {
+		cfg := DefaultMassiveConfig()
+		cfg.Populations = []int{2000}
+		cfg.Parallelism = parallelism
+		res, err := Massive(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := res.Check(); err != nil {
+			t.Fatal(err)
+		}
+		return res.Render() + res.CSV(), nil
+	}},
 }
 
 func goldenRecovery(t *testing.T, withOracle bool, parallelism int, obs *Obs) (string, []*oracle.Report) {
@@ -185,9 +220,9 @@ func TestGoldenDigests(t *testing.T) {
 	got := make(map[string]goldenDigest)
 	for _, g := range goldenRuns {
 		for _, parallelism := range []int{1, 4} {
-			led := span.NewLedger()
-			text, reps := g.run(t, parallelism, &Obs{Spans: led})
-			d := digestRun(t, text, led, reps)
+			led, reg := span.NewLedger(), metrics.NewRegistry()
+			text, reps := g.run(t, parallelism, &Obs{Spans: led, Metrics: reg})
+			d := digestRun(t, text, led, reg, reps)
 			if prev, ok := got[g.name]; ok {
 				if fmt.Sprint(prev) != fmt.Sprint(d) {
 					t.Errorf("%s: parallelism %d digests differ from sequential:\n%+v\n%+v", g.name, parallelism, d, prev)
@@ -229,6 +264,9 @@ func TestGoldenDigests(t *testing.T) {
 		}
 		if g.Ledger != w.Ledger {
 			t.Errorf("%s: span ledger digest changed", name)
+		}
+		if g.Metrics != w.Metrics {
+			t.Errorf("%s: metrics snapshot digest changed", name)
 		}
 		if fmt.Sprint(g.Oracle) != fmt.Sprint(w.Oracle) {
 			t.Errorf("%s: oracle report digests changed:\n got %v\nwant %v", name, g.Oracle, w.Oracle)
