@@ -258,7 +258,7 @@ type txState struct {
 	haveID   bool
 	attempts int // retransmissions so far
 	rto      time.Duration
-	timer    *sim.Timer
+	timer    sim.Timer
 }
 
 // rxState is the receiver's view of one sender token.

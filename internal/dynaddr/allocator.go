@@ -102,7 +102,7 @@ type Allocator struct {
 	addr       uint64
 	nonce      uint16
 	claimsLeft int
-	claimTimer *sim.Timer
+	claimTimer sim.Timer
 	// announceGen invalidates keepalive chains across re-acquisitions: a
 	// stale chain from an earlier assignment must not double the
 	// announce rate of the current one.
@@ -168,10 +168,7 @@ func (a *Allocator) Start() {
 // Release abandons the current address or claim (e.g. before the node
 // powers down), returning the allocator to Unassigned.
 func (a *Allocator) Release() {
-	if a.claimTimer != nil {
-		a.claimTimer.Cancel()
-		a.claimTimer = nil
-	}
+	a.claimTimer.Cancel()
 	a.announceGen++
 	a.state = Unassigned
 }
@@ -302,10 +299,7 @@ func (a *Allocator) HandleControl(m Control) {
 // backoff.
 func (a *Allocator) abortClaim() {
 	a.stats.Conflicts++
-	if a.claimTimer != nil {
-		a.claimTimer.Cancel()
-		a.claimTimer = nil
-	}
+	a.claimTimer.Cancel()
 	a.state = Unassigned
 	backoff := time.Duration(a.rng.Int64N(int64(a.cfg.ClaimInterval))) + a.cfg.ClaimInterval/2
 	a.eng.Schedule(backoff, func() {

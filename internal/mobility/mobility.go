@@ -124,7 +124,7 @@ type Walker struct {
 	eng     *sim.Engine
 	tick    time.Duration
 	horizon time.Duration
-	timer   *sim.Timer
+	timer   sim.Timer
 	stopped bool
 
 	// place is called with the interpolated position on every tick.
@@ -136,10 +136,7 @@ type Walker struct {
 // Stop cancels all pending motion; the node freezes where it is.
 func (w *Walker) Stop() {
 	w.stopped = true
-	if w.timer != nil {
-		w.timer.Cancel()
-		w.timer = nil
-	}
+	w.timer.Cancel()
 }
 
 // Position returns the walker's current interpolated position.
@@ -163,7 +160,6 @@ func (w *Walker) glide(dst radio.Point, speed float64, then func()) {
 	start := w.eng.Now()
 	var step func()
 	step = func() {
-		w.timer = nil
 		if w.stopped {
 			return
 		}
@@ -204,7 +200,6 @@ func (w *Walker) loop(cfg WaypointConfig, rng *rand.Rand) {
 				return
 			}
 			w.timer = w.eng.Schedule(cfg.Pause, func() {
-				w.timer = nil
 				w.loop(cfg, rng)
 			})
 			return

@@ -161,7 +161,7 @@ type AFFDriver struct {
 
 	notifBits int // size of a collision-notification frame, bits
 
-	sweep *sim.Timer // pending reassembly-timeout sweep, when opts.Engine is set
+	sweep sim.Timer // pending reassembly-timeout sweep, when opts.Engine is set
 }
 
 var _ Driver = (*AFFDriver)(nil)
@@ -431,10 +431,7 @@ func (d *AFFDriver) Crash() {
 		d.opts.Relay.Reset()
 	}
 	d.hasOwnKey = false
-	if d.sweep != nil {
-		d.sweep.Cancel()
-		d.sweep = nil
-	}
+	d.sweep.Cancel()
 }
 
 // Restart powers the radio back up after a Crash. State stays empty; the
@@ -456,7 +453,7 @@ func (d *AFFDriver) armSweep() {
 	}
 	// Expiry requires strictly exceeding the timeout, so fire 1ns after.
 	at := next + 1
-	if d.sweep != nil && !d.sweep.Stopped() {
+	if !d.sweep.Stopped() {
 		return // head activity times are monotone: the pending sweep is due first
 	}
 	d.sweep = d.opts.Engine.ScheduleAt(at, func() {

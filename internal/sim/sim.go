@@ -7,21 +7,28 @@
 // scheduling order, so a run is a pure function of its inputs and random
 // seeds. The engine is not safe for concurrent use; the whole simulation is
 // intentionally one goroutine (see DESIGN.md, "Determinism").
+//
+// Scheduling and firing allocate nothing in steady state: the heap holds
+// small values that point into a slab of callback slots, slots are
+// recycled through a free list, and a Timer is a generation-checked value
+// handle on its slot rather than a pointer to a heap-allocated event.
 package sim
 
-import (
-	"container/heap"
-	"time"
-)
+import "time"
 
 // Engine is a discrete-event scheduler with a virtual clock.
 //
 // The zero value is not usable; call NewEngine.
 type Engine struct {
-	now    time.Duration
-	events eventHeap
-	seq    uint64
-	nRun   uint64
+	now time.Duration
+	// heap is a binary min-heap ordered by (at, seq); each entry names the
+	// slot holding its callback.
+	heap []entry
+	// slots is the callback slab; free lists the indices of released slots.
+	slots []slot
+	free  []int32
+	seq   uint64
+	nRun  uint64
 	// nCancelled counts cancelled events still occupying heap slots, so
 	// Pending is O(1) and Cancel knows when compaction pays off.
 	nCancelled int
@@ -34,6 +41,23 @@ type Engine struct {
 	heapHighWater   int
 }
 
+// entry is one scheduled event in the heap: its firing time, its
+// scheduling sequence number (the tie-break that makes simultaneous events
+// fire in scheduling order), and the slab slot holding its callback.
+type entry struct {
+	at   time.Duration
+	seq  uint64
+	slot int32
+}
+
+// slot holds one scheduled event's callback. gen advances every time the
+// slot is released, so a Timer naming an older generation is inert.
+type slot struct {
+	fn        func()
+	gen       uint64
+	cancelled bool
+}
+
 // NewEngine returns an engine with the clock at zero and no pending events.
 func NewEngine() *Engine {
 	return &Engine{}
@@ -44,7 +68,7 @@ func (e *Engine) Now() time.Duration { return e.now }
 
 // Pending reports the number of scheduled, uncancelled events.
 func (e *Engine) Pending() int {
-	return len(e.events) - e.nCancelled
+	return len(e.heap) - e.nCancelled
 }
 
 // Processed reports the total number of events executed so far.
@@ -81,20 +105,41 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// Timer is a handle to a scheduled event.
+// Timer is a value handle to a scheduled event. The zero Timer is stopped.
+//
+// A handle names its event's slot and the slot's generation at scheduling
+// time. Firing or discarding the event releases the slot, which advances
+// its generation, so a handle whose slot has since been reused for another
+// event is inert: it reports Stopped and its Cancel does nothing.
 type Timer struct {
-	eng *Engine
-	ev  *event
+	eng  *Engine
+	at   time.Duration
+	slot int32
+	gen  uint64
+}
+
+// live returns the timer's slot while its event is still pending.
+func (t Timer) live() *slot {
+	if t.eng == nil {
+		return nil
+	}
+	s := &t.eng.slots[t.slot]
+	if s.gen != t.gen || s.cancelled {
+		return nil
+	}
+	return s
 }
 
 // Cancel prevents the event from firing. Cancelling an already-fired or
 // already-cancelled timer is a no-op. Cancel reports whether the event was
 // still pending.
-func (t *Timer) Cancel() bool {
-	if t == nil || t.ev == nil || t.ev.cancelled || t.ev.fired {
+func (t Timer) Cancel() bool {
+	s := t.live()
+	if s == nil {
 		return false
 	}
-	t.ev.cancelled = true
+	s.cancelled = true
+	s.fn = nil
 	t.eng.nCancelled++
 	t.eng.nCancelledTotal++
 	t.eng.maybeCompact()
@@ -102,22 +147,15 @@ func (t *Timer) Cancel() bool {
 }
 
 // Stopped reports whether the timer has fired or been cancelled.
-func (t *Timer) Stopped() bool {
-	return t == nil || t.ev == nil || t.ev.cancelled || t.ev.fired
-}
+func (t Timer) Stopped() bool { return t.live() == nil }
 
 // When returns the virtual time the event is (or was) scheduled for.
-func (t *Timer) When() time.Duration {
-	if t == nil || t.ev == nil {
-		return 0
-	}
-	return t.ev.at
-}
+func (t Timer) When() time.Duration { return t.at }
 
 // Schedule runs fn after delay d of virtual time. A non-positive delay
 // schedules fn at the current time, after all events already scheduled for
 // that instant. The returned Timer may be used to cancel.
-func (e *Engine) Schedule(d time.Duration, fn func()) *Timer {
+func (e *Engine) Schedule(d time.Duration, fn func()) Timer {
 	if d < 0 {
 		d = 0
 	}
@@ -126,17 +164,36 @@ func (e *Engine) Schedule(d time.Duration, fn func()) *Timer {
 
 // ScheduleAt runs fn at absolute virtual time t. Times in the past are
 // clamped to the present.
-func (e *Engine) ScheduleAt(t time.Duration, fn func()) *Timer {
+func (e *Engine) ScheduleAt(t time.Duration, fn func()) Timer {
 	if t < e.now {
 		t = e.now
 	}
-	ev := &event{at: t, seq: e.seq, fn: fn}
-	e.seq++
-	heap.Push(&e.events, ev)
-	if len(e.events) > e.heapHighWater {
-		e.heapHighWater = len(e.events)
+	var i int32
+	if n := len(e.free); n > 0 {
+		i = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		i = int32(len(e.slots))
+		e.slots = append(e.slots, slot{})
 	}
-	return &Timer{eng: e, ev: ev}
+	s := &e.slots[i]
+	s.fn = fn
+	e.heap = append(e.heap, entry{at: t, seq: e.seq, slot: i})
+	e.siftUp(len(e.heap) - 1)
+	e.seq++
+	if len(e.heap) > e.heapHighWater {
+		e.heapHighWater = len(e.heap)
+	}
+	return Timer{eng: e, at: t, slot: i, gen: s.gen}
+}
+
+// release returns slot i to the free list, invalidating every handle on it.
+func (e *Engine) release(i int32) {
+	s := &e.slots[i]
+	s.fn = nil
+	s.gen++
+	s.cancelled = false
+	e.free = append(e.free, i)
 }
 
 // compactThreshold is the smallest heap worth compacting; below it the
@@ -147,37 +204,43 @@ const compactThreshold = 64
 // more than half of it, bounding heap growth under cancel/reschedule churn
 // (MAC backoffs, reassembly timeouts) at ~2x the live event count.
 func (e *Engine) maybeCompact() {
-	if len(e.events) < compactThreshold || e.nCancelled*2 <= len(e.events) {
+	if len(e.heap) < compactThreshold || e.nCancelled*2 <= len(e.heap) {
 		return
 	}
-	kept := e.events[:0]
-	for _, ev := range e.events {
-		if !ev.cancelled {
-			kept = append(kept, ev)
+	kept := e.heap[:0]
+	for _, en := range e.heap {
+		if e.slots[en.slot].cancelled {
+			e.release(en.slot)
+		} else {
+			kept = append(kept, en)
 		}
 	}
-	for i := len(kept); i < len(e.events); i++ {
-		e.events[i] = nil
-	}
-	e.events = kept
+	e.heap = kept
 	e.nCancelled = 0
 	e.nCompactions++
-	heap.Init(&e.events)
+	for i := len(e.heap)/2 - 1; i >= 0; i-- {
+		e.siftDown(i)
+	}
 }
 
 // Step executes the next pending event, advancing the clock to its
 // timestamp. It reports whether an event was executed.
 func (e *Engine) Step() bool {
-	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*event)
-		if ev.cancelled {
+	for len(e.heap) > 0 {
+		en := e.pop()
+		s := &e.slots[en.slot]
+		if s.cancelled {
+			e.release(en.slot)
 			e.nCancelled--
 			continue
 		}
-		e.now = ev.at
-		ev.fired = true
+		// Release before running, so the event's own Timer reports Stopped
+		// inside the callback and the callback may reuse the slot.
+		fn := s.fn
+		e.release(en.slot)
+		e.now = en.at
 		e.nRun++
-		ev.fn()
+		fn()
 		return true
 	}
 	return false
@@ -193,8 +256,8 @@ func (e *Engine) Run() {
 // exactly t. Events scheduled for later remain pending.
 func (e *Engine) RunUntil(t time.Duration) {
 	for {
-		ev := e.peek()
-		if ev == nil || ev.at > t {
+		at, ok := e.NextAt()
+		if !ok || at > t {
 			break
 		}
 		e.Step()
@@ -214,57 +277,73 @@ func (e *Engine) RunFor(d time.Duration) {
 // ever advancing the clock past the last event actually executed — which is
 // what keeps windowed replay byte-identical to Run (listening-energy meters
 // accrue up to Now, so overshooting the final event would change them).
+// Cancelled events at the top of the heap are discarded on the way.
 func (e *Engine) NextAt() (time.Duration, bool) {
-	ev := e.peek()
-	if ev == nil {
-		return 0, false
-	}
-	return ev.at, true
-}
-
-// peek returns the earliest uncancelled event without executing it.
-func (e *Engine) peek() *event {
-	for len(e.events) > 0 {
-		ev := e.events[0]
-		if !ev.cancelled {
-			return ev
+	for len(e.heap) > 0 {
+		top := e.heap[0]
+		if !e.slots[top.slot].cancelled {
+			return top.at, true
 		}
-		heap.Pop(&e.events)
+		e.pop()
+		e.release(top.slot)
 		e.nCancelled--
 	}
-	return nil
+	return 0, false
 }
 
-type event struct {
-	at        time.Duration
-	seq       uint64
-	fn        func()
-	cancelled bool
-	fired     bool
-}
-
-// eventHeap orders by (time, insertion sequence) so simultaneous events run
-// in the order they were scheduled — the determinism guarantee.
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// less orders entries by (time, insertion sequence) so simultaneous events
+// run in the order they were scheduled — the determinism guarantee.
+func less(a, b entry) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+// pop removes and returns the heap's minimum entry.
+func (e *Engine) pop() entry {
+	h := e.heap
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	e.heap = h[:n]
+	if n > 1 {
+		e.siftDown(0)
+	}
+	return top
+}
 
-func (h *eventHeap) Push(x any) { *h = append(*h, x.(*event)) }
+func (e *Engine) siftUp(i int) {
+	h := e.heap
+	en := h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !less(en, h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = en
+}
 
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+func (e *Engine) siftDown(i int) {
+	h := e.heap
+	n := len(h)
+	en := h[i]
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && less(h[r], h[c]) {
+			c = r
+		}
+		if !less(h[c], en) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = en
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand/v2"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -122,9 +123,57 @@ func TestTimerWhen(t *testing.T) {
 	if tm.When() != 42*time.Millisecond {
 		t.Errorf("When() = %v, want 42ms", tm.When())
 	}
-	var nilTimer *Timer
-	if nilTimer.When() != 0 || !nilTimer.Stopped() || nilTimer.Cancel() {
-		t.Error("nil Timer methods misbehave")
+	var zero Timer
+	if zero.When() != 0 || !zero.Stopped() || zero.Cancel() {
+		t.Error("zero Timer methods misbehave")
+	}
+}
+
+// TestStaleTimerAfterSlotReuse: once an event fires or its cancelled entry
+// is discarded, its slot is recycled for the next event. The old handle
+// must then be inert — Cancel returns false and leaves the new event alone.
+func TestStaleTimerAfterSlotReuse(t *testing.T) {
+	for _, cancelFirst := range []bool{false, true} {
+		e := NewEngine()
+		old := e.Schedule(time.Second, func() {})
+		if cancelFirst {
+			old.Cancel()
+		}
+		e.Run() // fires old, or pops and discards its cancelled entry
+		fired := false
+		fresh := e.Schedule(time.Second, func() { fired = true })
+		if fresh.slot != old.slot {
+			t.Fatalf("cancelled=%v: new event took slot %d, want recycled slot %d", cancelFirst, fresh.slot, old.slot)
+		}
+		if !old.Stopped() {
+			t.Errorf("cancelled=%v: stale handle reports pending", cancelFirst)
+		}
+		if old.Cancel() {
+			t.Errorf("cancelled=%v: stale handle's Cancel returned true", cancelFirst)
+		}
+		if fresh.Stopped() {
+			t.Errorf("cancelled=%v: stale Cancel stopped the new event", cancelFirst)
+		}
+		e.Run()
+		if !fired {
+			t.Errorf("cancelled=%v: new event in the recycled slot never fired", cancelFirst)
+		}
+	}
+}
+
+// TestTimerStoppedInsideOwnCallback: an event's handle reports Stopped while
+// its callback runs, and cancelling it there is a no-op.
+func TestTimerStoppedInsideOwnCallback(t *testing.T) {
+	e := NewEngine()
+	var tm Timer
+	tm = e.Schedule(time.Second, func() {
+		if !tm.Stopped() || tm.Cancel() {
+			t.Error("handle still live inside its own callback")
+		}
+	})
+	e.Run()
+	if got := e.Stats().Cancelled; got != 0 {
+		t.Errorf("Cancelled = %d, want 0", got)
 	}
 }
 
@@ -207,8 +256,8 @@ func TestCancelledTimerCompaction(t *testing.T) {
 	for i := 0; i < 100000; i++ {
 		tm := e.Schedule(time.Minute, func() {})
 		tm.Cancel()
-		if len(e.events) > maxLen {
-			maxLen = len(e.events)
+		if len(e.heap) > maxLen {
+			maxLen = len(e.heap)
 		}
 	}
 	// Lazy deletion may keep up to 2x the live count plus the compaction
@@ -256,7 +305,7 @@ func TestCompactionPreservesOrder(t *testing.T) {
 // with a direct scan through schedule, cancel, and pop paths.
 func TestPendingCountsAcrossCancelAndRun(t *testing.T) {
 	e := NewEngine()
-	var timers []*Timer
+	var timers []Timer
 	for i := 0; i < 200; i++ {
 		timers = append(timers, e.Schedule(time.Duration(i)*time.Millisecond, func() {}))
 	}
@@ -265,8 +314,8 @@ func TestPendingCountsAcrossCancelAndRun(t *testing.T) {
 	}
 	check := func() {
 		scan := 0
-		for _, ev := range e.events {
-			if !ev.cancelled {
+		for _, en := range e.heap {
+			if !e.slots[en.slot].cancelled {
 				scan++
 			}
 		}
@@ -292,7 +341,7 @@ func TestStatsAccounting(t *testing.T) {
 		t.Errorf("fresh engine Stats = %+v, want zero", e.Stats())
 	}
 
-	var timers []*Timer
+	var timers []Timer
 	for i := 0; i < 10; i++ {
 		timers = append(timers, e.Schedule(time.Duration(i)*time.Second, func() {}))
 	}
@@ -388,6 +437,151 @@ func TestDeterminism(t *testing.T) {
 	n2, t2 := run()
 	if n1 != n2 || t1 != t2 {
 		t.Errorf("runs diverged: (%d, %v) vs (%d, %v)", n1, t1, n2, t2)
+	}
+}
+
+// TestRandomScheduleCancelProperty drives random schedule, cancel and step
+// operations against a reference model of the lazy-deletion heap: fire
+// order must match a reference sort by (at, seq), and every Stats field —
+// compactions and heap high water included — must match a hand count.
+func TestRandomScheduleCancelProperty(t *testing.T) {
+	type ref struct {
+		at        time.Duration
+		seq       int
+		cancelled bool
+		fired     bool
+	}
+	var compactions uint64
+	f := func(seed uint64) bool {
+		rng := rand.New(rand.NewPCG(seed, 1))
+		e := NewEngine()
+		var refs []*ref
+		var timers []Timer
+		// inHeap is the model heap: every scheduled entry not yet popped or
+		// compacted away, cancelled ones included.
+		var inHeap []*ref
+		var fired []int
+		var want Stats
+		nCancelled := 0
+		// popMin removes and returns the model heap's (at, seq) minimum.
+		popMin := func() *ref {
+			sort.Slice(inHeap, func(i, j int) bool {
+				if inHeap[i].at != inHeap[j].at {
+					return inHeap[i].at < inHeap[j].at
+				}
+				return inHeap[i].seq < inHeap[j].seq
+			})
+			r := inHeap[0]
+			inHeap = inHeap[1:]
+			return r
+		}
+		for op := 0; op < 2000; op++ {
+			switch r := rng.IntN(10); {
+			case r < 4:
+				seq := len(refs)
+				at := e.Now() + time.Duration(rng.IntN(50))*time.Millisecond
+				refs = append(refs, &ref{at: at, seq: seq})
+				inHeap = append(inHeap, refs[seq])
+				timers = append(timers, e.ScheduleAt(at, func() { fired = append(fired, seq) }))
+				want.Scheduled++
+				want.Pending++
+				want.HeapHighWater = max(want.HeapHighWater, len(inHeap))
+			case r < 8 && len(timers) > 0:
+				// Mostly recent timers, so cancels often hit live events.
+				i := len(timers) - 1 - rng.IntN(min(len(timers), 100))
+				live := !refs[i].cancelled && !refs[i].fired
+				if timers[i].Cancel() != live {
+					return false
+				}
+				if !live {
+					break
+				}
+				refs[i].cancelled = true
+				nCancelled++
+				want.Cancelled++
+				want.Pending--
+				if len(inHeap) >= compactThreshold && nCancelled*2 > len(inHeap) {
+					kept := inHeap[:0]
+					for _, r := range inHeap {
+						if !r.cancelled {
+							kept = append(kept, r)
+						}
+					}
+					inHeap, nCancelled = kept, 0
+					want.Compactions++
+				}
+			default:
+				var next *ref
+				for len(inHeap) > 0 && next == nil {
+					if r := popMin(); r.cancelled {
+						nCancelled--
+					} else {
+						next = r
+					}
+				}
+				n := len(fired)
+				if e.Step() != (next != nil) {
+					return false
+				}
+				if next != nil {
+					next.fired = true
+					want.Processed++
+					want.Pending--
+					if len(fired) != n+1 || fired[n] != next.seq {
+						return false
+					}
+				}
+			}
+			if e.Stats() != want || len(e.heap) != len(inHeap) {
+				return false
+			}
+		}
+		compactions += want.Compactions
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+		t.Error(err)
+	}
+	if compactions == 0 {
+		t.Error("random operation mix never compacted the heap")
+	}
+}
+
+// TestSteadyStateAllocs: on a warmed engine, scheduling and firing an event
+// and scheduling and cancelling one allocate nothing.
+func TestSteadyStateAllocs(t *testing.T) {
+	e := NewEngine()
+	fn := func() {}
+	for i := 0; i < 2*compactThreshold; i++ {
+		e.Schedule(time.Duration(i), fn)
+	}
+	e.Run()
+	if a := testing.AllocsPerRun(1000, func() {
+		e.Schedule(time.Millisecond, fn)
+		e.Step()
+	}); a != 0 {
+		t.Errorf("Schedule+Step: %v allocs, want 0", a)
+	}
+	if a := testing.AllocsPerRun(1000, func() {
+		e.Schedule(time.Millisecond, fn).Cancel()
+	}); a != 0 {
+		t.Errorf("Schedule+Cancel: %v allocs, want 0", a)
+	}
+}
+
+// BenchmarkEngineSteadyState is one schedule and one fire per op on a warm
+// engine holding a realistic backlog of pending events.
+func BenchmarkEngineSteadyState(b *testing.B) {
+	e := NewEngine()
+	fn := func() {}
+	for i := 0; i < 32; i++ {
+		e.Schedule(time.Duration(i)*time.Millisecond, fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Schedule(32*time.Millisecond, fn)
+		e.Step()
 	}
 }
 
