@@ -226,6 +226,9 @@ type transmission struct {
 	from       NodeID
 	frame      Frame
 	start, end time.Duration
+	// complete is the record's completion event, bound once when the
+	// record is first allocated and kept across freelist reuse.
+	complete func()
 }
 
 // NewMedium creates a broadcast medium on the given engine, topology and
@@ -310,6 +313,7 @@ func (m *Medium) Attach(id NodeID) (*Radio, error) {
 		listening:   true,
 		listenSince: m.eng.Now(),
 	}
+	r.attemptFn = r.attempt
 	m.nodes[id] = r
 	m.order = append(m.order, id)
 	return r, nil
@@ -394,13 +398,10 @@ func (m *Medium) begin(r *Radio, f Frame) {
 		m.free = m.free[:n-1]
 	} else {
 		t = new(transmission)
+		t.complete = func() { m.complete(t) }
 	}
-	*t = transmission{
-		from:  r.id,
-		frame: f,
-		start: now,
-		end:   now + m.AirtimeOf(f.Bits),
-	}
+	t.from, t.frame = r.id, f
+	t.start, t.end = now, now+m.AirtimeOf(f.Bits)
 	m.onAir = append(m.onAir, t)
 	m.ctr.Sent++
 	onAirBits := f.Bits + m.p.MAC.PerFrameOverhead
@@ -413,7 +414,7 @@ func (m *Medium) begin(r *Radio, f Frame) {
 	if m.fates != nil {
 		m.fates.FrameSent(f)
 	}
-	m.eng.ScheduleAt(t.end, func() { m.complete(t) })
+	m.eng.ScheduleAt(t.end, t.complete)
 }
 
 // complete ends a transmission: attempts delivery at every in-range radio

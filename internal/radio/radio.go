@@ -18,6 +18,9 @@ type Radio struct {
 	queue          []Frame
 	inFlight       bool
 	attemptPending bool
+	// attemptFn is attempt as a method value, bound once in Attach so a
+	// contention attempt schedules without allocating.
+	attemptFn func()
 
 	up          bool
 	listening   bool
@@ -153,7 +156,7 @@ func (r *Radio) pump() {
 	}
 	r.attemptPending = true
 	d := time.Duration(r.m.rng.Int64N(int64(r.m.p.Contention)))
-	r.m.eng.Schedule(d, r.attempt)
+	r.m.eng.Schedule(d, r.attemptFn)
 }
 
 // attempt is the post-contention-delay carrier sense.

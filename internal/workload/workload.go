@@ -53,6 +53,10 @@ type Continuous struct {
 	until   time.Duration
 	stopped bool
 	stats   Stats
+	// next is the pending tick; tickFn is tick bound once, so the poll loop
+	// schedules without allocating.
+	next   sim.Timer
+	tickFn func()
 }
 
 // NewContinuous returns a continuous streamer of size-byte packets.
@@ -72,7 +76,9 @@ func NewContinuousMixed(eng *sim.Engine, d Driver, sizes []int, poll time.Durati
 	if len(sizes) == 0 {
 		sizes = []int{80}
 	}
-	return &Continuous{eng: eng, d: d, rng: rng, sizes: sizes, poll: poll}
+	c := &Continuous{eng: eng, d: d, rng: rng, sizes: sizes, poll: poll}
+	c.tickFn = c.tick
+	return c
 }
 
 // lowWater is the queue depth below which the streamer refills: deep enough
@@ -80,11 +86,15 @@ func NewContinuousMixed(eng *sim.Engine, d Driver, sizes []int, poll time.Durati
 // virtual clock.
 const lowWater = 2
 
-// Start begins streaming until the given absolute virtual time.
+// Start begins streaming until the given absolute virtual time. A restart
+// while the previous run's tick is still pending resumes that tick rather
+// than starting a second one.
 func (c *Continuous) Start(until time.Duration) {
 	c.until = until
 	c.stopped = false
-	c.tick()
+	if c.next.Stopped() {
+		c.tick()
+	}
 }
 
 // Stop halts the stream at the next tick.
@@ -110,7 +120,7 @@ func (c *Continuous) tick() {
 			c.stats.PacketsOffered++
 		}
 	}
-	c.eng.Schedule(c.poll, c.tick)
+	c.next = c.eng.Schedule(c.poll, c.tickFn)
 }
 
 // Periodic sends one fixed-size random packet every interval, with optional
@@ -126,6 +136,9 @@ type Periodic struct {
 	until   time.Duration
 	stopped bool
 	stats   Stats
+	// next is the pending emission; emitFn is emit bound once.
+	next   sim.Timer
+	emitFn func()
 }
 
 // NewPeriodic returns a periodic sender.
@@ -133,14 +146,20 @@ func NewPeriodic(eng *sim.Engine, d Driver, size int, interval, jitter time.Dura
 	if interval <= 0 {
 		interval = time.Second
 	}
-	return &Periodic{eng: eng, d: d, rng: rng, size: size, interval: interval, jitter: jitter}
+	p := &Periodic{eng: eng, d: d, rng: rng, size: size, interval: interval, jitter: jitter}
+	p.emitFn = p.emit
+	return p
 }
 
-// Start begins sending until the given absolute virtual time.
+// Start begins sending until the given absolute virtual time. A restart
+// while the previous run's emission is still pending keeps that emission
+// rather than scheduling a second one.
 func (p *Periodic) Start(until time.Duration) {
 	p.until = until
 	p.stopped = false
-	p.schedule()
+	if p.next.Stopped() {
+		p.schedule()
+	}
 }
 
 // Stop halts the sender before its next emission.
@@ -154,7 +173,7 @@ func (p *Periodic) schedule() {
 	if p.jitter > 0 {
 		d += time.Duration(p.rng.Int64N(int64(p.jitter)))
 	}
-	p.eng.Schedule(d, p.emit)
+	p.next = p.eng.Schedule(d, p.emitFn)
 }
 
 func (p *Periodic) emit() {
@@ -183,6 +202,9 @@ type Poisson struct {
 	until   time.Duration
 	stopped bool
 	stats   Stats
+	// next is the pending emission; emitFn is emit bound once.
+	next   sim.Timer
+	emitFn func()
 }
 
 // NewPoisson returns a Poisson-arrival sender with the given mean
@@ -191,14 +213,20 @@ func NewPoisson(eng *sim.Engine, d Driver, size int, mean time.Duration, rng *ra
 	if mean <= 0 {
 		mean = time.Second
 	}
-	return &Poisson{eng: eng, d: d, rng: rng, size: size, mean: mean}
+	p := &Poisson{eng: eng, d: d, rng: rng, size: size, mean: mean}
+	p.emitFn = p.emit
+	return p
 }
 
-// Start begins sending until the given absolute virtual time.
+// Start begins sending until the given absolute virtual time. A restart
+// while the previous run's emission is still pending keeps that emission
+// rather than scheduling a second one.
 func (p *Poisson) Start(until time.Duration) {
 	p.until = until
 	p.stopped = false
-	p.schedule()
+	if p.next.Stopped() {
+		p.schedule()
+	}
 }
 
 // Stop halts the sender before its next emission.
@@ -209,7 +237,7 @@ func (p *Poisson) Stats() Stats { return p.stats }
 
 func (p *Poisson) schedule() {
 	gap := time.Duration(p.rng.ExpFloat64() * float64(p.mean))
-	p.eng.Schedule(gap, p.emit)
+	p.next = p.eng.Schedule(gap, p.emitFn)
 }
 
 func (p *Poisson) emit() {

@@ -154,3 +154,56 @@ func TestDefaultsApplied(t *testing.T) {
 		t.Error("continuous default poll not applied")
 	}
 }
+
+// TestRestartWithinIntervalKeepsOneChain: Stop then Start before the
+// pending tick fires must resume that tick, not start a second chain that
+// doubles the rate. A restarted generator therefore emits exactly what an
+// uninterrupted one with the same stream does, over the same engine events
+// (a continuous streamer's rate is capped by its radio, so a duplicate poll
+// chain shows up in the event count rather than the packet count).
+func TestRestartWithinIntervalKeepsOneChain(t *testing.T) {
+	type gen interface {
+		Start(until time.Duration)
+		Stop()
+		Stats() Stats
+	}
+	kinds := []struct {
+		name string
+		mk   func(r *rig) gen
+	}{
+		{"continuous", func(r *rig) gen { return NewContinuous(r.eng, r.tx, 80, 0, xrand.NewSource(9).Stream("wl")) }},
+		{"periodic", func(r *rig) gen {
+			return NewPeriodic(r.eng, r.tx, 10, 100*time.Millisecond, 0, xrand.NewSource(9).Stream("wl"))
+		}},
+		{"poisson", func(r *rig) gen {
+			return NewPoisson(r.eng, r.tx, 10, 100*time.Millisecond, xrand.NewSource(9).Stream("wl"))
+		}},
+	}
+	const until = 2 * time.Second
+	for _, k := range kinds {
+		t.Run(k.name, func(t *testing.T) {
+			ref := newRig(t)
+			g := k.mk(ref)
+			g.Start(until)
+			ref.eng.Run()
+			want, wantEvents := g.Stats().PacketsOffered, ref.eng.Processed()
+
+			r := newRig(t)
+			g = k.mk(r)
+			g.Start(until)
+			r.eng.RunUntil(150 * time.Millisecond)
+			g.Stop()
+			g.Start(until)
+			r.eng.Run()
+			if got := g.Stats().PacketsOffered; got != want {
+				t.Errorf("restarted generator offered %d packets, uninterrupted offered %d", got, want)
+			}
+			if got := r.eng.Processed(); got != wantEvents {
+				t.Errorf("restarted run processed %d events, uninterrupted %d", got, wantEvents)
+			}
+			if k.name == "periodic" && want != 19 {
+				t.Errorf("periodic offered %d packets in 2s at 100ms, want 19", want)
+			}
+		})
+	}
+}
