@@ -32,9 +32,9 @@ type Estimator struct {
 	alpha   float64
 	now     func() time.Duration
 
-	lastHeard map[uint64]time.Duration
-	ema       float64
-	seeded    bool
+	heard  heardSet
+	ema    float64
+	seeded bool
 }
 
 // New returns an estimator reading virtual time from now. Non-positive
@@ -49,20 +49,13 @@ func New(idleGap time.Duration, alpha float64, now func() time.Duration) *Estima
 	if now == nil {
 		now = func() time.Duration { return 0 }
 	}
-	return &Estimator{
-		idleGap:   idleGap,
-		alpha:     alpha,
-		now:       now,
-		lastHeard: make(map[uint64]time.Duration),
-	}
+	return &Estimator{idleGap: idleGap, alpha: alpha, now: now}
 }
 
 // Observe records a fragment heard with the given transaction identifier.
 func (e *Estimator) Observe(id uint64) {
-	t := e.now()
-	e.prune(t)
-	e.lastHeard[id] = t
-	active := float64(len(e.lastHeard))
+	e.heard.observe(id, e.now(), e.idleGap)
+	active := float64(len(e.heard))
 	if !e.seeded {
 		e.ema = active
 		e.seeded = true
@@ -74,8 +67,8 @@ func (e *Estimator) Observe(id uint64) {
 // Active returns the instantaneous count of identifiers heard within the
 // idle gap.
 func (e *Estimator) Active() int {
-	e.prune(e.now())
-	return len(e.lastHeard)
+	e.heard.expire(e.now(), e.idleGap)
+	return len(e.heard)
 }
 
 // Estimate returns the smoothed transaction density, never below 1 (a node
@@ -96,12 +89,4 @@ func (e *Estimator) Window() int {
 		n++
 	}
 	return 2 * n
-}
-
-func (e *Estimator) prune(t time.Duration) {
-	for id, last := range e.lastHeard {
-		if t-last > e.idleGap {
-			delete(e.lastHeard, id)
-		}
-	}
 }

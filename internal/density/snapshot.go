@@ -1,10 +1,6 @@
 package density
 
-import (
-	"time"
-
-	"retri/internal/metrics"
-)
+import "retri/internal/metrics"
 
 // SnapshotInto publishes the estimator's current state as gauges on reg
 // under the given label (the harness's k=v convention, e.g. "node=0").
@@ -53,7 +49,7 @@ var (
 // through an interface assertion, so estimators now genuinely survive the
 // crash/restart cycle instead of carrying pre-crash state across it.
 func (e *Estimator) Reset() {
-	e.lastHeard = make(map[uint64]time.Duration)
+	e.heard = e.heard[:0]
 	e.ema = 0
 	e.seeded = false
 }
@@ -67,7 +63,7 @@ func (e *IntervalEstimator) Reset() {
 // Reset wipes all learned state; see Estimator.Reset. The completion
 // counter belongs to the measurement harness and survives.
 func (e *TurnoverEstimator) Reset() {
-	e.lastHeard = make(map[uint64]time.Duration)
+	e.heard = e.heard[:0]
 	e.ema = 0
 	e.seeded = false
 }

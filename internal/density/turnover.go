@@ -55,9 +55,9 @@ type TurnoverEstimator struct {
 	alpha   float64
 	now     func() time.Duration
 
-	lastHeard map[uint64]time.Duration
-	ema       float64
-	seeded    bool
+	heard  heardSet
+	ema    float64
+	seeded bool
 
 	completions int64
 }
@@ -79,19 +79,12 @@ func NewTurnover(idleGap time.Duration, alpha float64, now func() time.Duration)
 	if now == nil {
 		now = func() time.Duration { return 0 }
 	}
-	return &TurnoverEstimator{
-		idleGap:   idleGap,
-		alpha:     alpha,
-		now:       now,
-		lastHeard: make(map[uint64]time.Duration),
-	}
+	return &TurnoverEstimator{idleGap: idleGap, alpha: alpha, now: now}
 }
 
 // Observe records a fragment heard with the given transaction identifier.
 func (e *TurnoverEstimator) Observe(id uint64) {
-	t := e.now()
-	e.prune(t)
-	e.lastHeard[id] = t
+	e.heard.observe(id, e.now(), e.idleGap)
 	e.update()
 }
 
@@ -99,19 +92,17 @@ func (e *TurnoverEstimator) Observe(id uint64) {
 // discounts the identifier immediately. Completion of an identifier not
 // currently active (already pruned, or never heard) is a no-op.
 func (e *TurnoverEstimator) ObserveComplete(id uint64) {
-	t := e.now()
-	e.prune(t)
-	if _, ok := e.lastHeard[id]; !ok {
+	e.heard.expire(e.now(), e.idleGap)
+	if !e.heard.remove(id) {
 		return
 	}
-	delete(e.lastHeard, id)
 	e.completions++
 	e.update()
 }
 
 // update folds the instantaneous active count into the EMA.
 func (e *TurnoverEstimator) update() {
-	active := float64(len(e.lastHeard))
+	active := float64(len(e.heard))
 	if !e.seeded {
 		e.ema = active
 		e.seeded = true
@@ -123,8 +114,8 @@ func (e *TurnoverEstimator) update() {
 // Active returns the instantaneous count of identifiers believed active:
 // heard within the idle gap and not known complete.
 func (e *TurnoverEstimator) Active() int {
-	e.prune(e.now())
-	return len(e.lastHeard)
+	e.heard.expire(e.now(), e.idleGap)
+	return len(e.heard)
 }
 
 // Completions reports identifiers discounted by the completion signal —
@@ -148,12 +139,4 @@ func (e *TurnoverEstimator) Window() int {
 		n++
 	}
 	return 2 * n
-}
-
-func (e *TurnoverEstimator) prune(t time.Duration) {
-	for id, last := range e.lastHeard {
-		if t-last > e.idleGap {
-			delete(e.lastHeard, id)
-		}
-	}
 }
