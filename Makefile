@@ -60,17 +60,18 @@ fuzz:
 
 # benchsmoke runs every benchmark once (so API drift breaks the build, not
 # the next measurement), then re-runs the gated families — wire codec,
-# medium delivery, engine event loop — at a real iteration count with five
-# repeats, and the shard-engine family (whole-trial macro benchmarks, far
-# too heavy for 1000x) at a lighter count that still clears benchjson's
-# min-iters bar. All passes stream through one benchjson invocation, which
+# medium delivery, engine event loop (a 100-event run and the warm
+# steady state), one 80-byte packet end to end — at a real iteration count
+# with five repeats, and the shard-engine family (whole-trial macro
+# benchmarks, far too heavy for 1000x) at a lighter count that still
+# clears benchjson's min-iters bar. All passes stream through one benchjson invocation, which
 # keeps the highest-iteration, fastest-repeat measurement per benchmark
 # (minimum over repeats: shared-host steal time only ever inflates a
 # timing) and leaves BENCH_$(PR).json behind: smoke coverage for
 # everything, trustworthy ns/op for the benchmarks the perf gate reads.
 PR ?= 10
-GATED_BENCH := ^Benchmark(AFFEncodeData|AFFDecodeData|Medium|ScheduleRun)
-GATED_PKGS := ./internal/frame/ ./internal/radio/ ./internal/sim/
+GATED_BENCH := ^Benchmark(AFFEncodeData|AFFDecodeData|Medium|ScheduleRun|EngineSteadyState|EndToEndPacket)
+GATED_PKGS := . ./internal/frame/ ./internal/radio/ ./internal/sim/
 SHARD_BENCH := ^BenchmarkShard
 benchsmoke:
 	( $(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./... && \

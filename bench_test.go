@@ -204,30 +204,59 @@ func BenchmarkScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkEndToEndPacket measures one 80-byte packet traversing the whole
-// stack: fragmentation, five radio frames, reassembly.
-func BenchmarkEndToEndPacket(b *testing.B) {
+// packetPath builds a two-node network and returns a function sending one
+// 80-byte packet across it — fragmentation, five radio frames, reassembly —
+// and a pointer to the delivered-packet count.
+func packetPath(tb testing.TB) (send func(), delivered *int64) {
 	net := NewNetwork(WithSeed(1))
 	tx, err := net.AddNode(1)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	rx, err := net.AddNode(2)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	delivered := int64(0)
-	rx.OnPacket(func([]byte) { delivered++ })
+	delivered = new(int64)
+	rx.OnPacket(func([]byte) { *delivered++ })
 	packet := make([]byte, 80)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		if err := tx.Send(packet); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		net.Run()
+	}, delivered
+}
+
+// BenchmarkEndToEndPacket measures one 80-byte packet traversing the whole
+// stack: fragmentation, five radio frames, reassembly.
+func BenchmarkEndToEndPacket(b *testing.B) {
+	send, delivered := packetPath(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		send()
 	}
-	if delivered != int64(b.N) {
-		b.Fatalf("delivered %d of %d", delivered, b.N)
+	if *delivered != int64(b.N) {
+		b.Fatalf("delivered %d of %d", *delivered, b.N)
+	}
+}
+
+// packetAllocBudget caps heap allocations per 80-byte packet end to end.
+// The event loop and per-frame callbacks allocate nothing in steady state;
+// what remains is the codec's decoded frames, packet buffers and
+// reassembly state (ROADMAP direction 1 lists them).
+const packetAllocBudget = 22
+
+// TestEndToEndPacketAllocBudget holds the per-packet path to its
+// allocation budget.
+func TestEndToEndPacketAllocBudget(t *testing.T) {
+	send, delivered := packetPath(t)
+	allocs := testing.AllocsPerRun(200, send)
+	if *delivered != 201 {
+		t.Fatalf("delivered %d of 201 packets", *delivered)
+	}
+	if allocs > packetAllocBudget {
+		t.Errorf("%.1f allocs per 80-byte packet, budget %d", allocs, packetAllocBudget)
 	}
 }
 
