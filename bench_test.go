@@ -247,9 +247,15 @@ func BenchmarkEndToEndPacket(b *testing.B) {
 // reassembly state (ROADMAP direction 1 lists them).
 const packetAllocBudget = 22
 
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
 // TestEndToEndPacketAllocBudget holds the per-packet path to its
 // allocation budget.
 func TestEndToEndPacketAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
 	send, delivered := packetPath(t)
 	allocs := testing.AllocsPerRun(200, send)
 	if *delivered != 201 {
