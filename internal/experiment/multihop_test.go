@@ -62,7 +62,6 @@ func TestMultihopValidate(t *testing.T) {
 		func(c *MultihopConfig) { c.MaxSpeed = c.MinSpeed / 2 },
 		func(c *MultihopConfig) { c.GroupSpread = -1 },
 		func(c *MultihopConfig) { c.Duty = mobility.DutyCycle{} },
-		func(c *MultihopConfig) { c.ShardWindow = -time.Millisecond },
 	}
 	for i, mutate := range bad {
 		cfg := DefaultMultihopConfig()
@@ -123,33 +122,6 @@ func TestMultihopParallelByteIdentical(t *testing.T) {
 	}
 	if !reflect.DeepEqual(parReg.Snapshot(), seqReg.Snapshot()) {
 		t.Error("parallel metrics snapshot differs from sequential")
-	}
-}
-
-// TestMultihopShardWindowParity: draining each trial under the
-// region-sharded driver leaves the rendered output byte-identical to the
-// legacy eng.Run() path, at more than one window size.
-func TestMultihopShardWindowParity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation sweep")
-	}
-	cfg := smallMultihop()
-	ref, err := Multihop(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, win := range []time.Duration{700 * time.Microsecond, 20 * time.Millisecond} {
-		cfg.ShardWindow = win
-		got, err := Multihop(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref.Render() != got.Render() {
-			t.Errorf("window %v: Render diverged\n--- legacy:\n%s--- sharded:\n%s", win, ref.Render(), got.Render())
-		}
-		if ref.CSV() != got.CSV() {
-			t.Errorf("window %v: CSV diverged", win)
-		}
 	}
 }
 

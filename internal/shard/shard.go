@@ -42,7 +42,6 @@ import (
 	"time"
 
 	"retri/internal/runner"
-	"retri/internal/sim"
 )
 
 // Record is one transmitted frame crossing the barrier: everything a
@@ -84,8 +83,7 @@ type Region interface {
 	// Settle decides reception verdicts for absorbed records with
 	// End <= to, updating only region-local state.
 	Settle(to time.Duration)
-	// Idle reports whether the region has no pending events, for drain
-	// termination.
+	// Idle reports whether the region has no pending events.
 	Idle() bool
 }
 
@@ -112,10 +110,6 @@ type Engine struct {
 	// OnBarrier, when set, runs sequentially after every window at the
 	// new safe time — the hook for probes and progress reporting.
 	OnBarrier func(now time.Duration)
-	// DrainIdle makes Run keep windowing past the horizon until every
-	// region is idle (legacy run-to-empty semantics). When false, Run
-	// stops at the first barrier at or past the horizon.
-	DrainIdle bool
 	// Router, when set, narrows each region's Absorb to the records
 	// actually routed to it. Must be set before Run.
 	Router Router
@@ -150,8 +144,8 @@ func (e *Engine) Now() time.Duration { return e.now }
 // Stats returns driver accounting.
 func (e *Engine) Stats() RunStats { return e.stats }
 
-// Run executes windows until the safe time reaches horizon (and, with
-// DrainIdle, until all regions are idle). Regions are striped across the
+// Run executes windows until the safe time reaches horizon, stopping at
+// the first barrier at or past it. Regions are striped across the
 // pool's workers; because every region is independent between barriers,
 // the striping pattern cannot affect results.
 func (e *Engine) Run(horizon time.Duration) {
@@ -161,7 +155,7 @@ func (e *Engine) Run(horizon time.Duration) {
 		w = n
 	}
 	for {
-		if e.now >= horizon && (!e.DrainIdle || e.allIdle()) {
+		if e.now >= horizon {
 			return
 		}
 		end := e.now + e.lookahead
@@ -212,58 +206,3 @@ func (e *Engine) Run(horizon time.Duration) {
 
 // Close releases the worker pool.
 func (e *Engine) Close() { e.pool.Close() }
-
-func (e *Engine) allIdle() bool {
-	for _, r := range e.regions {
-		if !r.Idle() {
-			return false
-		}
-	}
-	return true
-}
-
-// adoptedEngine wraps a legacy single-threaded sim.Engine as one Region, so
-// existing small scenarios run unchanged under the sharded driver. The
-// wrapped engine already resolves receptions itself (its medium sees every
-// node), so Emit/Absorb/Settle are no-ops; all that windowing must preserve
-// is the event schedule and the final clock.
-//
-// Advance deliberately steps event-by-event via NextAt instead of calling
-// RunUntil(to): RunUntil would advance the clock to the window end even when
-// no event lives there, and radio energy meters accrue listening time up to
-// Now — so overshooting the last event would change measured energy. With
-// NextAt-stepping, the executed event sequence and the final Now are
-// identical to eng.Run(), which is what makes single-tile shard output
-// byte-for-byte equal to the legacy path.
-type adoptedEngine struct {
-	eng *sim.Engine
-}
-
-// Adopt wraps a legacy engine as a single shard region.
-func Adopt(eng *sim.Engine) Region { return adoptedEngine{eng} }
-
-func (a adoptedEngine) Advance(to time.Duration) {
-	for {
-		at, ok := a.eng.NextAt()
-		if !ok || at > to {
-			return
-		}
-		a.eng.RunUntil(at)
-	}
-}
-
-func (a adoptedEngine) Emit(into []Record) []Record { return into }
-func (a adoptedEngine) Absorb([]Record)             {}
-func (a adoptedEngine) Settle(time.Duration)        {}
-func (a adoptedEngine) Idle() bool                  { return a.eng.Pending() == 0 }
-
-// DrainAdopted runs a legacy engine to completion under the sharded driver:
-// the windowed, barrier-ticked equivalent of eng.Run(). Used by the sweep
-// ShardWindow modes and the equivalence tests.
-func DrainAdopted(eng *sim.Engine, lookahead time.Duration) RunStats {
-	e := NewEngine(lookahead, 1, Adopt(eng))
-	e.DrainIdle = true
-	e.Run(0)
-	e.Close()
-	return e.Stats()
-}

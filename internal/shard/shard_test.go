@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"retri/internal/mobility"
-	"retri/internal/sim"
 	"retri/internal/xrand"
 )
 
@@ -70,47 +69,6 @@ func TestTilesTouching(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// --- adopted legacy engine ---
-
-// TestDrainAdoptedMatchesRun: windowed execution of a legacy engine must
-// preserve the event sequence and the final clock exactly, including
-// events that schedule more events across window boundaries.
-func TestDrainAdoptedMatchesRun(t *testing.T) {
-	build := func() (*sim.Engine, *[]string) {
-		eng := sim.NewEngine()
-		var order []string
-		add := func(name string, d time.Duration) { eng.Schedule(d, func() { order = append(order, name) }) }
-		add("a", 3*time.Millisecond)
-		add("b", 3*time.Millisecond) // same instant: scheduling order must hold
-		eng.Schedule(5*time.Millisecond, func() {
-			order = append(order, "c")
-			// Cascades landing inside, at, and beyond the next barrier.
-			eng.Schedule(1500*time.Microsecond, func() { order = append(order, "c1") })
-			eng.Schedule(7*time.Millisecond, func() { order = append(order, "c2") })
-		})
-		add("d", 40*time.Millisecond)
-		return eng, &order
-	}
-
-	ref, refOrder := build()
-	ref.Run()
-
-	win, winOrder := build()
-	stats := DrainAdopted(win, 2*time.Millisecond)
-	if !reflect.DeepEqual(*refOrder, *winOrder) {
-		t.Fatalf("event order diverged:\nrun:   %v\nshard: %v", *refOrder, *winOrder)
-	}
-	if ref.Now() != win.Now() {
-		t.Fatalf("final clock diverged: run %v, shard %v", ref.Now(), win.Now())
-	}
-	if ref.Processed() != win.Processed() {
-		t.Fatalf("processed diverged: run %d, shard %d", ref.Processed(), win.Processed())
-	}
-	if stats.Windows == 0 {
-		t.Fatal("no windows executed")
 	}
 }
 

@@ -256,7 +256,7 @@ func (e *Engine) Run() {
 // exactly t. Events scheduled for later remain pending.
 func (e *Engine) RunUntil(t time.Duration) {
 	for {
-		at, ok := e.NextAt()
+		at, ok := e.nextAt()
 		if !ok || at > t {
 			break
 		}
@@ -272,13 +272,9 @@ func (e *Engine) RunFor(d time.Duration) {
 	e.RunUntil(e.now + d)
 }
 
-// NextAt reports the timestamp of the earliest pending event, if any. The
-// sharded driver (internal/shard) uses it to window a legacy engine without
-// ever advancing the clock past the last event actually executed — which is
-// what keeps windowed replay byte-identical to Run (listening-energy meters
-// accrue up to Now, so overshooting the final event would change them).
-// Cancelled events at the top of the heap are discarded on the way.
-func (e *Engine) NextAt() (time.Duration, bool) {
+// nextAt reports the timestamp of the earliest pending event, if any,
+// discarding cancelled events at the top of the heap on the way.
+func (e *Engine) nextAt() (time.Duration, bool) {
 	for len(e.heap) > 0 {
 		top := e.heap[0]
 		if !e.slots[top.slot].cancelled {
