@@ -88,6 +88,16 @@ type Stats struct {
 	Acquisitions int64
 }
 
+// Add folds o into s field by field, for aggregating nodes and trials.
+func (s *Stats) Add(o Stats) {
+	s.ClaimsSent += o.ClaimsSent
+	s.DefendsSent += o.DefendsSent
+	s.AnnouncesSent += o.AnnouncesSent
+	s.ControlBits += o.ControlBits
+	s.Conflicts += o.Conflicts
+	s.Acquisitions += o.Acquisitions
+}
+
 // Allocator runs claim-listen-defend on one radio. It does not own the
 // radio's handler; the owning node must route control frames to
 // HandleControl.

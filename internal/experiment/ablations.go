@@ -4,13 +4,13 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
 	"retri/internal/energy"
 	"retri/internal/model"
 	"retri/internal/radio"
-	"retri/internal/runner"
 	"retri/internal/stats"
 	"retri/internal/xrand"
 )
@@ -32,45 +32,48 @@ type WindowAblationResult struct {
 // Windows is replaced by the adaptive 2T rule.
 func AblationListeningWindow(cfg Figure4Config, idBits int, windows []int) (WindowAblationResult, error) {
 	res := WindowAblationResult{Config: cfg, Windows: windows, Series: stats.NewSeries("window")}
-	src := xrand.NewSource(cfg.Seed).Child("ablation-window")
-	type job struct {
-		cfg      Figure4Config
-		adaptive bool
+	type cell struct {
 		window   int
-		src      *xrand.Source
+		adaptive bool
 	}
-	jobs := make([]job, 0, (len(windows)+1)*cfg.Trials)
+	var cells []cell
 	for _, w := range windows {
-		run := cfg
-		run.FixedWindow = w
-		for trial := 0; trial < cfg.Trials; trial++ {
-			jobs = append(jobs, job{run, false, w, src.Child(fmt.Sprint(w), fmt.Sprint(trial))})
-		}
+		cells = append(cells, cell{window: w})
 	}
-	// Adaptive baseline.
-	for trial := 0; trial < cfg.Trials; trial++ {
-		jobs = append(jobs, job{cfg, true, 0, src.Child("adaptive", fmt.Sprint(trial))})
-	}
-	outs, err := runner.Map(len(jobs), cfg.Hooks.runnerOptions(cfg.Parallelism), func(i int) (TrialOutcome, error) {
-		return RunCollisionTrial(jobs[i].cfg, SelListening, idBits, jobs[i].src)
-	})
+	cells = append(cells, cell{adaptive: true})
+	groups, err := runCells(fanout{cfg.Parallelism, cfg.Hooks, cfg.Obs}, xrand.NewSource(cfg.Seed).Child("ablation-window"),
+		cells, cfg.Trials,
+		func(c cell) []string {
+			if c.adaptive {
+				return []string{"adaptive"}
+			}
+			return []string{strconv.Itoa(c.window)}
+		},
+		func(c cell, src *xrand.Source) (TrialOutcome, error) {
+			run := cfg
+			if !c.adaptive {
+				run.FixedWindow = c.window
+			}
+			return RunCollisionTrial(run, SelListening, idBits, src)
+		},
+		TrialOutcome.capture,
+		func(c cell) string {
+			if c.adaptive {
+				return "ablation-window adaptive"
+			}
+			return fmt.Sprintf("ablation-window window=%d", c.window)
+		})
 	if err != nil {
 		return WindowAblationResult{}, err
 	}
-	if err := foldTrialObs(cfg.Obs, outs, func(i int) string {
-		if jobs[i].adaptive {
-			return "ablation-window adaptive"
-		}
-		return fmt.Sprintf("ablation-window window=%d", jobs[i].window)
-	}); err != nil {
-		return WindowAblationResult{}, err
-	}
 	var acc stats.Accumulator
-	for i, out := range outs {
-		if jobs[i].adaptive {
-			acc.Add(out.CollisionRate)
-		} else {
-			res.Series.Add(float64(jobs[i].window), out.CollisionRate)
+	for ci, outs := range groups {
+		for _, out := range outs {
+			if cells[ci].adaptive {
+				acc.Add(out.CollisionRate)
+			} else {
+				res.Series.Add(float64(cells[ci].window), out.CollisionRate)
+			}
 		}
 	}
 	res.Adaptive = acc.Summary()
@@ -168,7 +171,6 @@ func AblationHiddenTerminal(cfg Figure4Config, idBits int, kinds []SelectorKind)
 	if cfg.Interval <= 0 {
 		cfg.Interval = 300 * time.Millisecond
 	}
-	src := xrand.NewSource(cfg.Seed).Child("ablation-hidden")
 	topologies := []struct {
 		name string
 		topo func(int, radio.NodeID) radio.Topology
@@ -178,40 +180,35 @@ func AblationHiddenTerminal(cfg Figure4Config, idBits int, kinds []SelectorKind)
 		{"shadowed", ShadowedClusterTopology, res.Shadowed},
 		{"hidden", HiddenStarTopology, res.Hidden},
 	}
-	type job struct {
-		cfg  Figure4Config
+	type cell struct {
 		kind SelectorKind
-		dst  map[SelectorKind]stats.Summary
-		src  *xrand.Source
+		topo int
 	}
-	jobs := make([]job, 0, len(kinds)*len(topologies)*cfg.Trials)
+	var cells []cell
 	for _, kind := range kinds {
-		for _, tc := range topologies {
-			run := cfg
-			run.Topology = tc.topo
-			for trial := 0; trial < cfg.Trials; trial++ {
-				jobs = append(jobs, job{run, kind, tc.dst, src.Child(tc.name, string(kind), fmt.Sprint(trial))})
-			}
+		for ti := range topologies {
+			cells = append(cells, cell{kind, ti})
 		}
 	}
-	outs, err := runner.Map(len(jobs), cfg.Hooks.runnerOptions(cfg.Parallelism), func(i int) (TrialOutcome, error) {
-		return RunCollisionTrial(jobs[i].cfg, jobs[i].kind, idBits, jobs[i].src)
-	})
+	groups, err := runCells(fanout{cfg.Parallelism, cfg.Hooks, cfg.Obs}, xrand.NewSource(cfg.Seed).Child("ablation-hidden"),
+		cells, cfg.Trials,
+		func(c cell) []string { return []string{topologies[c.topo].name, string(c.kind)} },
+		func(c cell, src *xrand.Source) (TrialOutcome, error) {
+			run := cfg
+			run.Topology = topologies[c.topo].topo
+			return RunCollisionTrial(run, c.kind, idBits, src)
+		},
+		TrialOutcome.capture,
+		func(c cell) string { return fmt.Sprintf("ablation-hidden sel=%s", c.kind) })
 	if err != nil {
 		return HiddenTerminalResult{}, err
 	}
-	if err := foldTrialObs(cfg.Obs, outs, func(i int) string {
-		return fmt.Sprintf("ablation-hidden sel=%s", jobs[i].kind)
-	}); err != nil {
-		return HiddenTerminalResult{}, err
-	}
-	var acc stats.Accumulator
-	for i, out := range outs {
-		acc.Add(out.CollisionRate)
-		if (i+1)%cfg.Trials == 0 {
-			jobs[i].dst[jobs[i].kind] = acc.Summary()
-			acc = stats.Accumulator{}
+	for ci, outs := range groups {
+		var acc stats.Accumulator
+		for _, out := range outs {
+			acc.Add(out.CollisionRate)
 		}
+		topologies[cells[ci].topo].dst[cells[ci].kind] = acc.Summary()
 	}
 	return res, nil
 }
@@ -261,30 +258,21 @@ func AblationMACOverhead(base EfficiencyConfig, schemes []Scheme, profiles []ene
 		E:        make(map[string]map[string]float64, len(profiles)),
 	}
 	src := xrand.NewSource(base.Seed).Child("ablation-mac")
-	type job struct {
-		cfg     EfficiencyConfig
-		profile string
-		scheme  string
-		src     *xrand.Source
-	}
-	jobs := make([]job, 0, len(profiles)*len(schemes))
 	for _, p := range profiles {
 		res.E[p.Name] = make(map[string]float64, len(schemes))
-		for _, s := range schemes {
-			cfg := base
-			cfg.Scheme = s
-			cfg.MAC = p
-			jobs = append(jobs, job{cfg, p.Name, s.Label(), src.Child(p.Name, s.Label())})
-		}
 	}
-	outs, err := runner.Map(len(jobs), base.Hooks.runnerOptions(base.Parallelism), func(i int) (EfficiencyOutcome, error) {
-		return RunEfficiencyTrial(jobs[i].cfg, jobs[i].src)
-	})
+	// One trial per (profile, scheme) cell, profile-major.
+	outs, err := runTrials(fanout{parallelism: base.Parallelism, hooks: base.Hooks}, len(profiles)*len(schemes),
+		func(i int) (EfficiencyOutcome, error) {
+			cfg := base
+			cfg.MAC, cfg.Scheme = profiles[i/len(schemes)], schemes[i%len(schemes)]
+			return RunEfficiencyTrial(cfg, src.Child(cfg.MAC.Name, cfg.Scheme.Label()))
+		}, nil, nil)
 	if err != nil {
 		return MACAblationResult{}, err
 	}
 	for i, out := range outs {
-		res.E[jobs[i].profile][jobs[i].scheme] = out.E()
+		res.E[profiles[i/len(schemes)].Name][schemes[i%len(schemes)].Label()] = out.E()
 	}
 	return res, nil
 }
@@ -332,35 +320,27 @@ type LengthAblationResult struct {
 func AblationTransactionLengths(cfg Figure4Config, idBits int, lengths []int) (LengthAblationResult, error) {
 	res := LengthAblationResult{Config: cfg, IDBits: idBits, Lengths: lengths}
 	src := xrand.NewSource(cfg.Seed).Child("ablation-length")
-	type job struct {
-		cfg   Figure4Config
-		isMix bool
-		src   *xrand.Source
-	}
 	mixCfg := cfg
 	mixCfg.PacketSizes = lengths
-	jobs := make([]job, 0, 2*cfg.Trials)
-	for trial := 0; trial < cfg.Trials; trial++ {
-		jobs = append(jobs, job{cfg, false, src.Child("fixed", fmt.Sprint(trial))})
-		jobs = append(jobs, job{mixCfg, true, src.Child("mixed", fmt.Sprint(trial))})
-	}
-	outs, err := runner.Map(len(jobs), cfg.Hooks.runnerOptions(cfg.Parallelism), func(i int) (TrialOutcome, error) {
-		return RunCollisionTrial(jobs[i].cfg, SelUniform, idBits, jobs[i].src)
+	// Fixed and mixed trials interleave: job 2t is fixed trial t, 2t+1
+	// the mixed one.
+	outs, err := runTrials(fanout{cfg.Parallelism, cfg.Hooks, cfg.Obs}, 2*cfg.Trials, func(i int) (TrialOutcome, error) {
+		if i%2 == 1 {
+			return RunCollisionTrial(mixCfg, SelUniform, idBits, src.Child("mixed", strconv.Itoa(i/2)))
+		}
+		return RunCollisionTrial(cfg, SelUniform, idBits, src.Child("fixed", strconv.Itoa(i/2)))
+	}, TrialOutcome.capture, func(i int) string {
+		if i%2 == 1 {
+			return "ablation-length mixed"
+		}
+		return "ablation-length fixed"
 	})
 	if err != nil {
 		return LengthAblationResult{}, err
 	}
-	if err := foldTrialObs(cfg.Obs, outs, func(i int) string {
-		if jobs[i].isMix {
-			return "ablation-length mixed"
-		}
-		return "ablation-length fixed"
-	}); err != nil {
-		return LengthAblationResult{}, err
-	}
 	var fixed, mixed stats.Accumulator
 	for i, out := range outs {
-		if jobs[i].isMix {
+		if i%2 == 1 {
 			mixed.Add(out.CollisionRate)
 		} else {
 			fixed.Add(out.CollisionRate)

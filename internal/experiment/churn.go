@@ -10,7 +10,6 @@ import (
 	"retri/internal/dynaddr"
 	"retri/internal/node"
 	"retri/internal/radio"
-	"retri/internal/runner"
 	"retri/internal/sim"
 	"retri/internal/workload"
 	"retri/internal/xrand"
@@ -222,27 +221,21 @@ func AblationDynAddrChurn(cfg ChurnConfig, lifetimes []time.Duration) (ChurnAbla
 		Outcomes:  map[string][]ChurnOutcome{"aff": nil, "dynaddr": nil},
 	}
 	src := xrand.NewSource(cfg.Seed).Child("ablation-churn")
-	type job struct {
-		cfg    ChurnConfig
-		scheme string
-		src    *xrand.Source
-	}
-	jobs := make([]job, 0, 2*len(lifetimes))
-	for _, life := range lifetimes {
-		run := cfg
-		run.Lifetime = life
-		for _, scheme := range []string{"aff", "dynaddr"} {
-			jobs = append(jobs, job{run, scheme, src.Child(scheme, life.String())})
-		}
-	}
-	outs, err := runner.Map(len(jobs), cfg.Hooks.runnerOptions(cfg.Parallelism), func(i int) (ChurnOutcome, error) {
-		return RunChurnTrial(jobs[i].cfg, jobs[i].scheme, jobs[i].src)
-	})
+	schemes := []string{"aff", "dynaddr"}
+	// One trial per (lifetime, scheme) cell, lifetime-major.
+	outs, err := runTrials(fanout{parallelism: cfg.Parallelism, hooks: cfg.Hooks}, len(lifetimes)*len(schemes),
+		func(i int) (ChurnOutcome, error) {
+			run := cfg
+			run.Lifetime = lifetimes[i/len(schemes)]
+			scheme := schemes[i%len(schemes)]
+			return RunChurnTrial(run, scheme, src.Child(scheme, run.Lifetime.String()))
+		}, nil, nil)
 	if err != nil {
 		return ChurnAblationResult{}, err
 	}
 	for i, out := range outs {
-		res.Outcomes[jobs[i].scheme] = append(res.Outcomes[jobs[i].scheme], out)
+		scheme := schemes[i%len(schemes)]
+		res.Outcomes[scheme] = append(res.Outcomes[scheme], out)
 	}
 	return res, nil
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"retri/internal/runner"
 	"retri/internal/stats"
 	"retri/internal/xrand"
 )
@@ -38,48 +37,42 @@ func AblationEstimator(cfg Figure4Config, idBits int) (EstimatorAblationResult, 
 		Collision:  make(map[string]map[EstimatorKind]stats.Summary),
 		Workloads:  []string{"continuous", "bursty"},
 	}
-	src := xrand.NewSource(cfg.Seed).Child("ablation-estimator")
-	type job struct {
-		cfg      Figure4Config
+	type cell struct {
 		workload string
 		est      EstimatorKind
-		src      *xrand.Source
 	}
-	var jobs []job
+	var cells []cell
 	for _, workload := range res.Workloads {
 		res.EstimatedT[workload] = make(map[EstimatorKind]stats.Summary)
 		res.Collision[workload] = make(map[EstimatorKind]stats.Summary)
 		for _, est := range []EstimatorKind{EstEMA, EstInterval} {
-			run := cfg
-			run.Estimator = est
-			if workload == "bursty" {
-				run.Interval = 2 * time.Second
-			}
-			for trial := 0; trial < cfg.Trials; trial++ {
-				jobs = append(jobs, job{run, workload, est, src.Child(workload, string(est), fmt.Sprint(trial))})
-			}
+			cells = append(cells, cell{workload, est})
 		}
 	}
-	outs, err := runner.Map(len(jobs), cfg.Hooks.runnerOptions(cfg.Parallelism), func(i int) (TrialOutcome, error) {
-		return RunCollisionTrial(jobs[i].cfg, SelListening, idBits, jobs[i].src)
-	})
+	groups, err := runCells(fanout{cfg.Parallelism, cfg.Hooks, cfg.Obs}, xrand.NewSource(cfg.Seed).Child("ablation-estimator"),
+		cells, cfg.Trials,
+		func(c cell) []string { return []string{c.workload, string(c.est)} },
+		func(c cell, src *xrand.Source) (TrialOutcome, error) {
+			run := cfg
+			run.Estimator = c.est
+			if c.workload == "bursty" {
+				run.Interval = 2 * time.Second
+			}
+			return RunCollisionTrial(run, SelListening, idBits, src)
+		},
+		TrialOutcome.capture,
+		func(c cell) string { return fmt.Sprintf("ablation-estimator workload=%s est=%s", c.workload, c.est) })
 	if err != nil {
 		return EstimatorAblationResult{}, err
 	}
-	if err := foldTrialObs(cfg.Obs, outs, func(i int) string {
-		return fmt.Sprintf("ablation-estimator workload=%s est=%s", jobs[i].workload, jobs[i].est)
-	}); err != nil {
-		return EstimatorAblationResult{}, err
-	}
-	var tAcc, cAcc stats.Accumulator
-	for i, out := range outs {
-		tAcc.Add(out.EstimatedT)
-		cAcc.Add(out.CollisionRate)
-		if (i+1)%cfg.Trials == 0 {
-			res.EstimatedT[jobs[i].workload][jobs[i].est] = tAcc.Summary()
-			res.Collision[jobs[i].workload][jobs[i].est] = cAcc.Summary()
-			tAcc, cAcc = stats.Accumulator{}, stats.Accumulator{}
+	for ci, outs := range groups {
+		var tAcc, cAcc stats.Accumulator
+		for _, out := range outs {
+			tAcc.Add(out.EstimatedT)
+			cAcc.Add(out.CollisionRate)
 		}
+		res.EstimatedT[cells[ci].workload][cells[ci].est] = tAcc.Summary()
+		res.Collision[cells[ci].workload][cells[ci].est] = cAcc.Summary()
 	}
 	return res, nil
 }

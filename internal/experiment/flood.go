@@ -2,13 +2,13 @@ package experiment
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
 	"retri/internal/core"
 	"retri/internal/flood"
 	"retri/internal/radio"
-	"retri/internal/runner"
 	"retri/internal/sim"
 	"retri/internal/stats"
 	"retri/internal/workload"
@@ -78,25 +78,18 @@ func AblationFloodIDBits(cfg FloodConfig) (FloodResult, error) {
 		return FloodResult{}, fmt.Errorf("experiment: degenerate flood config %+v", cfg)
 	}
 	res := FloodResult{Config: cfg, Reach: stats.NewSeries("reach")}
-	src := xrand.NewSource(cfg.Seed).Child("ablation-flood")
-	type job struct {
-		bits int
-		src  *xrand.Source
-	}
-	jobs := make([]job, 0, len(cfg.IDBits)*cfg.Trials)
-	for _, bits := range cfg.IDBits {
-		for trial := 0; trial < cfg.Trials; trial++ {
-			jobs = append(jobs, job{bits, src.Child(fmt.Sprint(bits), fmt.Sprint(trial))})
-		}
-	}
-	reaches, err := runner.Map(len(jobs), cfg.Hooks.runnerOptions(cfg.Parallelism), func(i int) (float64, error) {
-		return runFloodTrial(cfg, jobs[i].bits, jobs[i].src)
-	})
+	groups, err := runCells(fanout{parallelism: cfg.Parallelism, hooks: cfg.Hooks}, xrand.NewSource(cfg.Seed).Child("ablation-flood"),
+		cfg.IDBits, cfg.Trials,
+		func(bits int) []string { return []string{strconv.Itoa(bits)} },
+		func(bits int, src *xrand.Source) (float64, error) { return runFloodTrial(cfg, bits, src) },
+		nil, nil)
 	if err != nil {
 		return FloodResult{}, err
 	}
-	for i, reach := range reaches {
-		res.Reach.Add(float64(jobs[i].bits), reach)
+	for bi, reaches := range groups {
+		for _, reach := range reaches {
+			res.Reach.Add(float64(cfg.IDBits[bi]), reach)
+		}
 	}
 	return res, nil
 }

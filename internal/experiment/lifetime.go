@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"retri/internal/energy"
-	"retri/internal/runner"
 	"retri/internal/xrand"
 )
 
@@ -47,11 +46,11 @@ func RunLifetime(base EfficiencyConfig, schemes []Scheme) (LifetimeResult, error
 	res := LifetimeResult{Config: base, Baseline: len(schemes) - 1}
 	src := xrand.NewSource(base.Seed).Child("lifetime")
 	costs := make([]float64, len(schemes))
-	outs, err := runner.Map(len(schemes), base.Hooks.runnerOptions(base.Parallelism), func(i int) (EfficiencyOutcome, error) {
+	outs, err := runTrials(fanout{parallelism: base.Parallelism, hooks: base.Hooks}, len(schemes), func(i int) (EfficiencyOutcome, error) {
 		cfg := base
 		cfg.Scheme = schemes[i]
 		return RunEfficiencyTrial(cfg, src.Child(schemes[i].Label()))
-	})
+	}, nil, nil)
 	if err != nil {
 		return LifetimeResult{}, err
 	}

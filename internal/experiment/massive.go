@@ -211,43 +211,50 @@ type MassiveResult struct {
 	Rows   []MassiveRow
 }
 
-// Massive runs the sweep: population x policy cells, each a region-sharded
-// trial at Parallelism workers. Cells run sequentially — a single massive
-// trial already saturates the machine through the shard pool.
+// Massive runs the sweep: population x policy cells, each trial a
+// region-sharded run at Parallelism workers. Trials run one at a time — a
+// single massive trial already saturates the machine through the shard
+// pool.
 func Massive(cfg MassiveConfig) (MassiveResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return MassiveResult{}, err
 	}
-	workers := cfg.Parallelism
-	if workers < 1 {
-		workers = 1
-	}
-	src := xrand.NewSource(cfg.Seed).Child("massive")
-	res := MassiveResult{Config: cfg}
-	trial := 0
+	workers := max(cfg.Parallelism, 1)
+	var cells []MassiveRow
 	for _, n := range cfg.Populations {
 		for _, policy := range cfg.Policies {
-			row := MassiveRow{Population: n, Policy: policy}
-			for t := 0; t < cfg.Trials; t++ {
-				tsrc := src.Child(strconv.Itoa(n), string(policy), strconv.Itoa(t))
-				start := time.Now()
-				ctr, stats, tiles, err := RunMassiveTrial(cfg, n, policy, workers, tsrc)
-				if err != nil {
-					return MassiveResult{}, fmt.Errorf("massive %s trial %d: %w", row.Label(), t, err)
-				}
-				elapsed := time.Since(start)
-				if cfg.Hooks.OnTrialTime != nil {
-					cfg.Hooks.OnTrialTime(trial, elapsed)
-				}
-				trial++
-				row.Tiles = tiles
-				row.Counters.Add(&ctr)
-				row.Windows += stats.Windows
-				row.Exchanged += stats.Exchanged
-				row.Wall += elapsed
-				row.WallEvents += ctr.Events + ctr.Verdicts
+			cells = append(cells, MassiveRow{Population: n, Policy: policy})
+		}
+	}
+	type trial struct {
+		ctr   shard.Counters
+		stats shard.RunStats
+		tiles int
+		wall  time.Duration
+	}
+	groups, err := runCells(fanout{parallelism: 1, hooks: cfg.Hooks}, xrand.NewSource(cfg.Seed).Child("massive"), cells, cfg.Trials,
+		func(c MassiveRow) []string { return []string{strconv.Itoa(c.Population), string(c.Policy)} },
+		func(c MassiveRow, src *xrand.Source) (trial, error) {
+			start := time.Now()
+			ctr, stats, tiles, err := RunMassiveTrial(cfg, c.Population, c.Policy, workers, src)
+			if err != nil {
+				return trial{}, fmt.Errorf("massive %s: %w", c.Label(), err)
 			}
-			res.Rows = append(res.Rows, row)
+			return trial{ctr, stats, tiles, time.Since(start)}, nil
+		}, nil, nil)
+	if err != nil {
+		return MassiveResult{}, err
+	}
+	res := MassiveResult{Config: cfg, Rows: cells}
+	for ci, trials := range groups {
+		row := &res.Rows[ci]
+		for _, t := range trials {
+			row.Tiles = t.tiles
+			row.Counters.Add(&t.ctr)
+			row.Windows += t.stats.Windows
+			row.Exchanged += t.stats.Exchanged
+			row.Wall += t.wall
+			row.WallEvents += t.ctr.Events + t.ctr.Verdicts
 		}
 	}
 	return res, nil

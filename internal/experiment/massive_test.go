@@ -154,3 +154,32 @@ func TestMassiveCSVShape(t *testing.T) {
 		}
 	}
 }
+
+// TestMassiveReportsProgress: Hooks.OnProgress sees every trial of the
+// sweep in order, 1..N of N with N = populations x policies x trials, so
+// `-figure massive -progress` reports like every other figure.
+func TestMassiveReportsProgress(t *testing.T) {
+	cfg := DefaultMassiveConfig()
+	cfg.Populations = []int{500, 1_000}
+	cfg.Duration = 100 * time.Millisecond
+	cfg.Trials = 2
+	want := len(cfg.Populations) * len(cfg.Policies) * cfg.Trials
+	var got []int
+	cfg.Hooks.OnProgress = func(done, total int) {
+		if total != want {
+			t.Errorf("progress total = %d, want %d", total, want)
+		}
+		got = append(got, done)
+	}
+	if _, err := Massive(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != want {
+		t.Fatalf("progress calls = %v, want 1..%d", got, want)
+	}
+	for i, done := range got {
+		if done != i+1 {
+			t.Fatalf("progress calls = %v, want 1..%d", got, want)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"time"
 
@@ -12,7 +13,6 @@ import (
 	"retri/internal/model"
 	"retri/internal/node"
 	"retri/internal/radio"
-	"retri/internal/runner"
 	"retri/internal/sim"
 	"retri/internal/stats"
 	"retri/internal/workload"
@@ -102,29 +102,20 @@ func RunScaling(cfg ScalingConfig) (ScalingResult, error) {
 		return ScalingResult{}, fmt.Errorf("experiment: degenerate scaling config %+v", cfg)
 	}
 	res := ScalingResult{Config: cfg}
-	src := xrand.NewSource(cfg.Seed).Child("scaling")
-	type job struct {
-		n   int
-		src *xrand.Source
-	}
-	jobs := make([]job, 0, len(cfg.GridSizes)*cfg.Trials)
-	for _, n := range cfg.GridSizes {
-		for trial := 0; trial < cfg.Trials; trial++ {
-			jobs = append(jobs, job{n, src.Child(fmt.Sprint(n), fmt.Sprint(trial))})
-		}
-	}
 	type outcome struct{ coll, dens float64 }
-	outs, err := runner.Map(len(jobs), cfg.Hooks.runnerOptions(cfg.Parallelism), func(i int) (outcome, error) {
-		c, d, err := runScalingTrial(cfg, jobs[i].n, jobs[i].src)
-		return outcome{c, d}, err
-	})
+	groups, err := runCells(fanout{parallelism: cfg.Parallelism, hooks: cfg.Hooks}, xrand.NewSource(cfg.Seed).Child("scaling"),
+		cfg.GridSizes, cfg.Trials,
+		func(n int) []string { return []string{strconv.Itoa(n)} },
+		func(n int, src *xrand.Source) (outcome, error) {
+			c, d, err := runScalingTrial(cfg, n, src)
+			return outcome{c, d}, err
+		}, nil, nil)
 	if err != nil {
 		return ScalingResult{}, err
 	}
 	for gi, n := range cfg.GridSizes {
 		var coll, dens stats.Accumulator
-		for trial := 0; trial < cfg.Trials; trial++ {
-			out := outs[gi*cfg.Trials+trial]
+		for _, out := range groups[gi] {
 			coll.Add(out.coll)
 			dens.Add(out.dens)
 		}

@@ -19,6 +19,14 @@ type ChurnCounters struct {
 	Wakes  int64
 }
 
+// Add folds o into c field by field, for aggregating trials.
+func (c *ChurnCounters) Add(o ChurnCounters) {
+	c.Joins += o.Joins
+	c.Leaves += o.Leaves
+	c.Sleeps += o.Sleeps
+	c.Wakes += o.Wakes
+}
+
 // Churner schedules node membership dynamics: permanent join/leave and
 // duty-cycled sleep/wake. Both reuse the crash/restart semantics from
 // internal/faults — a sleeping or departed node's radio goes down and its
