@@ -467,7 +467,7 @@ func TestParseFaultAndARQFlags(t *testing.T) {
 	if o.faults != "all" || o.arqRetries != 8 {
 		t.Errorf("defaults = (%q, %d), want (all, 8)", o.faults, o.arqRetries)
 	}
-	if _, err := parseArgs([]string{"-faults", "iid,ge+crash"}); err != nil {
+	if _, err := parseArgs([]string{"-figure", "recovery", "-faults", "iid,ge+crash"}); err != nil {
 		t.Errorf("valid fault list rejected: %v", err)
 	}
 	if _, err := parseArgs([]string{"-faults", "volcano"}); err == nil || !strings.Contains(err.Error(), "volcano") {
@@ -568,6 +568,40 @@ func TestParseRejectsIgnoredTruthFlags(t *testing.T) {
 	}
 }
 
+// TestParseRejectsFlagsNoSelectedFigureReads: a per-figure flag must be
+// read by at least one selected figure; a flag the selection ignores
+// fails fast instead of exiting 0 with the flag silently dropped.
+func TestParseRejectsFlagsNoSelectedFigureReads(t *testing.T) {
+	cases := []struct {
+		args []string
+		ok   bool
+	}{
+		{[]string{"-figure", "dynamics", "-faults", "ge"}, false},
+		{[]string{"-figure", "all", "-arms", "fixed"}, false},
+		{[]string{"-arms", "fixed"}, false},
+		{[]string{"-figure", "4", "-regions", "4"}, false},
+		{[]string{"-figure", "massive", "-scenarios", "churn"}, false},
+		{[]string{"-figure", "strategies", "-oracle"}, false},
+		{[]string{"-figure", "multihop", "-soak", "5s"}, false},
+		{[]string{"-ablation", "churn", "-nodes", "2000"}, false},
+		{[]string{"-figure", "recovery", "-faults", "ge", "-arq-retries", "3"}, true},
+		{[]string{"-figure", "chaos", "-arq-rto", "100ms", "-chaos-profiles", "storm", "-soak", "5s"}, true},
+		{[]string{"-figure", "massive", "-policies", "fixed", "-nodes", "2000"}, true},
+		{[]string{"-figure", "multihop", "-arms", "fixed", "-regions", "2"}, true},
+		{[]string{"-figure", "dynamics", "-scenarios", "churn", "-policies", "fixed"}, true},
+		{[]string{"-figure", "strategies", "-strategies", "uniform"}, true},
+	}
+	for _, tc := range cases {
+		_, err := parseArgs(tc.args)
+		if tc.ok && err != nil {
+			t.Errorf("%v: rejected: %v", tc.args, err)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "has no effect")) {
+			t.Errorf("%v: err = %v, want a no-effect rejection", tc.args, err)
+		}
+	}
+}
+
 func TestParseMultihopFlags(t *testing.T) {
 	o, err := parseArgs(nil)
 	if err != nil {
@@ -576,7 +610,7 @@ func TestParseMultihopFlags(t *testing.T) {
 	if o.multihopArms != "all" || o.regions != 3 {
 		t.Errorf("defaults = (%q, %d), want (all, 3)", o.multihopArms, o.regions)
 	}
-	if _, err := parseArgs([]string{"-arms", "fixed,dynaddr"}); err != nil {
+	if _, err := parseArgs([]string{"-figure", "multihop", "-arms", "fixed,dynaddr"}); err != nil {
 		t.Errorf("valid arm list rejected: %v", err)
 	}
 	if _, err := parseArgs([]string{"-arms", "telepathic"}); err == nil || !strings.Contains(err.Error(), "telepathic") {
