@@ -179,10 +179,10 @@ func TestObsTraceMarkers(t *testing.T) {
 
 // TestObsDisabledIsNil: a nil Obs yields no capture at all.
 func TestObsDisabledIsNil(t *testing.T) {
-	if obs, tracer := newTrialObs(nil); obs != nil || tracer != nil {
+	if obs, tracer := newTrialObs(nil, nil); obs != nil || tracer != nil {
 		t.Error("nil Obs produced a capture")
 	}
-	if obs, tracer := newTrialObs(&Obs{}); obs != nil || tracer != nil {
+	if obs, tracer := newTrialObs(&Obs{}, nil); obs != nil || tracer != nil {
 		t.Error("empty Obs produced a capture")
 	}
 }
