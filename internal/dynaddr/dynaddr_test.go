@@ -277,3 +277,14 @@ func TestControlOverheadGrowsWithChurn(t *testing.T) {
 			2, few, 10, many)
 	}
 }
+
+// TestStatsAdd: Add folds every counter field, so per-node allocator
+// stats sum into a trial's totals without dropping any of them.
+func TestStatsAdd(t *testing.T) {
+	s := Stats{ClaimsSent: 1, DefendsSent: 2, AnnouncesSent: 3, ControlBits: 4, Conflicts: 5, Acquisitions: 6}
+	s.Add(s)
+	want := Stats{ClaimsSent: 2, DefendsSent: 4, AnnouncesSent: 6, ControlBits: 8, Conflicts: 10, Acquisitions: 12}
+	if s != want {
+		t.Errorf("Add = %+v, want %+v", s, want)
+	}
+}

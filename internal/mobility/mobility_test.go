@@ -256,3 +256,13 @@ func TestDutyCycleEndsAwake(t *testing.T) {
 		t.Error("invalid duty cycle accepted")
 	}
 }
+
+// TestChurnCountersAdd: Add folds every membership counter, so trials
+// sum into a row's totals without dropping any of them.
+func TestChurnCountersAdd(t *testing.T) {
+	c := ChurnCounters{Joins: 1, Leaves: 2, Sleeps: 3, Wakes: 4}
+	c.Add(c)
+	if want := (ChurnCounters{Joins: 2, Leaves: 4, Sleeps: 6, Wakes: 8}); c != want {
+		t.Errorf("Add = %+v, want %+v", c, want)
+	}
+}
