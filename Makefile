@@ -23,7 +23,9 @@ FUZZ_TARGETS := \
 # dynaddr is the conventional baseline the comparisons lean on — an
 # untested baseline would make every "RETRI avoids this" claim soft. truth
 # is the ground-truth lifecycle both the oracle and the span tracer read.
-COVER_PKGS := internal/density internal/adapt internal/oracle internal/truth internal/dynaddr
+# reasm is the partial-packet table under all three reassemblers, so a
+# hole there is a hole in both sides of every collision measurement.
+COVER_PKGS := internal/density internal/adapt internal/oracle internal/truth internal/dynaddr internal/reasm
 COVER_FLOOR := 80
 
 .PHONY: check vet build test race golden benchtest fuzz benchsmoke benchcompare bench profile cover trace-demo chaossmoke scalesmoke multihopsmoke

@@ -68,10 +68,6 @@ func TestCapEvictsOldestFirst(t *testing.T) {
 	if len(expired) != 1 || expired[0] != ids[0] {
 		t.Errorf("onExpire hook saw %v on cap eviction, want [%d]", expired, ids[0])
 	}
-	// The survivors are untouched and still complete later.
-	if _, ok := r.pending[ids[1]]; !ok {
-		t.Error("second-oldest partial evicted alongside the oldest")
-	}
 }
 
 func TestCapRefreshedPartialSurvives(t *testing.T) {
@@ -81,6 +77,8 @@ func TestCapRefreshedPartialSurvives(t *testing.T) {
 	now := time.Duration(0)
 	f := seqFragmenter(t, cfg)
 	r := NewReassembler(cfg, func() time.Duration { return now }, nil)
+	var evicted []uint64
+	r.SetCapEvictHandler(func(id uint64) { evicted = append(evicted, id) })
 
 	txA, err := f.Fragment(make([]byte, 80))
 	if err != nil {
@@ -95,11 +93,9 @@ func TestCapRefreshedPartialSurvives(t *testing.T) {
 	now = 3 * time.Millisecond
 	startPartial(t, f, r) // C forces an eviction
 
-	if _, ok := r.pending[txA.ID]; !ok {
-		t.Error("refreshed partial A evicted despite newer activity")
-	}
-	if _, ok := r.pending[idB]; ok {
-		t.Error("coldest partial B survived the cap")
+	if len(evicted) != 1 || evicted[0] != idB {
+		t.Errorf("cap evicted %v, want the coldest partial B (%d), not refreshed A (%d)",
+			evicted, idB, txA.ID)
 	}
 	if got := r.Stats().CapEvictions; got != 1 {
 		t.Errorf("CapEvictions = %d, want 1", got)
@@ -136,6 +132,8 @@ func TestCapWorksWithoutTimeouts(t *testing.T) {
 	cfg.MaxPartials = 2
 	f := seqFragmenter(t, cfg)
 	r := NewReassembler(cfg, nil, nil)
+	var evicted []uint64
+	r.SetCapEvictHandler(func(id uint64) { evicted = append(evicted, id) })
 
 	ids := make([]uint64, 3)
 	for i := range ids {
@@ -144,8 +142,9 @@ func TestCapWorksWithoutTimeouts(t *testing.T) {
 	if r.PendingCount() != 2 {
 		t.Fatalf("PendingCount = %d, want 2", r.PendingCount())
 	}
-	if _, ok := r.pending[ids[0]]; ok {
-		t.Error("first partial survived; insertion-order eviction broken")
+	if len(evicted) != 1 || evicted[0] != ids[0] {
+		t.Errorf("cap evicted %v, want the first partial [%d]; insertion-order eviction broken",
+			evicted, ids[0])
 	}
 	if got := r.Stats().Timeouts; got != 0 {
 		t.Errorf("Timeouts = %d on cap eviction, want 0", got)

@@ -3,38 +3,12 @@ package aff
 import (
 	"time"
 
-	"retri/internal/checksum"
 	"retri/internal/frame"
+	"retri/internal/reasm"
 )
 
-// Stats counts reassembler outcomes. Conflicts and ChecksumFailures are the
-// two ways an identifier collision surfaces at a receiver.
-type Stats struct {
-	// Delivered counts packets reassembled and checksum-verified.
-	Delivered int64
-	// DeliveredBits sums the payload bits of delivered packets (the
-	// "useful bits received" of Equation 1).
-	DeliveredBits int64
-	// ChecksumFailures counts complete reassemblies whose checksum failed.
-	ChecksumFailures int64
-	// Conflicts counts transactions dropped for internal inconsistency:
-	// two introductions disagreeing, overlapping fragments with different
-	// bytes, or offsets beyond the announced length.
-	Conflicts int64
-	// Timeouts counts partial packets evicted after inactivity.
-	Timeouts int64
-	// CapEvictions counts partial packets evicted to stay under the
-	// MaxPartials memory cap — graceful degradation, not idle timeout,
-	// so it is distinct from Timeouts.
-	CapEvictions int64
-	// PendingPeak is the high-water mark of concurrently-held partial
-	// packets, the peak partial-state occupancy the chaos sweep reports.
-	PendingPeak int64
-	// FragmentsIn counts well-formed fragments ingested.
-	FragmentsIn int64
-	// Malformed counts undecodable frames.
-	Malformed int64
-}
+// Stats counts reassembler outcomes; see reasm.Stats.
+type Stats = reasm.Stats
 
 // Packet is a reassembled, verified packet.
 type Packet struct {
@@ -51,24 +25,13 @@ type Packet struct {
 }
 
 // Reassembler rebuilds packets from address-free fragments, keyed solely by
-// the AFF identifier — the system under test.
+// the AFF identifier — the system under test. Identifiers are shared, so a
+// fragment that disagrees with held state (a second introduction, an
+// overlap with different bytes, an offset past the announced length) is
+// evidence of a collision and drops the transaction.
 type Reassembler struct {
-	cfg     Config
-	codec   frame.AFFCodec
-	now     func() time.Duration
-	deliver func(Packet)
-
-	pending map[uint64]*pending
-	stats   Stats
-
-	// expq is the amortized expiry queue: every fragment pushes one
-	// (identifier, activity-time) entry, and activity times are drawn from
-	// the monotone virtual clock, so the queue is sorted by construction.
-	// A sweep pops due entries and evicts only those whose pending state
-	// saw no later activity — O(1) amortized per fragment, replacing the
-	// full-map scan Ingest used to do on every frame.
-	expq     []expEntry
-	expqHead int
+	codec frame.AFFCodec
+	t     *reasm.Table[uint64, *frame.Data]
 
 	// observer, when set, is told each identifier heard and whether the
 	// fragment was an introduction (a transaction start). The node layer
@@ -76,65 +39,6 @@ type Reassembler struct {
 	// the most recent 2T *transactions* — and every fragment to the
 	// density estimator.
 	observer func(id uint64, intro bool)
-
-	// onConflict, when set, is told each identifier dropped for
-	// inconsistency. The node layer's collision-notification extension
-	// (Section 3.2's "explicit identifier collision notification")
-	// broadcasts these.
-	onConflict func(id uint64)
-
-	// onComplete, when set, is told each identifier whose transaction is
-	// known complete: a data fragment covering the final byte of the
-	// announced length was observed, so the sender has nothing left to
-	// transmit. The node layer wires this to turnover-aware density
-	// estimators (density.CompletionObserver). Fired whether or not the
-	// packet ultimately verifies — a failed checksum still ends the
-	// transaction on air.
-	onComplete func(id uint64)
-
-	// onExpire, when set, is told each identifier whose partial state was
-	// evicted by the reassembly timeout — the receiver-side "this
-	// transaction died incomplete" signal the span tracer records.
-	onExpire func(id uint64)
-
-	// onBadSum, when set, is told each identifier rejected at completion
-	// because its checksum failed — the never-misdeliver rejection the
-	// span tracer records as a transaction outcome.
-	onBadSum func(id uint64)
-
-	// onCapEvict, when set, is told each identifier evicted by the
-	// MaxPartials cap, immediately before onExpire fires for the same
-	// identifier. The node layer uses the pairing to distinguish
-	// memory-pressure eviction from idle timeout in span outcomes while
-	// every onExpire consumer still hears about the abandoned state.
-	onCapEvict func(id uint64)
-}
-
-// pending accumulates one identifier's fragments.
-type pending struct {
-	haveIntro bool
-	totalLen  int
-	sum       uint16
-	truth     *frame.Truth
-
-	buf      []byte
-	covered  []bool
-	gotBytes int
-
-	// early buffers data fragments that arrive before the introduction.
-	early []*frame.Data
-
-	lastActivity time.Duration
-}
-
-// maxEarlyFragments bounds pre-introduction buffering per identifier so a
-// lost introduction cannot pin unbounded state.
-const maxEarlyFragments = 1 << 12
-
-// expEntry marks one identifier's activity for the expiry queue.
-type expEntry struct {
-	id uint64
-	at time.Duration
 }
 
 // NewReassembler returns a reassembler that calls deliver for each verified
@@ -142,25 +46,29 @@ type expEntry struct {
 // clock); a nil now disables timeouts.
 func NewReassembler(cfg Config, now func() time.Duration, deliver func(Packet)) *Reassembler {
 	cfg = cfg.withDefaults()
-	if now == nil {
-		now = func() time.Duration { return 0 }
-		cfg.ReassemblyTimeout = 0
+	r := &Reassembler{
+		codec: cfg.codec(),
+		t: reasm.New[uint64, *frame.Data](reasm.Config{
+			Checksum:    cfg.Checksum,
+			Timeout:     cfg.ReassemblyTimeout,
+			MaxPartials: cfg.MaxPartials,
+			SharedKeys:  true,
+		}, now),
 	}
-	return &Reassembler{
-		cfg:     cfg,
-		codec:   cfg.codec(),
-		now:     now,
-		deliver: deliver,
-		pending: make(map[uint64]*pending),
+	if deliver != nil {
+		r.t.OnDeliver = func(id uint64, data []byte, truth *frame.Truth) {
+			deliver(Packet{ID: id, Data: data, Truth: truth})
+		}
 	}
+	return r
 }
 
 // Stats returns a snapshot of the reassembler's counters.
-func (r *Reassembler) Stats() Stats { return r.stats }
+func (r *Reassembler) Stats() Stats { return *r.t.Stats() }
 
 // PendingCount reports identifiers with partial state, for tests and
 // leak checks.
-func (r *Reassembler) PendingCount() int { return len(r.pending) }
+func (r *Reassembler) PendingCount() int { return r.t.Len() }
 
 // SetObserver installs a callback invoked with the identifier of every
 // well-formed fragment heard and whether it was a transaction-starting
@@ -169,52 +77,55 @@ func (r *Reassembler) SetObserver(fn func(id uint64, intro bool)) { r.observer =
 
 // SetConflictHandler installs a callback invoked with each identifier
 // dropped for internal inconsistency — the receiver-side trigger for the
-// paper's optional collision-notification heuristic.
-func (r *Reassembler) SetConflictHandler(fn func(id uint64)) { r.onConflict = fn }
+// paper's optional collision-notification heuristic (Section 3.2's
+// "explicit identifier collision notification").
+func (r *Reassembler) SetConflictHandler(fn func(id uint64)) { r.t.OnConflict = fn }
 
 // SetCompleteHandler installs a callback invoked with each identifier
-// whose final fragment was observed — the transaction is known over. This
-// is the turnover signal for density estimation: an identifier the sender
-// has finished with need not be held active for the full idle gap.
-func (r *Reassembler) SetCompleteHandler(fn func(id uint64)) { r.onComplete = fn }
+// whose final fragment was observed — the transaction is known over,
+// whether or not the packet verifies. This is the turnover signal for
+// density estimation (density.CompletionObserver): an identifier the
+// sender has finished with need not be held active for the full idle gap.
+func (r *Reassembler) SetCompleteHandler(fn func(id uint64)) { r.t.OnComplete = fn }
 
 // SetExpiryHandler installs a callback invoked with each identifier whose
-// partial state the reassembly timeout evicted — the span tracer's
-// receiver-side expiry signal.
-func (r *Reassembler) SetExpiryHandler(fn func(id uint64)) { r.onExpire = fn }
+// partial state was evicted — the span tracer's receiver-side "this
+// transaction died incomplete" signal.
+func (r *Reassembler) SetExpiryHandler(fn func(id uint64)) { r.t.OnExpire = fn }
 
 // SetChecksumFailHandler installs a callback invoked with each identifier
 // rejected at completion because its checksum failed — how an identifier
 // collision most often surfaces at a receiver.
-func (r *Reassembler) SetChecksumFailHandler(fn func(id uint64)) { r.onBadSum = fn }
+func (r *Reassembler) SetChecksumFailHandler(fn func(id uint64)) { r.t.OnBadSum = fn }
 
 // SetCapEvictHandler installs a callback invoked with each identifier the
-// MaxPartials cap evicted, fired immediately before the onExpire handler
-// for the same identifier.
-func (r *Reassembler) SetCapEvictHandler(fn func(id uint64)) { r.onCapEvict = fn }
+// MaxPartials cap evicted, fired immediately before the expiry handler
+// for the same identifier. The node layer uses the pairing to tell
+// memory-pressure eviction from idle timeout.
+func (r *Reassembler) SetCapEvictHandler(fn func(id uint64)) { r.t.OnCapEvict = fn }
 
 // Ingest processes one received frame.
 func (r *Reassembler) Ingest(frameBytes []byte) {
-	r.expire()
+	r.t.Sweep()
 	decoded, err := r.codec.Decode(frameBytes)
 	if err != nil {
-		r.stats.Malformed++
+		r.t.Stats().Malformed++
 		return
 	}
-	r.stats.FragmentsIn++
+	r.t.Stats().FragmentsIn++
 	switch fr := decoded.(type) {
 	case *frame.Intro:
 		key := r.key(fr.IDBits, fr.ID)
 		if r.observer != nil {
 			r.observer(key, true)
 		}
-		r.ingestIntro(key, fr)
+		r.t.Intro(key, fr.TotalLen, fr.Checksum, fr.Truth)
 	case *frame.Data:
 		key := r.key(fr.IDBits, fr.ID)
 		if r.observer != nil {
 			r.observer(key, false)
 		}
-		r.ingestData(key, fr)
+		r.t.Data(key, fr)
 	}
 }
 
@@ -229,233 +140,19 @@ func (r *Reassembler) key(decodedWidth int, id uint64) uint64 {
 	return WidthKey(decodedWidth, id)
 }
 
-func (r *Reassembler) ingestIntro(key uint64, in *frame.Intro) {
-	p, ok := r.pending[key]
-	if !ok {
-		p = r.newPending(key)
-	}
-	r.touch(key, p)
-	if p.haveIntro {
-		if p.totalLen != in.TotalLen || p.sum != in.Checksum {
-			// Two transactions announced under one identifier.
-			r.conflict(key)
-		}
-		// A byte-identical duplicate introduction is harmless.
-		return
-	}
-	p.haveIntro = true
-	p.totalLen = in.TotalLen
-	p.sum = in.Checksum
-	p.truth = in.Truth
-	p.buf = make([]byte, in.TotalLen)
-	p.covered = make([]bool, in.TotalLen)
-
-	early := p.early
-	p.early = nil
-	for _, d := range early {
-		if !r.apply(key, p, d) {
-			return // conflict dropped the state
-		}
-	}
-	r.maybeComplete(key, p)
-}
-
-func (r *Reassembler) ingestData(key uint64, d *frame.Data) {
-	p, ok := r.pending[key]
-	if !ok {
-		p = r.newPending(key)
-	}
-	r.touch(key, p)
-	if !p.haveIntro {
-		// Introduction not yet seen (reordering is impossible on our
-		// radio, but the introduction frame itself can be lost).
-		if len(p.early) < maxEarlyFragments {
-			p.early = append(p.early, d)
-		}
-		return
-	}
-	if !r.apply(key, p, d) {
-		return
-	}
-	r.maybeComplete(key, p)
-}
-
-// apply merges a data fragment into a pending packet with a known length.
-// It reports false if the fragment triggered a conflict drop.
-func (r *Reassembler) apply(id uint64, p *pending, d *frame.Data) bool {
-	end := d.Offset + len(d.Payload)
-	if end > p.totalLen {
-		r.conflict(id)
-		return false
-	}
-	// Overlap with different content is direct evidence that two senders
-	// share this identifier.
-	for i, b := range d.Payload {
-		at := d.Offset + i
-		if p.covered[at] && p.buf[at] != b {
-			r.conflict(id)
-			return false
-		}
-	}
-	for i, b := range d.Payload {
-		at := d.Offset + i
-		if !p.covered[at] {
-			p.covered[at] = true
-			p.gotBytes++
-		}
-		p.buf[at] = b
-	}
-	if end == p.totalLen && r.onComplete != nil {
-		// The fragment covering the last announced byte is the final one
-		// the sender transmits (fragments go out in offset order): the
-		// transaction is over on air regardless of what was lost before it.
-		r.onComplete(id)
-	}
-	return true
-}
-
-// maybeComplete delivers or rejects a fully covered packet.
-func (r *Reassembler) maybeComplete(id uint64, p *pending) {
-	if !p.haveIntro || p.gotBytes != p.totalLen {
-		return
-	}
-	delete(r.pending, id)
-	if checksum.Sum(r.cfg.Checksum, p.buf) != p.sum {
-		r.stats.ChecksumFailures++
-		if r.onBadSum != nil {
-			r.onBadSum(id)
-		}
-		return
-	}
-	r.stats.Delivered++
-	r.stats.DeliveredBits += int64(8 * len(p.buf))
-	if r.deliver != nil {
-		r.deliver(Packet{ID: id, Data: p.buf, Truth: p.truth})
-	}
-}
-
-// conflict drops all state for an identifier.
-func (r *Reassembler) conflict(id uint64) {
-	delete(r.pending, id)
-	r.stats.Conflicts++
-	if r.onConflict != nil {
-		r.onConflict(id)
-	}
-}
-
-// newPending makes room under the MaxPartials cap if needed, then
-// registers fresh state for key and tracks the occupancy high-water mark.
-func (r *Reassembler) newPending(key uint64) *pending {
-	if r.cfg.MaxPartials > 0 && len(r.pending) >= r.cfg.MaxPartials {
-		r.evictOldest()
-	}
-	p := &pending{}
-	r.pending[key] = p
-	if n := int64(len(r.pending)); n > r.stats.PendingPeak {
-		r.stats.PendingPeak = n
-	}
-	return p
-}
-
-// evictOldest removes the partial packet with the oldest activity. The
-// expiry queue supplies the order: entries are sorted by activity time,
-// and the first entry whose pending state saw no later activity names
-// the coldest identifier — deterministic for a given ingest order, O(1)
-// amortized like expire. The victim's onCapEvict fires first, then
-// onExpire, so downstream "transaction abandoned" consumers (span
-// tracer, turnover estimator) hear cap evictions exactly like timeouts.
-func (r *Reassembler) evictOldest() {
-	for r.expqHead < len(r.expq) {
-		e := r.expq[r.expqHead]
-		r.expqHead++
-		p, ok := r.pending[e.id]
-		if !ok || p.lastActivity != e.at {
-			continue
-		}
-		delete(r.pending, e.id)
-		r.stats.CapEvictions++
-		if r.onCapEvict != nil {
-			r.onCapEvict(e.id)
-		}
-		if r.onExpire != nil {
-			r.onExpire(e.id)
-		}
-		break
-	}
-	r.compactExpq()
-}
-
-// touch records activity for an identifier: it stamps the pending state
-// and appends an expiry-queue entry. The queue stays sorted because the
-// virtual clock is monotone. The cap path needs the queue even with
-// timeouts disabled — it is the eviction order.
-func (r *Reassembler) touch(id uint64, p *pending) {
-	p.lastActivity = r.now()
-	if r.cfg.ReassemblyTimeout > 0 || r.cfg.MaxPartials > 0 {
-		r.expq = append(r.expq, expEntry{id: id, at: p.lastActivity})
-	}
-}
-
-// expire evicts partial packets idle longer than the configured timeout.
-// Each queue entry is examined once ever, so the amortized cost per
-// ingested fragment is O(1); an entry made stale by later activity is
-// simply discarded (that activity pushed its own entry).
-func (r *Reassembler) expire() {
-	if r.cfg.ReassemblyTimeout <= 0 {
-		return
-	}
-	now := r.now()
-	for r.expqHead < len(r.expq) {
-		e := r.expq[r.expqHead]
-		if now-e.at <= r.cfg.ReassemblyTimeout {
-			break
-		}
-		r.expqHead++
-		p, ok := r.pending[e.id]
-		if !ok || p.lastActivity != e.at {
-			continue
-		}
-		delete(r.pending, e.id)
-		r.stats.Timeouts++
-		if r.onExpire != nil {
-			r.onExpire(e.id)
-		}
-	}
-	r.compactExpq()
-}
-
-// compactExpq reclaims consumed queue prefix once it dominates the slice.
-func (r *Reassembler) compactExpq() {
-	if r.expqHead < 64 || r.expqHead*2 < len(r.expq) {
-		return
-	}
-	n := copy(r.expq, r.expq[r.expqHead:])
-	r.expq = r.expq[:n]
-	r.expqHead = 0
-}
-
 // Sweep runs timeout eviction at the present instant without ingesting a
 // frame. Wire it to an engine timer (node.AFFOptions.Engine) so idle
 // nodes shed stale partial-packet state instead of retaining it until the
 // next reception.
-func (r *Reassembler) Sweep() { r.expire() }
+func (r *Reassembler) Sweep() { r.t.Sweep() }
 
 // NextExpiry reports the earliest virtual time at which a pending
 // identifier could expire, and whether any timeout is outstanding. The
 // returned time is when eviction becomes possible, not a promise that
 // state will still be stale then.
-func (r *Reassembler) NextExpiry() (time.Duration, bool) {
-	if r.cfg.ReassemblyTimeout <= 0 || r.expqHead >= len(r.expq) {
-		return 0, false
-	}
-	return r.expq[r.expqHead].at + r.cfg.ReassemblyTimeout, true
-}
+func (r *Reassembler) NextExpiry() (time.Duration, bool) { return r.t.NextExpiry() }
 
 // Reset discards all partial-packet state, modelling a node crash: RAM is
 // gone, counters (which belong to the measurement harness, not the node)
 // survive.
-func (r *Reassembler) Reset() {
-	r.pending = make(map[uint64]*pending)
-	r.expq = nil
-	r.expqHead = 0
-}
+func (r *Reassembler) Reset() { r.t.Reset() }

@@ -3,8 +3,8 @@ package aff
 import (
 	"time"
 
-	"retri/internal/checksum"
 	"retri/internal/frame"
+	"retri/internal/reasm"
 )
 
 // TruthReassembler rebuilds packets keyed by the instrumentation trailer's
@@ -18,139 +18,55 @@ import (
 // Reassembler over the same fragment stream gives the two packet counts
 // whose ratio is the measured collision rate.
 type TruthReassembler struct {
-	cfg   Config
 	codec frame.AFFCodec
-	now   func() time.Duration
-
-	pending map[frame.Truth]*pending
-	stats   Stats
+	t     *reasm.Table[frame.Truth, *frame.Data]
 }
 
 // NewTruthReassembler returns a ground-truth reassembler. cfg.Instrument
-// is forced on — the trailer is the key.
+// is forced on — the trailer is the key. The key is unique, so a
+// disagreeing fragment can only be corruption and is ignored, and no
+// MaxPartials cap applies: the ground truth holds every partial packet.
 func NewTruthReassembler(cfg Config, now func() time.Duration) *TruthReassembler {
 	cfg = cfg.withDefaults()
 	cfg.Instrument = true
-	if now == nil {
-		now = func() time.Duration { return 0 }
-		cfg.ReassemblyTimeout = 0
-	}
 	return &TruthReassembler{
-		cfg:     cfg,
-		codec:   cfg.codec(),
-		now:     now,
-		pending: make(map[frame.Truth]*pending),
+		codec: cfg.codec(),
+		t: reasm.New[frame.Truth, *frame.Data](reasm.Config{
+			Checksum: cfg.Checksum,
+			Timeout:  cfg.ReassemblyTimeout,
+		}, now),
 	}
 }
 
 // Stats returns a snapshot of counters. Conflicts stays zero by
 // construction: the truth key is genuinely unique.
-func (r *TruthReassembler) Stats() Stats { return r.stats }
+func (r *TruthReassembler) Stats() Stats { return *r.t.Stats() }
 
 // PendingCount reports partial packets held.
-func (r *TruthReassembler) PendingCount() int { return len(r.pending) }
+func (r *TruthReassembler) PendingCount() int { return r.t.Len() }
 
 // Ingest processes one received frame.
 func (r *TruthReassembler) Ingest(frameBytes []byte) {
-	r.expire()
+	r.t.Sweep()
 	decoded, err := r.codec.Decode(frameBytes)
+	st := r.t.Stats()
 	if err != nil {
-		r.stats.Malformed++
+		st.Malformed++
 		return
 	}
-	r.stats.FragmentsIn++
+	st.FragmentsIn++
 	switch fr := decoded.(type) {
 	case *frame.Intro:
 		if fr.Truth == nil {
-			r.stats.Malformed++
+			st.Malformed++
 			return
 		}
-		p := r.get(*fr.Truth)
-		if p.haveIntro {
-			return // duplicate introduction
-		}
-		p.haveIntro = true
-		p.totalLen = fr.TotalLen
-		p.sum = fr.Checksum
-		p.truth = fr.Truth
-		p.buf = make([]byte, fr.TotalLen)
-		p.covered = make([]bool, fr.TotalLen)
-		early := p.early
-		p.early = nil
-		for _, d := range early {
-			r.apply(p, d)
-		}
-		r.maybeComplete(*fr.Truth, p)
+		r.t.Intro(*fr.Truth, fr.TotalLen, fr.Checksum, fr.Truth)
 	case *frame.Data:
 		if fr.Truth == nil {
-			r.stats.Malformed++
+			st.Malformed++
 			return
 		}
-		p := r.get(*fr.Truth)
-		if !p.haveIntro {
-			if len(p.early) < maxEarlyFragments {
-				p.early = append(p.early, fr)
-			}
-			return
-		}
-		r.apply(p, fr)
-		r.maybeComplete(*fr.Truth, p)
-	}
-}
-
-func (r *TruthReassembler) get(key frame.Truth) *pending {
-	p, ok := r.pending[key]
-	if !ok {
-		p = &pending{}
-		r.pending[key] = p
-	}
-	p.lastActivity = r.now()
-	return p
-}
-
-// apply merges a fragment. Under the unique key, out-of-range offsets can
-// only mean corruption; the fragment is ignored rather than dropping the
-// packet.
-func (r *TruthReassembler) apply(p *pending, d *frame.Data) {
-	end := d.Offset + len(d.Payload)
-	if end > p.totalLen {
-		return
-	}
-	for i, b := range d.Payload {
-		at := d.Offset + i
-		if !p.covered[at] {
-			p.covered[at] = true
-			p.gotBytes++
-		}
-		p.buf[at] = b
-	}
-}
-
-func (r *TruthReassembler) maybeComplete(key frame.Truth, p *pending) {
-	if !p.haveIntro || p.gotBytes != p.totalLen {
-		return
-	}
-	delete(r.pending, key)
-	if checksum.Sum(r.cfg.Checksum, p.buf) != p.sum {
-		r.stats.ChecksumFailures++
-		return
-	}
-	r.stats.Delivered++
-	r.stats.DeliveredBits += int64(8 * len(p.buf))
-}
-
-func (r *TruthReassembler) expire() {
-	if r.cfg.ReassemblyTimeout <= 0 {
-		return
-	}
-	cutoff := r.now() - r.cfg.ReassemblyTimeout
-	if cutoff <= 0 {
-		return
-	}
-	for key, p := range r.pending {
-		if p.lastActivity < cutoff {
-			delete(r.pending, key)
-			r.stats.Timeouts++
-		}
+		r.t.Data(*fr.Truth, fr)
 	}
 }

@@ -93,6 +93,9 @@ type Data struct {
 	IDBits int
 }
 
+// Piece returns the fragment's byte offset and payload.
+func (d *Data) Piece() (int, []byte) { return d.Offset, d.Payload }
+
 // AFFCodec encodes and decodes address-free fragments with IDBits-wide
 // identifiers. Instrument appends the Truth trailer to every fragment.
 //

@@ -36,6 +36,9 @@ type StaticData struct {
 	Payload []byte
 }
 
+// Piece returns the fragment's byte offset and payload.
+func (d *StaticData) Piece() (int, []byte) { return d.Offset, d.Payload }
+
 // IntroBits returns the meaningful bit length of an introduction fragment.
 func (c StaticCodec) IntroBits() int {
 	return kindBits + c.AddrBits + c.SeqBits + lenBits + checksumBits

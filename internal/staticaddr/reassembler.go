@@ -3,21 +3,14 @@ package staticaddr
 import (
 	"time"
 
-	"retri/internal/checksum"
 	"retri/internal/frame"
+	"retri/internal/reasm"
 )
 
-// Stats counts reassembler outcomes. There is no Conflicts counter:
-// (source, sequence) keys cannot collide, which is precisely what the
-// extra header bits buy.
-type Stats struct {
-	Delivered        int64
-	DeliveredBits    int64
-	ChecksumFailures int64
-	Timeouts         int64
-	FragmentsIn      int64
-	Malformed        int64
-}
+// Stats counts reassembler outcomes; see reasm.Stats. Conflicts stays
+// zero: (source, sequence) keys cannot collide, which is precisely what
+// the extra header bits buy.
+type Stats = reasm.Stats
 
 // Packet is a reassembled, verified packet.
 type Packet struct {
@@ -30,158 +23,56 @@ type key struct {
 	src, seq uint64
 }
 
-type pending struct {
-	haveIntro bool
-	totalLen  int
-	sum       uint16
-
-	buf      []byte
-	covered  []bool
-	gotBytes int
-
-	early []*frame.StaticData
-
-	lastActivity time.Duration
-}
-
-const maxEarlyFragments = 1 << 12
-
-// Reassembler rebuilds packets keyed by (source address, sequence).
+// Reassembler rebuilds packets keyed by (source address, sequence). The
+// key is unique, so a fragment that disagrees with held state can only be
+// corruption and is ignored.
 type Reassembler struct {
-	cfg     Config
-	codec   frame.StaticCodec
-	now     func() time.Duration
-	deliver func(Packet)
-
-	pending map[key]*pending
-	stats   Stats
+	codec frame.StaticCodec
+	t     *reasm.Table[key, *frame.StaticData]
 }
 
 // NewReassembler returns a reassembler calling deliver for each verified
 // packet. A nil now disables timeout eviction.
 func NewReassembler(cfg Config, now func() time.Duration, deliver func(Packet)) *Reassembler {
 	cfg = cfg.withDefaults()
-	if now == nil {
-		now = func() time.Duration { return 0 }
-		cfg.ReassemblyTimeout = 0
+	r := &Reassembler{
+		codec: cfg.codec(),
+		t: reasm.New[key, *frame.StaticData](reasm.Config{
+			Checksum: cfg.Checksum,
+			Timeout:  cfg.ReassemblyTimeout,
+		}, now),
 	}
-	return &Reassembler{
-		cfg:     cfg,
-		codec:   cfg.codec(),
-		now:     now,
-		deliver: deliver,
-		pending: make(map[key]*pending),
+	if deliver != nil {
+		r.t.OnDeliver = func(k key, data []byte, _ *frame.Truth) {
+			deliver(Packet{Src: k.src, Seq: k.seq, Data: data})
+		}
 	}
+	return r
 }
 
 // Stats returns a snapshot of the counters.
-func (r *Reassembler) Stats() Stats { return r.stats }
+func (r *Reassembler) Stats() Stats { return *r.t.Stats() }
 
 // PendingCount reports partial packets held.
-func (r *Reassembler) PendingCount() int { return len(r.pending) }
+func (r *Reassembler) PendingCount() int { return r.t.Len() }
 
 // Reset discards all partial-packet state, modelling a node crash.
 // Counters belong to the measurement harness and survive.
-func (r *Reassembler) Reset() {
-	r.pending = make(map[key]*pending)
-}
+func (r *Reassembler) Reset() { r.t.Reset() }
 
 // Ingest processes one received frame.
 func (r *Reassembler) Ingest(frameBytes []byte) {
-	r.expire()
+	r.t.Sweep()
 	decoded, err := r.codec.Decode(frameBytes)
 	if err != nil {
-		r.stats.Malformed++
+		r.t.Stats().Malformed++
 		return
 	}
-	r.stats.FragmentsIn++
+	r.t.Stats().FragmentsIn++
 	switch fr := decoded.(type) {
 	case *frame.StaticIntro:
-		k := key{src: fr.Src, seq: fr.Seq}
-		p := r.get(k)
-		if p.haveIntro {
-			return
-		}
-		p.haveIntro = true
-		p.totalLen = fr.TotalLen
-		p.sum = fr.Checksum
-		p.buf = make([]byte, fr.TotalLen)
-		p.covered = make([]bool, fr.TotalLen)
-		early := p.early
-		p.early = nil
-		for _, d := range early {
-			r.apply(p, d)
-		}
-		r.maybeComplete(k, p)
+		r.t.Intro(key{src: fr.Src, seq: fr.Seq}, fr.TotalLen, fr.Checksum, nil)
 	case *frame.StaticData:
-		k := key{src: fr.Src, seq: fr.Seq}
-		p := r.get(k)
-		if !p.haveIntro {
-			if len(p.early) < maxEarlyFragments {
-				p.early = append(p.early, fr)
-			}
-			return
-		}
-		r.apply(p, fr)
-		r.maybeComplete(k, p)
-	}
-}
-
-func (r *Reassembler) get(k key) *pending {
-	p, ok := r.pending[k]
-	if !ok {
-		p = &pending{}
-		r.pending[k] = p
-	}
-	p.lastActivity = r.now()
-	return p
-}
-
-// apply merges a data fragment. Out-of-range offsets can only be
-// corruption under a unique key; the fragment is ignored.
-func (r *Reassembler) apply(p *pending, d *frame.StaticData) {
-	end := d.Offset + len(d.Payload)
-	if end > p.totalLen {
-		return
-	}
-	for i, b := range d.Payload {
-		at := d.Offset + i
-		if !p.covered[at] {
-			p.covered[at] = true
-			p.gotBytes++
-		}
-		p.buf[at] = b
-	}
-}
-
-func (r *Reassembler) maybeComplete(k key, p *pending) {
-	if !p.haveIntro || p.gotBytes != p.totalLen {
-		return
-	}
-	delete(r.pending, k)
-	if checksum.Sum(r.cfg.Checksum, p.buf) != p.sum {
-		r.stats.ChecksumFailures++
-		return
-	}
-	r.stats.Delivered++
-	r.stats.DeliveredBits += int64(8 * len(p.buf))
-	if r.deliver != nil {
-		r.deliver(Packet{Src: k.src, Seq: k.seq, Data: p.buf})
-	}
-}
-
-func (r *Reassembler) expire() {
-	if r.cfg.ReassemblyTimeout <= 0 {
-		return
-	}
-	cutoff := r.now() - r.cfg.ReassemblyTimeout
-	if cutoff <= 0 {
-		return
-	}
-	for k, p := range r.pending {
-		if p.lastActivity < cutoff {
-			delete(r.pending, k)
-			r.stats.Timeouts++
-		}
+		r.t.Data(key{src: fr.Src, seq: fr.Seq}, fr)
 	}
 }
