@@ -134,7 +134,7 @@ type Router struct {
 	r     *radio.Radio
 	sel   core.Selector
 	rng   *rand.Rand
-	seen  map[uint64]time.Duration
+	seen  window[uint64]
 	stats Stats
 
 	handler func(payload []byte)
@@ -158,7 +158,7 @@ func NewRouter(cfg Config, eng *sim.Engine, r *radio.Radio, sel core.Selector, r
 		r:    r,
 		sel:  sel,
 		rng:  rng,
-		seen: make(map[uint64]time.Duration),
+		seen: newWindow[uint64](cfg.DedupWindow),
 	}
 	r.SetHandler(rt.onFrame)
 	return rt, nil
@@ -186,7 +186,7 @@ func (rt *Router) Originate(payload []byte) error {
 	}
 	// The originator marks its own identifier seen so echoes from
 	// neighbours are not re-forwarded (and not self-delivered).
-	rt.mark(id)
+	rt.seen.mark(id, rt.eng.Now())
 	if err := rt.r.Send(buf, bits); err != nil {
 		return err
 	}
@@ -202,11 +202,11 @@ func (rt *Router) onFrame(f radio.Frame) {
 		rt.stats.Malformed++
 		return
 	}
-	if rt.seenRecently(msg.ID) {
+	if rt.seen.has(msg.ID, rt.eng.Now()) {
 		rt.stats.Suppressed++
 		return
 	}
-	rt.mark(msg.ID)
+	rt.seen.mark(msg.ID, rt.eng.Now())
 	rt.sel.Observe(msg.ID)
 	rt.stats.Delivered++
 	if rt.handler != nil {
@@ -232,25 +232,42 @@ func (rt *Router) onFrame(f radio.Frame) {
 	})
 }
 
-func (rt *Router) seenRecently(id uint64) bool {
-	at, ok := rt.seen[id]
+// window is a duplicate-suppression table: a key marked within the last
+// span suppresses copies. Lookups check a key's age, so a lapsed entry is
+// dead whether or not it has been reclaimed; the sweep that reclaims
+// lapsed entries runs at most once per span, keeping mark O(1) amortized.
+type window[K comparable] struct {
+	span  time.Duration
+	seen  map[K]time.Duration
+	swept time.Duration
+}
+
+func newWindow[K comparable](span time.Duration) window[K] {
+	return window[K]{span: span, seen: make(map[K]time.Duration)}
+}
+
+// has reports whether k was marked within the span before now.
+func (w *window[K]) has(k K, now time.Duration) bool {
+	at, ok := w.seen[k]
 	if !ok {
 		return false
 	}
-	if rt.eng.Now()-at > rt.cfg.DedupWindow {
-		delete(rt.seen, id)
+	if now-at > w.span {
+		delete(w.seen, k)
 		return false
 	}
 	return true
 }
 
-func (rt *Router) mark(id uint64) {
-	now := rt.eng.Now()
-	// Opportunistic sweep keeps the table bounded by the window.
-	for k, at := range rt.seen {
-		if now-at > rt.cfg.DedupWindow {
-			delete(rt.seen, k)
+// mark records k as seen at now.
+func (w *window[K]) mark(k K, now time.Duration) {
+	if now-w.swept >= w.span {
+		for old, at := range w.seen {
+			if now-at > w.span {
+				delete(w.seen, old)
+			}
 		}
+		w.swept = now
 	}
-	rt.seen[id] = now
+	w.seen[k] = now
 }

@@ -233,6 +233,29 @@ func TestWindowLapseAllowsReuse(t *testing.T) {
 	}
 }
 
+func TestDedupWindowSweepsOncePerSpan(t *testing.T) {
+	w := newWindow[int](time.Second)
+	// Within one span mark never sweeps, yet a lapsed key is already dead
+	// to lookups.
+	w.mark(1, 0)
+	w.mark(2, 900*time.Millisecond)
+	if !w.has(1, time.Second) || w.has(1, time.Second+1) {
+		t.Error("lookup disagrees with the key's age")
+	}
+	w.mark(3, time.Second+1) // first sweep: the lapsed key 1 went at lookup
+	// Key 2 lapsed at 1.9s, but the next sweep is not due until a span
+	// after the first, so it is still held.
+	w.mark(4, 1950*time.Millisecond)
+	if len(w.seen) != 3 {
+		t.Errorf("window holds %d keys before the next sweep, want 3", len(w.seen))
+	}
+	// That sweep drops 2 but keeps 3 and 4, which are inside the span.
+	w.mark(5, 2*time.Second+1)
+	if len(w.seen) != 3 || w.has(2, 2*time.Second+1) || !w.has(4, 2*time.Second+1) {
+		t.Errorf("after the second sweep the window holds %d keys, want 3, 4 and 5", len(w.seen))
+	}
+}
+
 func TestOriginateValidation(t *testing.T) {
 	cfg := Config{Space: core.MustSpace(12), TTL: 3}
 	_, routers := line(t, 2, cfg, 6)

@@ -168,7 +168,7 @@ type Relay struct {
 	r   *radio.Radio
 	rng *rand.Rand
 
-	seen  map[RelayKey]time.Duration
+	seen  window[RelayKey]
 	gen   int // bumped by Reset so pre-crash forwards die with the RAM
 	stats RelayStats
 }
@@ -191,7 +191,7 @@ func NewRelay(cfg RelayConfig, eng *sim.Engine, r *radio.Radio, rng *rand.Rand) 
 		eng:  eng,
 		r:    r,
 		rng:  rng,
-		seen: make(map[RelayKey]time.Duration),
+		seen: newWindow[RelayKey](cfg.DedupWindow),
 	}, nil
 }
 
@@ -201,7 +201,7 @@ func (rl *Relay) Stats() RelayStats { return rl.stats }
 // Reset wipes the dedup table and orphans pending forwards — the crash
 // semantics every other RAM-resident protocol state follows.
 func (rl *Relay) Reset() {
-	rl.seen = make(map[RelayKey]time.Duration)
+	rl.seen = newWindow[RelayKey](rl.cfg.DedupWindow)
 	rl.gen++
 }
 
@@ -211,7 +211,7 @@ func (rl *Relay) Reset() {
 // must leave it room within the radio MTU.
 func (rl *Relay) WrapOutgoing(payload []byte, bits int) ([]byte, int) {
 	if k, ok := rl.cfg.Keyer(payload); ok {
-		rl.mark(k)
+		rl.seen.mark(k, rl.eng.Now())
 	}
 	rl.stats.Originated++
 	return wrapEnvelope(rl.cfg.TTL, payload, bits)
@@ -234,11 +234,11 @@ func (rl *Relay) UnwrapIncoming(f radio.Frame) (inner []byte, deliver bool) {
 		rl.stats.Unkeyed++
 		return inner, true
 	}
-	if rl.seenRecently(k) {
+	if rl.seen.has(k, rl.eng.Now()) {
 		rl.stats.Suppressed++
 		return nil, false
 	}
-	rl.mark(k)
+	rl.seen.mark(k, rl.eng.Now())
 	if ttl <= 0 {
 		rl.stats.Expired++
 		return inner, true
@@ -264,28 +264,6 @@ func (rl *Relay) UnwrapIncoming(f radio.Frame) (inner []byte, deliver bool) {
 		}
 	})
 	return inner, true
-}
-
-func (rl *Relay) seenRecently(k RelayKey) bool {
-	at, ok := rl.seen[k]
-	if !ok {
-		return false
-	}
-	if rl.eng.Now()-at > rl.cfg.DedupWindow {
-		delete(rl.seen, k)
-		return false
-	}
-	return true
-}
-
-func (rl *Relay) mark(k RelayKey) {
-	now := rl.eng.Now()
-	for old, at := range rl.seen {
-		if now-at > rl.cfg.DedupWindow {
-			delete(rl.seen, old)
-		}
-	}
-	rl.seen[k] = now
 }
 
 // wrapEnvelope prefixes the one-byte hop-scope header.
