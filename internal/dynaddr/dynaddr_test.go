@@ -9,6 +9,7 @@ import (
 
 	"retri/internal/radio"
 	"retri/internal/sim"
+	"retri/internal/staticaddr"
 	"retri/internal/xrand"
 )
 
@@ -209,6 +210,52 @@ func TestDataFlowsAfterAssignment(t *testing.T) {
 	}
 	if nodes[0].PacketsSent() != 1 || nodes[1].PacketsDelivered() != 1 {
 		t.Error("packet counters wrong")
+	}
+}
+
+// TestCrashKeepsReassemblyStats pins that a crash wipes partial
+// reassembly state but not the harness counters: Reassembler().Stats()
+// must agree with PacketsDelivered across a crash.
+func TestCrashKeepsReassemblyStats(t *testing.T) {
+	eng, _, nodes := testSetup(t, 2)
+	nodes[0].Start()
+	nodes[1].Start()
+	eng.Run()
+	packet := []byte("delivered before the crash")
+	if err := nodes[0].SendPacket(packet); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+
+	// Leave one partial packet pending at the receiver.
+	frag, err := staticaddr.NewFragmenter(nodes[1].fragCfg, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx, err := frag.Fragment(make([]byte, 40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rx := nodes[1].Reassembler()
+	for _, fr := range tx.Fragments[:len(tx.Fragments)-1] {
+		rx.Ingest(fr.Bytes)
+	}
+	if rx.PendingCount() != 1 {
+		t.Fatalf("PendingCount = %d before the crash, want 1", rx.PendingCount())
+	}
+
+	nodes[1].Crash()
+	rx = nodes[1].Reassembler()
+	if rx.PendingCount() != 0 {
+		t.Errorf("PendingCount = %d after the crash, want 0", rx.PendingCount())
+	}
+	st := rx.Stats()
+	if st.Delivered != 1 || st.DeliveredBits != int64(8*len(packet)) {
+		t.Errorf("Delivered/DeliveredBits = %d/%d after the crash, want 1/%d",
+			st.Delivered, st.DeliveredBits, 8*len(packet))
+	}
+	if got := nodes[1].PacketsDelivered(); got != 1 {
+		t.Errorf("PacketsDelivered = %d after the crash, want 1", got)
 	}
 }
 

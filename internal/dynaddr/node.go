@@ -39,9 +39,6 @@ type Node struct {
 	fragCfg staticaddr.Config
 	frag    *staticaddr.Fragmenter
 	reasm   *staticaddr.Reassembler
-	// deliveredBase carries delivery counts across the reassembler
-	// rebuilds a crash forces (staticaddr reassemblers are not resettable).
-	deliveredBase int64
 
 	handler func(data []byte)
 	sent    int64
@@ -87,7 +84,6 @@ func (n *Node) deliver(p staticaddr.Packet) {
 func (n *Node) SetRelay(rl Relay) {
 	n.relay = rl
 	n.fragCfg.MTU--
-	n.reasm = staticaddr.NewReassembler(n.fragCfg, n.r.Now, n.deliver)
 	n.alloc.SetSend(func(p []byte, bits int) error {
 		wp, wb := rl.WrapOutgoing(p, bits)
 		return n.r.Send(wp, wb)
@@ -115,9 +111,8 @@ func (n *Node) SetPacketHandler(h func(data []byte)) { n.handler = h }
 // PacketsSent reports data packets accepted for transmission.
 func (n *Node) PacketsSent() int64 { return n.sent }
 
-// PacketsDelivered reports data packets reassembled at this node,
-// including by reassemblers retired across crashes.
-func (n *Node) PacketsDelivered() int64 { return n.deliveredBase + n.reasm.Stats().Delivered }
+// PacketsDelivered reports data packets reassembled at this node.
+func (n *Node) PacketsDelivered() int64 { return n.reasm.Stats().Delivered }
 
 // Crash models a node failure: the radio goes down (dropping its
 // transmit queue) and all RAM state is wiped — the owned address, any
@@ -127,8 +122,7 @@ func (n *Node) Crash() {
 	n.r.SetUp(false)
 	n.alloc.Reset()
 	n.frag = nil
-	n.deliveredBase += n.reasm.Stats().Delivered
-	n.reasm = staticaddr.NewReassembler(n.fragCfg, n.r.Now, n.deliver)
+	n.reasm.Reset()
 	if n.relay != nil {
 		n.relay.Reset()
 	}
