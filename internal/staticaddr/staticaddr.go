@@ -37,7 +37,8 @@ type Config struct {
 	// AddrBits is the static address width (16, 32 or 48 in the paper's
 	// comparisons).
 	AddrBits int
-	// SeqBits is the per-sender sequence width (default 16, as in IP).
+	// SeqBits is the per-sender sequence width, 1 to 32 bits (default
+	// 16, as in IP).
 	SeqBits int
 	// MTU is the radio frame size in bytes (default 27).
 	MTU int
@@ -107,6 +108,9 @@ func NewFragmenter(cfg Config, addr uint64) (*Fragmenter, error) {
 	cfg = cfg.withDefaults()
 	if cfg.AddrBits < 1 || cfg.AddrBits > 64 {
 		return nil, fmt.Errorf("staticaddr: address width %d out of range", cfg.AddrBits)
+	}
+	if cfg.SeqBits < 1 || cfg.SeqBits > 32 {
+		return nil, fmt.Errorf("staticaddr: sequence width %d out of range", cfg.SeqBits)
 	}
 	if cfg.AddrBits < 64 && addr >= 1<<uint(cfg.AddrBits) {
 		return nil, fmt.Errorf("%w: %d needs more than %d bits", ErrBadAddress, addr, cfg.AddrBits)

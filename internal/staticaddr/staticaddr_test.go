@@ -78,6 +78,38 @@ func TestFragmenterValidation(t *testing.T) {
 	}
 }
 
+func TestFragmenterSeqBitsRange(t *testing.T) {
+	// The codec carries 1 to 32 sequence bits (0 selects the default).
+	// Anything else must fail at construction, not at the first Fragment.
+	cases := []struct {
+		seqBits int
+		ok      bool
+	}{
+		{-1, false}, {0, true}, {1, true}, {16, true}, {32, true},
+		{33, false}, {63, false}, {64, false}, {65, false},
+	}
+	for _, tc := range cases {
+		cfg := testConfig()
+		cfg.SeqBits = tc.seqBits
+		f, err := NewFragmenter(cfg, 1)
+		if !tc.ok {
+			if err == nil {
+				t.Errorf("SeqBits %d accepted", tc.seqBits)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("SeqBits %d rejected: %v", tc.seqBits, err)
+			continue
+		}
+		for i := 0; i < 3; i++ {
+			if _, err := f.Fragment([]byte("x")); err != nil {
+				t.Errorf("SeqBits %d: Fragment %d: %v", tc.seqBits, i, err)
+			}
+		}
+	}
+}
+
 func TestFragmentRejectsBadPackets(t *testing.T) {
 	f, err := NewFragmenter(testConfig(), 1)
 	if err != nil {
