@@ -10,6 +10,7 @@
 package bitio
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -117,6 +118,11 @@ func NewReader(p []byte) *Reader { return &Reader{buf: p} }
 
 // ReadBits consumes n bits and returns them right-aligned in a uint64.
 // n must be in [0, 64].
+//
+// The bytes the field spans are gathered MSB-first into one word, the
+// bits before the field are shifted off the top, and the field is
+// shifted down from there. Only a field wider than 56 bits that starts
+// mid-byte spans a ninth byte, whose leading bits are ORed in below.
 func (r *Reader) ReadBits(n int) (uint64, error) {
 	if n < 0 || n > MaxBits {
 		return 0, fmt.Errorf("bitio: ReadBits width %d out of range [0, %d]", n, MaxBits)
@@ -124,20 +130,22 @@ func (r *Reader) ReadBits(n int) (uint64, error) {
 	if n > r.Remaining() {
 		return 0, fmt.Errorf("%w: want %d bits, have %d", ErrShortBuffer, n, r.Remaining())
 	}
-	var v uint64
-	for n > 0 {
-		b := r.buf[r.pos/8]
-		avail := 8 - r.pos%8
-		take := avail
-		if n < take {
-			take = n
+	i, skip := r.pos/8, uint(r.pos%8)
+	var w uint64
+	if tail := r.buf[i:]; len(tail) >= 8 {
+		w = binary.BigEndian.Uint64(tail)
+	} else {
+		for k, b := range tail[:(int(skip)+n+7)/8] {
+			w |= uint64(b) << (56 - 8*uint(k))
 		}
-		chunk := (b >> uint(avail-take)) & byte((1<<uint(take))-1)
-		v = v<<uint(take) | uint64(chunk)
-		r.pos += take
-		n -= take
 	}
-	return v, nil
+	w <<= skip
+	if skip+uint(n) > 64 {
+		w |= uint64(r.buf[i+8]) >> (8 - skip)
+	}
+	r.pos += n
+	// A shift by 64 yields 0, which is the right answer for n == 0.
+	return w >> (64 - uint(n)), nil
 }
 
 // ReadBool consumes a single bit.

@@ -207,6 +207,40 @@ func TestRoundTrip64(t *testing.T) {
 	}
 }
 
+// TestReadBitsMatchesBitwiseReference reads every width from 0 to 64 at
+// every bit offset of buffers from 1 to 10 bytes long, so both the
+// whole-word and the short-tail gathers are hit, as are the reads that
+// span a ninth byte and those that end exactly on the last bit.
+func TestReadBitsMatchesBitwiseReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 7))
+	for size := 1; size <= 10; size++ {
+		buf := make([]byte, size)
+		for i := range buf {
+			buf[i] = byte(rng.Uint64())
+		}
+		total := 8 * size
+		for start := 0; start <= total; start++ {
+			for n := 0; n <= MaxBits && start+n <= total; n++ {
+				var want uint64
+				for bit := start; bit < start+n; bit++ {
+					want = want<<1 | uint64(buf[bit/8]>>(7-bit%8)&1)
+				}
+				r := NewReader(buf)
+				r.pos = start
+				got, err := r.ReadBits(n)
+				if err != nil || got != want {
+					t.Fatalf("%d-byte buffer, offset %d, width %d: got %#x, %v; want %#x",
+						size, start, n, got, err, want)
+				}
+				if r.Offset() != start+n {
+					t.Fatalf("%d-byte buffer, offset %d, width %d: offset after read %d, want %d",
+						size, start, n, r.Offset(), start+n)
+				}
+			}
+		}
+	}
+}
+
 // TestRoundTripProperty checks that any sequence of variable-width fields
 // written and then read back yields the original values.
 func TestRoundTripProperty(t *testing.T) {
