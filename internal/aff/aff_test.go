@@ -447,6 +447,78 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestSteadyIngestAllocatesOnlyDeliveredBuffers streams whole 80-byte
+// transactions through warmed reassemblers — fixed-width, in-band-width
+// and instrumented, with idle timeouts on — and holds each to one
+// allocation per packet: the buffer handed to the delivery callback. The
+// ground-truth reassembler delivers to nobody, so it allocates nothing.
+func TestSteadyIngestAllocatesOnlyDeliveredBuffers(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"fixed", testConfig(9)},
+		{"in-band width", Config{Space: core.MustSpace(9), MTU: 27, AdaptiveWidth: true}},
+		{"instrumented", Config{Space: core.MustSpace(9), MTU: 27, Instrument: true}},
+	} {
+		tc.cfg.ReassemblyTimeout = time.Second
+		f := newFragmenter(t, tc.cfg, 1)
+		var txs [][][]byte
+		for i := 0; i < 8; i++ {
+			tx, err := f.Fragment(make([]byte, 80))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var frames [][]byte
+			for _, fr := range tx.Fragments {
+				frames = append(frames, fr.Bytes)
+			}
+			txs = append(txs, frames)
+		}
+		var now time.Duration
+		clock := func() time.Duration { return now }
+		delivered := 0
+		r := NewReassembler(tc.cfg, clock, func(p Packet) {
+			if tc.cfg.Instrument && p.Truth == nil {
+				t.Errorf("%s: delivery without its trailer", tc.name)
+			}
+			delivered++
+		})
+		truth := NewTruthReassembler(tc.cfg, clock) // fed only instrumented frames
+		n := 0
+		stream := func(ingest func([]byte)) func() {
+			return func() {
+				now += 10 * time.Millisecond
+				for _, b := range txs[n%len(txs)] {
+					ingest(b)
+				}
+				n++
+			}
+		}
+		type reassembler struct {
+			name   string
+			ingest func([]byte)
+			want   float64
+		}
+		rs := []reassembler{{"aff", r.Ingest, 1}}
+		if tc.cfg.Instrument {
+			rs = append(rs, reassembler{"truth", truth.Ingest, 0})
+		}
+		for _, rc := range rs {
+			run := stream(rc.ingest)
+			for i := 0; i < 50; i++ {
+				run()
+			}
+			if allocs := testing.AllocsPerRun(200, run); allocs != rc.want {
+				t.Errorf("%s, %s reassembler: %.1f allocations per packet, want %.0f", tc.name, rc.name, allocs, rc.want)
+			}
+		}
+		if delivered != 251 || (tc.cfg.Instrument && truth.Stats().Delivered != 251) {
+			t.Errorf("%s: delivered %d and %d packets, want 251", tc.name, delivered, truth.Stats().Delivered)
+		}
+	}
+}
+
 func BenchmarkFragment80Byte(b *testing.B) {
 	cfg := testConfig(9)
 	sel := core.NewUniformSelector(cfg.Space, xrand.NewSource(1).Stream("bench"))

@@ -20,7 +20,8 @@ type Packet struct {
 	Data []byte
 	// Truth is the instrumentation ground truth from the introduction
 	// fragment, nil when the codec is uninstrumented. It exists for the
-	// measurement harness only.
+	// measurement harness only, and it points at reassembler memory that
+	// is valid only during the delivery callback: copy it to keep it.
 	Truth *frame.Truth
 }
 
@@ -31,7 +32,9 @@ type Packet struct {
 // evidence of a collision and drops the transaction.
 type Reassembler struct {
 	codec frame.AFFCodec
-	t     *reasm.Table[uint64, *frame.Data]
+	t     *reasm.Table[uint64]
+	// frag is the decode scratch: one fragment at a time, by value.
+	frag frame.Fragment
 
 	// observer, when set, is told each identifier heard and whether the
 	// fragment was an introduction (a transaction start). The node layer
@@ -48,7 +51,7 @@ func NewReassembler(cfg Config, now func() time.Duration, deliver func(Packet)) 
 	cfg = cfg.withDefaults()
 	r := &Reassembler{
 		codec: cfg.codec(),
-		t: reasm.New[uint64, *frame.Data](reasm.Config{
+		t: reasm.New[uint64](reasm.Config{
 			Checksum:    cfg.Checksum,
 			Timeout:     cfg.ReassemblyTimeout,
 			MaxPartials: cfg.MaxPartials,
@@ -107,26 +110,26 @@ func (r *Reassembler) SetCapEvictHandler(fn func(id uint64)) { r.t.OnCapEvict = 
 // Ingest processes one received frame.
 func (r *Reassembler) Ingest(frameBytes []byte) {
 	r.t.Sweep()
-	decoded, err := r.codec.Decode(frameBytes)
-	if err != nil {
+	var err error
+	if r.frag, err = r.codec.Decode(frameBytes); err != nil {
 		r.t.Stats().Malformed++
 		return
 	}
 	r.t.Stats().FragmentsIn++
-	switch fr := decoded.(type) {
-	case *frame.Intro:
-		key := r.key(fr.IDBits, fr.ID)
-		if r.observer != nil {
-			r.observer(key, true)
-		}
-		r.t.Intro(key, fr.TotalLen, fr.Checksum, fr.Truth)
-	case *frame.Data:
-		key := r.key(fr.IDBits, fr.ID)
-		if r.observer != nil {
-			r.observer(key, false)
-		}
-		r.t.Data(key, fr)
+	fr := &r.frag
+	key := r.key(fr.IDBits, fr.ID)
+	if r.observer != nil {
+		r.observer(key, fr.Intro)
 	}
+	if !fr.Intro {
+		r.t.Data(key, fr.Offset, fr.Payload)
+		return
+	}
+	var truth *frame.Truth
+	if fr.HasTruth {
+		truth = &fr.Truth
+	}
+	r.t.Intro(key, fr.TotalLen, fr.Checksum, truth)
 }
 
 // key maps a decoded fragment to its reassembly key. Fixed-width decodes

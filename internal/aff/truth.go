@@ -19,7 +19,9 @@ import (
 // whose ratio is the measured collision rate.
 type TruthReassembler struct {
 	codec frame.AFFCodec
-	t     *reasm.Table[frame.Truth, *frame.Data]
+	t     *reasm.Table[frame.Truth]
+	// frag is the decode scratch: one fragment at a time, by value.
+	frag frame.Fragment
 }
 
 // NewTruthReassembler returns a ground-truth reassembler. cfg.Instrument
@@ -31,7 +33,7 @@ func NewTruthReassembler(cfg Config, now func() time.Duration) *TruthReassembler
 	cfg.Instrument = true
 	return &TruthReassembler{
 		codec: cfg.codec(),
-		t: reasm.New[frame.Truth, *frame.Data](reasm.Config{
+		t: reasm.New[frame.Truth](reasm.Config{
 			Checksum: cfg.Checksum,
 			Timeout:  cfg.ReassemblyTimeout,
 		}, now),
@@ -48,25 +50,21 @@ func (r *TruthReassembler) PendingCount() int { return r.t.Len() }
 // Ingest processes one received frame.
 func (r *TruthReassembler) Ingest(frameBytes []byte) {
 	r.t.Sweep()
-	decoded, err := r.codec.Decode(frameBytes)
+	var err error
+	r.frag, err = r.codec.Decode(frameBytes)
 	st := r.t.Stats()
 	if err != nil {
 		st.Malformed++
 		return
 	}
 	st.FragmentsIn++
-	switch fr := decoded.(type) {
-	case *frame.Intro:
-		if fr.Truth == nil {
-			st.Malformed++
-			return
-		}
-		r.t.Intro(*fr.Truth, fr.TotalLen, fr.Checksum, fr.Truth)
-	case *frame.Data:
-		if fr.Truth == nil {
-			st.Malformed++
-			return
-		}
-		r.t.Data(*fr.Truth, fr)
+	fr := &r.frag
+	switch {
+	case !fr.HasTruth:
+		st.Malformed++
+	case fr.Intro:
+		r.t.Intro(fr.Truth, fr.TotalLen, fr.Checksum, &fr.Truth)
+	default:
+		r.t.Data(fr.Truth, fr.Offset, fr.Payload)
 	}
 }

@@ -64,17 +64,14 @@ func AFFKeyer(cfg aff.Config) Keyer {
 		return aff.WidthKey(decodedWidth, id)
 	}
 	return func(inner []byte) (RelayKey, bool) {
-		decoded, err := codec.Decode(inner)
+		fr, err := codec.Decode(inner)
 		if err != nil {
 			return RelayKey{}, false
 		}
-		switch fr := decoded.(type) {
-		case *frame.Intro:
+		if fr.Intro {
 			return RelayKey{A: key(fr.IDBits, fr.ID), B: introMark}, true
-		case *frame.Data:
-			return RelayKey{A: key(fr.IDBits, fr.ID), B: uint64(fr.Offset)}, true
 		}
-		return RelayKey{}, false
+		return RelayKey{A: key(fr.IDBits, fr.ID), B: uint64(fr.Offset)}, true
 	}
 }
 

@@ -76,10 +76,6 @@ type Intro struct {
 	TotalLen int
 	Checksum uint16
 	Truth    *Truth
-	// IDBits is the identifier width the fragment was decoded with. It is
-	// set only by in-band-width codecs (InBandWidth); fixed-width decodes
-	// leave it 0, meaning "the codec's configured width".
-	IDBits int
 }
 
 // Data is a data fragment: the identifier plus "the byte offset of the
@@ -89,12 +85,31 @@ type Data struct {
 	Offset  int
 	Payload []byte
 	Truth   *Truth
-	// IDBits is the decoded identifier width; see Intro.IDBits.
-	IDBits int
 }
 
-// Piece returns the fragment's byte offset and payload.
-func (d *Data) Piece() (int, []byte) { return d.Offset, d.Payload }
+// Fragment is one decoded AFF fragment, an introduction or a data
+// fragment, held by value so that decoding allocates nothing.
+type Fragment struct {
+	// Intro marks an introduction; otherwise the fragment carries data.
+	Intro bool
+	ID    uint64
+	// IDBits is the identifier width the fragment was decoded with. It is
+	// set only by in-band-width codecs (InBandWidth); fixed-width decodes
+	// leave it 0, meaning "the codec's configured width".
+	IDBits int
+	// TotalLen and Checksum are an introduction's announcement.
+	TotalLen int
+	Checksum uint16
+	// Offset and Payload are a data fragment's bytes and where they sit
+	// in the packet. Payload aliases the decoded frame: copy it to keep it
+	// past the frame's lifetime.
+	Offset  int
+	Payload []byte
+	// Truth is the instrumentation trailer, present when HasTruth: the
+	// codec is instrumented and the trailer's guard held.
+	Truth    Truth
+	HasTruth bool
+}
 
 // AFFCodec encodes and decodes address-free fragments with IDBits-wide
 // identifiers. Instrument appends the Truth trailer to every fragment.
@@ -206,59 +221,57 @@ func (c AFFCodec) EncodeData(d Data) ([]byte, int, error) {
 	return seal(w), bits, nil
 }
 
-// Decode parses a fragment. It returns *Intro or *Data.
-func (c AFFCodec) Decode(p []byte) (any, error) {
+// Decode parses one fragment. It allocates nothing: the result is a
+// value and its Payload aliases p.
+func (c AFFCodec) Decode(p []byte) (Fragment, error) {
 	if err := c.validate(); err != nil {
-		return nil, err
+		return Fragment{}, err
 	}
 	r := bitio.NewReader(p)
 	kind, err := r.ReadBits(kindBits)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrTruncated, err)
+		return Fragment{}, truncated(err)
 	}
-	idBits, decodedWidth, err := c.readWidth(r)
-	if err != nil {
-		return nil, err
+	f := Fragment{Intro: kind == kindIntro}
+	idBits := c.IDBits
+	if c.InBandWidth {
+		v, err := r.ReadBits(widthBits)
+		if err != nil {
+			return Fragment{}, truncated(err)
+		}
+		// Every 5-bit value plus one is a legal width, 1..32.
+		idBits = int(v) + 1
+		f.IDBits = idBits
 	}
-	id, err := r.ReadBits(idBits)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrTruncated, err)
+	if f.ID, err = r.ReadBits(idBits); err != nil {
+		return Fragment{}, truncated(err)
 	}
-	switch kind {
-	case kindIntro:
+	if f.Intro {
 		total, err := r.ReadBits(lenBits)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrTruncated, err)
+			return Fragment{}, truncated(err)
 		}
 		sum, err := r.ReadBits(checksumBits)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrTruncated, err)
+			return Fragment{}, truncated(err)
 		}
-		truth, err := readTruth(r, c.Instrument)
-		if err != nil {
-			return nil, err
-		}
-		return &Intro{ID: id, TotalLen: int(total), Checksum: uint16(sum), Truth: truth, IDBits: decodedWidth}, nil
-	default: // kindData; a 1-bit field has no other values
+		f.TotalLen, f.Checksum = int(total), uint16(sum)
+	} else { // kindData; a 1-bit field has no other values
 		off, err := r.ReadBits(offsetBits)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrTruncated, err)
+			return Fragment{}, truncated(err)
 		}
-		truth, err := readTruth(r, c.Instrument)
-		if err != nil {
-			return nil, err
-		}
-		r.Align()
-		n := r.Remaining() / 8
-		if n == 0 {
-			return nil, fmt.Errorf("%w: data fragment with no payload", ErrTruncated)
-		}
-		payload := make([]byte, n)
-		if err := r.ReadBytes(payload); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrTruncated, err)
-		}
-		return &Data{ID: id, Offset: int(off), Payload: payload, Truth: truth, IDBits: decodedWidth}, nil
+		f.Offset = int(off)
 	}
+	if f.Truth, f.HasTruth, err = readTruth(r, c.Instrument); err != nil {
+		return Fragment{}, err
+	}
+	if !f.Intro {
+		if f.Payload, err = readPayload(r, p); err != nil {
+			return Fragment{}, err
+		}
+	}
+	return f, nil
 }
 
 // writeWidth emits the in-band width field (IDBits-1) when enabled.
@@ -266,21 +279,6 @@ func (c AFFCodec) writeWidth(w *bitio.Writer) {
 	if c.InBandWidth {
 		mustWrite(w, uint64(c.IDBits-1), widthBits)
 	}
-}
-
-// readWidth returns the identifier width to decode with. In fixed mode it
-// is the codec's own width and the reported decoded width is 0; in in-band
-// mode the width is read off the wire (always 1..32 — every 5-bit value
-// plus one is a legal width) and reported back to the caller.
-func (c AFFCodec) readWidth(r *bitio.Reader) (idBits, decodedWidth int, err error) {
-	if !c.InBandWidth {
-		return c.IDBits, 0, nil
-	}
-	v, err := r.ReadBits(widthBits)
-	if err != nil {
-		return 0, 0, fmt.Errorf("%w: %v", ErrTruncated, err)
-	}
-	return int(v) + 1, int(v) + 1, nil
 }
 
 func writeTruth(w *bitio.Writer, on bool, t *Truth) {
@@ -300,27 +298,42 @@ func writeTruth(w *bitio.Writer, on bool, t *Truth) {
 // the packet checksum's coverage, so a channel error here would otherwise
 // forge ground truth and make a perfectly good delivery look misdelivered
 // to the oracle. The guard byte detects any single-bit damage; a damaged
-// trailer decodes as nil — "unauditable" — never as a wrong identity.
-func readTruth(r *bitio.Reader, on bool) (*Truth, error) {
+// trailer decodes as absent — "unauditable" — never as a wrong identity.
+func readTruth(r *bitio.Reader, on bool) (Truth, bool, error) {
 	if !on {
-		return nil, nil
+		return Truth{}, false, nil
 	}
 	node, err := r.ReadBits(32)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrTruncated, err)
+		return Truth{}, false, truncated(err)
 	}
 	seq, err := r.ReadBits(32)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrTruncated, err)
+		return Truth{}, false, truncated(err)
 	}
 	guard, err := r.ReadBits(truthGuardBits)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrTruncated, err)
+		return Truth{}, false, truncated(err)
 	}
 	if uint8(guard) != truthGuard(uint32(node), uint32(seq)) {
-		return nil, nil
+		return Truth{}, false, nil
 	}
-	return &Truth{Node: uint32(node), Seq: uint32(seq)}, nil
+	return Truth{Node: uint32(node), Seq: uint32(seq)}, true, nil
+}
+
+// readPayload returns a data fragment's payload: every whole byte after
+// the header's byte boundary, aliasing p. An empty payload is truncation.
+func readPayload(r *bitio.Reader, p []byte) ([]byte, error) {
+	r.Align()
+	if r.Remaining() < 8 {
+		return nil, fmt.Errorf("%w: data fragment with no payload", ErrTruncated)
+	}
+	return p[r.Offset()/8:], nil
+}
+
+// truncated wraps a bit-reader error as ErrTruncated.
+func truncated(err error) error {
+	return fmt.Errorf("%w: %v", ErrTruncated, err)
 }
 
 // truthGuard folds the trailer into one byte. An XOR fold flips exactly

@@ -21,18 +21,17 @@ func TestAFFIntroRoundTrip(t *testing.T) {
 	if bits != c.IntroBits() {
 		t.Errorf("IntroBits() = %d, encoder produced %d", c.IntroBits(), bits)
 	}
-	got, err := c.Decode(buf)
+	gi, err := c.Decode(buf)
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
-	gi, ok := got.(*Intro)
-	if !ok {
-		t.Fatalf("Decode returned %T, want *Intro", got)
+	if !gi.Intro {
+		t.Fatalf("Decode returned %+v, want an introduction", gi)
 	}
 	if gi.ID != in.ID || gi.TotalLen != in.TotalLen || gi.Checksum != in.Checksum {
 		t.Errorf("round trip: got %+v, want %+v", gi, in)
 	}
-	if gi.Truth != nil {
+	if gi.HasTruth {
 		t.Error("uninstrumented decode produced a Truth trailer")
 	}
 }
@@ -49,13 +48,12 @@ func TestAFFDataRoundTrip(t *testing.T) {
 	if bits != wantBits {
 		t.Errorf("data bits = %d, want %d", bits, wantBits)
 	}
-	got, err := c.Decode(buf)
+	gd, err := c.Decode(buf)
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
-	gd, ok := got.(*Data)
-	if !ok {
-		t.Fatalf("Decode returned %T, want *Data", got)
+	if gd.Intro {
+		t.Fatalf("Decode returned %+v, want a data fragment", gd)
 	}
 	if gd.ID != d.ID || gd.Offset != d.Offset || !bytes.Equal(gd.Payload, d.Payload) {
 		t.Errorf("round trip: got %+v, want %+v", gd, d)
@@ -69,26 +67,24 @@ func TestAFFInstrumentedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Decode(buf)
+	gi, err := c.Decode(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gi := got.(*Intro)
-	if gi.Truth == nil || *gi.Truth != *truth {
-		t.Errorf("intro truth = %+v, want %+v", gi.Truth, truth)
+	if !gi.Intro || !gi.HasTruth || gi.Truth != *truth {
+		t.Errorf("intro = %+v, want truth %+v", gi, truth)
 	}
 
 	buf, _, err = c.EncodeData(Data{ID: 7, Offset: 16, Payload: []byte{1}, Truth: truth})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err = c.Decode(buf)
+	gd, err := c.Decode(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gd := got.(*Data)
-	if gd.Truth == nil || *gd.Truth != *truth {
-		t.Errorf("data truth = %+v, want %+v", gd.Truth, truth)
+	if gd.Intro || !gd.HasTruth || gd.Truth != *truth {
+		t.Errorf("data = %+v, want truth %+v", gd, truth)
 	}
 }
 
@@ -102,9 +98,8 @@ func TestAFFInstrumentNilTruthEncodesZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth := gi.(*Intro).Truth
-	if truth == nil || truth.Node != 0 || truth.Seq != 0 {
-		t.Errorf("nil truth should encode as zeros, got %+v", truth)
+	if !gi.HasTruth || gi.Truth != (Truth{}) {
+		t.Errorf("nil truth should encode as zeros, got %+v", gi)
 	}
 }
 
@@ -123,7 +118,7 @@ func TestAFFInstrumentationCostsBits(t *testing.T) {
 // TestAFFTruthGuardCatchesEveryBitFlip flips each trailer bit of an
 // instrumented fragment in turn. The trailer is outside the packet
 // checksum's coverage, so without its own guard a flip there would forge
-// ground truth; with the guard every such fragment must decode with a nil
+// ground truth; with the guard every such fragment must decode with no
 // (unauditable) Truth, never a wrong one.
 func TestAFFTruthGuardCatchesEveryBitFlip(t *testing.T) {
 	c := AFFCodec{IDBits: 4, Instrument: true}
@@ -136,21 +131,20 @@ func TestAFFTruthGuardCatchesEveryBitFlip(t *testing.T) {
 	for bit := trailerStart; bit < c.DataHeaderBits(); bit++ {
 		damaged := append([]byte(nil), buf...)
 		damaged[bit/8] ^= 0x80 >> uint(bit%8)
-		got, err := c.Decode(damaged)
+		gd, err := c.Decode(damaged)
 		if err != nil {
 			t.Fatalf("bit %d: decode failed: %v", bit, err)
 		}
-		gd := got.(*Data)
-		if gd.Truth != nil {
-			t.Fatalf("bit %d: damaged trailer decoded as Truth %+v, want nil", bit, gd.Truth)
+		if gd.HasTruth {
+			t.Fatalf("bit %d: damaged trailer decoded as Truth %+v, want none", bit, gd.Truth)
 		}
 	}
 	// Sanity: the clean frame still round-trips its truth.
-	got, err := c.Decode(buf)
+	gd, err := c.Decode(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gd := got.(*Data); gd.Truth == nil || *gd.Truth != *truth {
+	if !gd.HasTruth || gd.Truth != *truth {
 		t.Fatalf("clean frame truth = %+v, want %+v", gd.Truth, truth)
 	}
 }
@@ -257,15 +251,14 @@ func TestAFFRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := c.Decode(buf)
+		gd, err := c.Decode(buf)
 		if err != nil {
 			return false
 		}
-		gd, ok := got.(*Data)
-		if !ok || gd.ID != d.ID || gd.Offset != d.Offset || !bytes.Equal(gd.Payload, d.Payload) {
+		if gd.Intro || gd.ID != d.ID || gd.Offset != d.Offset || !bytes.Equal(gd.Payload, d.Payload) {
 			return false
 		}
-		if c.Instrument && (gd.Truth == nil || *gd.Truth != *truth) {
+		if gd.HasTruth != c.Instrument || (c.Instrument && gd.Truth != *truth) {
 			return false
 		}
 		in := Intro{ID: id, TotalLen: int(rng.Uint64N(MaxPacketLen + 1)), Checksum: uint16(rng.Uint64()), Truth: truth}
@@ -273,12 +266,11 @@ func TestAFFRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err = c.Decode(buf)
+		gi, err := c.Decode(buf)
 		if err != nil {
 			return false
 		}
-		gi, ok := got.(*Intro)
-		return ok && gi.ID == in.ID && gi.TotalLen == in.TotalLen && gi.Checksum == in.Checksum
+		return gi.Intro && gi.ID == in.ID && gi.TotalLen == in.TotalLen && gi.Checksum == in.Checksum
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -311,13 +303,12 @@ func TestAFFInBandWidthDemux(t *testing.T) {
 		if bits != tx.IntroBits() {
 			t.Errorf("width %d: intro bits = %d, want %d", w, bits, tx.IntroBits())
 		}
-		got, err := rx.Decode(buf)
+		gi, err := rx.Decode(buf)
 		if err != nil {
 			t.Fatalf("width %d: Decode: %v", w, err)
 		}
-		gi, ok := got.(*Intro)
-		if !ok {
-			t.Fatalf("width %d: Decode returned %T, want *Intro", w, got)
+		if !gi.Intro {
+			t.Fatalf("width %d: Decode returned %+v, want an introduction", w, gi)
 		}
 		if gi.ID != id || gi.IDBits != w {
 			t.Errorf("width %d: decoded id=%d bits=%d, want id=%d bits=%d", w, gi.ID, gi.IDBits, id, w)
@@ -327,13 +318,12 @@ func TestAFFInBandWidthDemux(t *testing.T) {
 		if err != nil {
 			t.Fatalf("width %d: EncodeData: %v", w, err)
 		}
-		gd, err := rx.Decode(buf)
+		d, err := rx.Decode(buf)
 		if err != nil {
 			t.Fatalf("width %d: Decode data: %v", w, err)
 		}
-		d, ok := gd.(*Data)
-		if !ok {
-			t.Fatalf("width %d: Decode returned %T, want *Data", w, gd)
+		if d.Intro {
+			t.Fatalf("width %d: Decode returned %+v, want a data fragment", w, d)
 		}
 		if d.ID != id || d.IDBits != w {
 			t.Errorf("width %d: decoded data id=%d bits=%d, want id=%d bits=%d", w, d.ID, d.IDBits, id, w)
@@ -358,12 +348,57 @@ func TestAFFFixedWidthBytesUnchanged(t *testing.T) {
 	if !bytes.Equal(buf, want) {
 		t.Errorf("fixed intro bytes = %x, want %x", buf, want)
 	}
-	got, err := c.Decode(buf)
+	gi, err := c.Decode(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gi := got.(*Intro); gi.IDBits != 0 {
+	if gi.IDBits != 0 {
 		t.Errorf("fixed decode set IDBits = %d, want 0", gi.IDBits)
+	}
+}
+
+// TestDecodeAllocatesNothing holds both codecs' receive path to zero heap
+// allocations: fragments decode by value and payloads alias the frame.
+func TestDecodeAllocatesNothing(t *testing.T) {
+	truth := &Truth{Node: 3, Seq: 41}
+	payload := []byte("sensor reading")
+	for _, c := range []AFFCodec{
+		{IDBits: 9},
+		{IDBits: 9, InBandWidth: true},
+		{IDBits: 9, Instrument: true},
+		{IDBits: 9, Instrument: true, InBandWidth: true},
+	} {
+		intro, _, err := c.EncodeIntro(Intro{ID: 5, TotalLen: 80, Checksum: 0xBEEF, Truth: truth})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _, err := c.EncodeData(Data{ID: 5, Offset: 40, Payload: payload, Truth: truth})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, buf := range [][]byte{intro, data} {
+			var f Fragment
+			if allocs := testing.AllocsPerRun(100, func() { f, err = c.Decode(buf) }); allocs != 0 || err != nil {
+				t.Errorf("%+v: Decode made %.1f allocations (err %v), want 0", c, allocs, err)
+			}
+			if f.HasTruth != c.Instrument {
+				t.Errorf("%+v: decoded %+v, trailer presence wrong", c, f)
+			}
+		}
+	}
+	st := StaticCodec{AddrBits: 16, SeqBits: 16}
+	intro, _, err := st.EncodeIntro(StaticIntro{Src: 7, Seq: 3, TotalLen: 80, Checksum: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _, err := st.EncodeData(StaticData{Src: 7, Seq: 3, Offset: 40, Payload: payload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, buf := range [][]byte{intro, data} {
+		if allocs := testing.AllocsPerRun(100, func() { _, err = st.Decode(buf) }); allocs != 0 || err != nil {
+			t.Errorf("static: Decode made %.1f allocations (err %v), want 0", allocs, err)
+		}
 	}
 }
 

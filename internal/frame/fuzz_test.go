@@ -21,41 +21,51 @@ func FuzzAFFDecode(f *testing.F) {
 		if c.IDBits == 0 {
 			c.IDBits = 1
 		}
-		decoded, err := c.Decode(p)
+		fr, err := c.Decode(p)
 		if err != nil {
 			return
 		}
-		switch fr := decoded.(type) {
-		case *Intro:
-			buf, _, err := c.EncodeIntro(*fr)
-			if err != nil {
-				t.Fatalf("decoded intro failed to re-encode: %v (%+v)", err, fr)
+		buf, err := reencode(c, fr)
+		if err != nil {
+			t.Fatalf("decoded fragment failed to re-encode: %v (%+v)", err, fr)
+		}
+		re, err := c.Decode(buf)
+		if err != nil {
+			t.Fatalf("re-decode: %v", err)
+		}
+		if fr.Intro {
+			if !re.Intro || re.ID != fr.ID || re.TotalLen != fr.TotalLen || re.Checksum != fr.Checksum {
+				t.Fatalf("intro round trip drift: %+v vs %+v", fr, re)
 			}
-			re, err := c.Decode(buf)
-			if err != nil {
-				t.Fatalf("re-decode: %v", err)
-			}
-			ri := re.(*Intro)
-			if ri.ID != fr.ID || ri.TotalLen != fr.TotalLen || ri.Checksum != fr.Checksum {
-				t.Fatalf("intro round trip drift: %+v vs %+v", fr, ri)
-			}
-		case *Data:
-			buf, _, err := c.EncodeData(*fr)
-			if err != nil {
-				t.Fatalf("decoded data failed to re-encode: %v (%+v)", err, fr)
-			}
-			re, err := c.Decode(buf)
-			if err != nil {
-				t.Fatalf("re-decode: %v", err)
-			}
-			rd := re.(*Data)
-			if rd.ID != fr.ID || rd.Offset != fr.Offset || !bytes.Equal(rd.Payload, fr.Payload) {
-				t.Fatalf("data round trip drift")
-			}
-		default:
-			t.Fatalf("unexpected decode type %T", decoded)
+		} else if re.Intro || re.ID != fr.ID || re.Offset != fr.Offset || !bytes.Equal(re.Payload, fr.Payload) {
+			t.Fatalf("data round trip drift: %+v vs %+v", fr, re)
 		}
 	})
+}
+
+// reencode encodes a decoded fragment again, trailer included.
+func reencode(c AFFCodec, f Fragment) ([]byte, error) {
+	var truth *Truth
+	if f.HasTruth {
+		truth = &f.Truth
+	}
+	if f.Intro {
+		buf, _, err := c.EncodeIntro(Intro{ID: f.ID, TotalLen: f.TotalLen, Checksum: f.Checksum, Truth: truth})
+		return buf, err
+	}
+	buf, _, err := c.EncodeData(Data{ID: f.ID, Offset: f.Offset, Payload: f.Payload, Truth: truth})
+	return buf, err
+}
+
+// reencodeStatic encodes a decoded statically addressed fragment again.
+func reencodeStatic(c StaticCodec, f StaticFragment) error {
+	var err error
+	if f.Intro {
+		_, _, err = c.EncodeIntro(StaticIntro{Src: f.Src, Seq: f.Seq, TotalLen: f.TotalLen, Checksum: f.Checksum})
+	} else {
+		_, _, err = c.EncodeData(StaticData{Src: f.Src, Seq: f.Seq, Offset: f.Offset, Payload: f.Payload})
+	}
+	return err
 }
 
 // FuzzStaticDecode: same contract for the statically addressed format.
@@ -78,21 +88,12 @@ func FuzzStaticDecode(f *testing.F) {
 		if c.SeqBits == 0 {
 			c.SeqBits = 1
 		}
-		decoded, err := c.Decode(p)
+		fr, err := c.Decode(p)
 		if err != nil {
 			return
 		}
-		switch fr := decoded.(type) {
-		case *StaticIntro:
-			if _, _, err := c.EncodeIntro(*fr); err != nil {
-				t.Fatalf("decoded intro failed to re-encode: %v (%+v)", err, fr)
-			}
-		case *StaticData:
-			if _, _, err := c.EncodeData(*fr); err != nil {
-				t.Fatalf("decoded data failed to re-encode: %v (%+v)", err, fr)
-			}
-		default:
-			t.Fatalf("unexpected decode type %T", decoded)
+		if err := reencodeStatic(c, fr); err != nil {
+			t.Fatalf("decoded fragment failed to re-encode: %v (%+v)", err, fr)
 		}
 	})
 }
@@ -124,30 +125,23 @@ func FuzzAFFBitFlip(f *testing.F) {
 			mut := append([]byte(nil), buf...)
 			bit := int(flip) % (8 * len(mut))
 			mut[bit/8] ^= 1 << uint(bit%8)
-			decoded, err := c.Decode(mut)
+			fr, err := c.Decode(mut)
 			if err != nil {
 				return // rejected: fine
 			}
-			switch fr := decoded.(type) {
-			case *Intro:
-				re, _, err := c.EncodeIntro(*fr)
-				if err != nil {
-					t.Fatalf("decoded corrupt intro failed to re-encode: %v (%+v)", err, fr)
-				}
-				back, err := c.Decode(re)
-				if err != nil {
-					t.Fatalf("re-decode of corrupt intro: %v", err)
-				}
-				ri := back.(*Intro)
-				if ri.ID != fr.ID || ri.TotalLen != fr.TotalLen || ri.Checksum != fr.Checksum {
-					t.Fatalf("corrupt intro round trip drift: %+v vs %+v", fr, ri)
-				}
-			case *Data:
-				if _, _, err := c.EncodeData(*fr); err != nil {
-					t.Fatalf("decoded corrupt data failed to re-encode: %v (%+v)", err, fr)
-				}
-			default:
-				t.Fatalf("unexpected decode type %T", decoded)
+			re, err := reencode(c, fr)
+			if err != nil {
+				t.Fatalf("decoded corrupt fragment failed to re-encode: %v (%+v)", err, fr)
+			}
+			if !fr.Intro {
+				return
+			}
+			back, err := c.Decode(re)
+			if err != nil {
+				t.Fatalf("re-decode of corrupt intro: %v", err)
+			}
+			if !back.Intro || back.ID != fr.ID || back.TotalLen != fr.TotalLen || back.Checksum != fr.Checksum {
+				t.Fatalf("corrupt intro round trip drift: %+v vs %+v", fr, back)
 			}
 		}
 
@@ -180,21 +174,12 @@ func FuzzStaticBitFlip(f *testing.F) {
 			mut := append([]byte(nil), buf...)
 			bit := int(flip) % (8 * len(mut))
 			mut[bit/8] ^= 1 << uint(bit%8)
-			decoded, err := c.Decode(mut)
+			fr, err := c.Decode(mut)
 			if err != nil {
 				return
 			}
-			switch fr := decoded.(type) {
-			case *StaticIntro:
-				if _, _, err := c.EncodeIntro(*fr); err != nil {
-					t.Fatalf("decoded corrupt intro failed to re-encode: %v (%+v)", err, fr)
-				}
-			case *StaticData:
-				if _, _, err := c.EncodeData(*fr); err != nil {
-					t.Fatalf("decoded corrupt data failed to re-encode: %v (%+v)", err, fr)
-				}
-			default:
-				t.Fatalf("unexpected decode type %T", decoded)
+			if err := reencodeStatic(c, fr); err != nil {
+				t.Fatalf("decoded corrupt fragment failed to re-encode: %v (%+v)", err, fr)
 			}
 		}
 

@@ -36,8 +36,19 @@ type StaticData struct {
 	Payload []byte
 }
 
-// Piece returns the fragment's byte offset and payload.
-func (d *StaticData) Piece() (int, []byte) { return d.Offset, d.Payload }
+// StaticFragment is one decoded statically addressed fragment, held by
+// value; see Fragment.
+type StaticFragment struct {
+	// Intro marks an introduction; otherwise the fragment carries data.
+	Intro    bool
+	Src      uint64
+	Seq      uint64
+	TotalLen int    // introduction only
+	Checksum uint16 // introduction only
+	Offset   int    // data only
+	// Payload aliases the decoded frame (data only).
+	Payload []byte
+}
 
 // IntroBits returns the meaningful bit length of an introduction fragment.
 func (c StaticCodec) IntroBits() int {
@@ -128,49 +139,43 @@ func (c StaticCodec) EncodeData(d StaticData) ([]byte, int, error) {
 	return seal(w), bits, nil
 }
 
-// Decode parses a fragment, returning *StaticIntro or *StaticData.
-func (c StaticCodec) Decode(p []byte) (any, error) {
+// Decode parses one fragment. Like AFFCodec.Decode it allocates
+// nothing: the result is a value and its Payload aliases p.
+func (c StaticCodec) Decode(p []byte) (StaticFragment, error) {
 	if err := c.validate(); err != nil {
-		return nil, err
+		return StaticFragment{}, err
 	}
 	r := bitio.NewReader(p)
 	kind, err := r.ReadBits(kindBits)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrTruncated, err)
+		return StaticFragment{}, truncated(err)
 	}
-	src, err := r.ReadBits(c.AddrBits)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrTruncated, err)
+	f := StaticFragment{Intro: kind == kindIntro}
+	if f.Src, err = r.ReadBits(c.AddrBits); err != nil {
+		return StaticFragment{}, truncated(err)
 	}
-	seq, err := r.ReadBits(c.SeqBits)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrTruncated, err)
+	if f.Seq, err = r.ReadBits(c.SeqBits); err != nil {
+		return StaticFragment{}, truncated(err)
 	}
-	switch kind {
-	case kindIntro:
+	if f.Intro {
 		total, err := r.ReadBits(lenBits)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrTruncated, err)
+			return StaticFragment{}, truncated(err)
 		}
 		sum, err := r.ReadBits(checksumBits)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrTruncated, err)
+			return StaticFragment{}, truncated(err)
 		}
-		return &StaticIntro{Src: src, Seq: seq, TotalLen: int(total), Checksum: uint16(sum)}, nil
-	default:
-		off, err := r.ReadBits(offsetBits)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrTruncated, err)
-		}
-		r.Align()
-		n := r.Remaining() / 8
-		if n == 0 {
-			return nil, fmt.Errorf("%w: data fragment with no payload", ErrTruncated)
-		}
-		payload := make([]byte, n)
-		if err := r.ReadBytes(payload); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrTruncated, err)
-		}
-		return &StaticData{Src: src, Seq: seq, Offset: int(off), Payload: payload}, nil
+		f.TotalLen, f.Checksum = int(total), uint16(sum)
+		return f, nil
 	}
+	off, err := r.ReadBits(offsetBits)
+	if err != nil {
+		return StaticFragment{}, truncated(err)
+	}
+	f.Offset = int(off)
+	if f.Payload, err = readPayload(r, p); err != nil {
+		return StaticFragment{}, err
+	}
+	return f, nil
 }

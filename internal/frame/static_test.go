@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -18,16 +19,13 @@ func TestStaticIntroRoundTrip(t *testing.T) {
 	if want := 1 + 16 + 16 + 16 + 16; bits != want {
 		t.Errorf("intro bits = %d, want %d", bits, want)
 	}
-	got, err := c.Decode(buf)
+	gi, err := c.Decode(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gi, ok := got.(*StaticIntro)
-	if !ok {
-		t.Fatalf("Decode returned %T", got)
-	}
-	if *gi != in {
-		t.Errorf("round trip: got %+v, want %+v", *gi, in)
+	want := StaticFragment{Intro: true, Src: in.Src, Seq: in.Seq, TotalLen: in.TotalLen, Checksum: in.Checksum}
+	if !reflect.DeepEqual(gi, want) {
+		t.Errorf("round trip: got %+v, want %+v", gi, want)
 	}
 }
 
@@ -38,13 +36,12 @@ func TestStaticDataRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Decode(buf)
+	gd, err := c.Decode(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gd, ok := got.(*StaticData)
-	if !ok {
-		t.Fatalf("Decode returned %T", got)
+	if gd.Intro {
+		t.Fatalf("Decode returned %+v, want a data fragment", gd)
 	}
 	if gd.Src != d.Src || gd.Seq != d.Seq || gd.Offset != d.Offset || !bytes.Equal(gd.Payload, d.Payload) {
 		t.Errorf("round trip: got %+v, want %+v", gd, d)
@@ -130,11 +127,11 @@ func TestStatic64BitAddress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Decode(buf)
+	gi, err := c.Decode(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gi := got.(*StaticIntro); gi.Src != src {
+	if !gi.Intro || gi.Src != src {
 		t.Errorf("64-bit src round trip = %x, want %x", gi.Src, src)
 	}
 }
@@ -157,12 +154,11 @@ func TestStaticRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := c.Decode(buf)
+		gd, err := c.Decode(buf)
 		if err != nil {
 			return false
 		}
-		gd, ok := got.(*StaticData)
-		return ok && gd.Src == d.Src && gd.Seq == d.Seq && gd.Offset == d.Offset &&
+		return !gd.Intro && gd.Src == d.Src && gd.Seq == d.Seq && gd.Offset == d.Offset &&
 			bytes.Equal(gd.Payload, d.Payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

@@ -7,6 +7,11 @@
 // their introduction, checksum verification of completed packets, the
 // MaxPartials cap and the amortized idle-expiry queue. Adapters decode
 // frames, derive keys and feed Intro and Data.
+//
+// The table allocates nothing per fragment in steady state. Partial
+// packets are recycled through a free list together with their coverage,
+// their early-fragment storage and any buffer not handed to OnDeliver; a
+// delivered buffer belongs to OnDeliver and is never reused.
 package reasm
 
 import (
@@ -46,13 +51,6 @@ type Stats struct {
 	Malformed int64
 }
 
-// Fragment is a decoded data fragment: payload bytes at a byte offset of
-// the packet. The table buffers early fragments as the adapter's own
-// pointer type, so an early fragment costs one pointer.
-type Fragment interface {
-	Piece() (offset int, payload []byte)
-}
-
 // Config parameterizes a Table.
 type Config struct {
 	// Checksum verifies completed packets.
@@ -77,9 +75,11 @@ const maxEarlyFragments = 1 << 12
 
 // Table holds partial packets keyed by K. The hooks are optional and are
 // called with the key concerned.
-type Table[K comparable, F Fragment] struct {
+type Table[K comparable] struct {
 	// OnDeliver receives each verified packet with the introduction's
-	// instrumentation trailer.
+	// instrumentation trailer, nil when it had none. The data buffer is
+	// the callee's to keep; the trailer is table memory, valid only until
+	// OnDeliver returns.
 	OnDeliver func(key K, data []byte, truth *frame.Truth)
 	// OnBadSum hears each packet rejected at completion by its checksum.
 	OnBadSum func(K)
@@ -99,8 +99,11 @@ type Table[K comparable, F Fragment] struct {
 
 	cfg     Config
 	now     func() time.Duration
-	pending map[K]*partial[F]
+	pending map[K]*partial
 	stats   Stats
+
+	// free holds retired partial packets for reuse.
+	free []*partial
 
 	// expq is the amortized expiry queue: every fragment pushes one
 	// (key, activity-time) entry, and activity times are drawn from the
@@ -111,20 +114,28 @@ type Table[K comparable, F Fragment] struct {
 	expqHead int
 }
 
-// partial accumulates one key's fragments. buf is nil until the
-// introduction announces the length.
-type partial[F Fragment] struct {
-	buf      []byte
-	covered  []bool
-	gotBytes int
-	sum      uint16
-	truth    *frame.Truth
+// partial accumulates one key's fragments. Until the introduction
+// announces the length (announced), data fragments wait in early.
+type partial struct {
+	announced bool
+	buf       []byte
+	covered   []bool
+	gotBytes  int
+	sum       uint16
+	truth     frame.Truth
+	hasTruth  bool
 
-	// early buffers data fragments that arrive before the introduction.
-	early []F
+	// early records data fragments that arrive before the introduction;
+	// their payloads sit back to back in earlyBytes.
+	early      []piece
+	earlyBytes []byte
 
 	lastActivity time.Duration
 }
+
+// piece locates one early fragment: its packet offset and its length in
+// earlyBytes.
+type piece struct{ off, n int }
 
 // entry marks one key's activity for the expiry queue.
 type entry[K comparable] struct {
@@ -134,71 +145,80 @@ type entry[K comparable] struct {
 
 // New returns an empty table. now supplies virtual time for the idle
 // timeout; a nil now disables it.
-func New[K comparable, F Fragment](cfg Config, now func() time.Duration) *Table[K, F] {
+func New[K comparable](cfg Config, now func() time.Duration) *Table[K] {
 	if now == nil {
 		now = func() time.Duration { return 0 }
 		cfg.Timeout = 0
 	}
-	return &Table[K, F]{cfg: cfg, now: now, pending: make(map[K]*partial[F])}
+	return &Table[K]{cfg: cfg, now: now, pending: make(map[K]*partial)}
 }
 
 // Stats returns the counters. Adapters count FragmentsIn and Malformed
 // through it, since only they decode.
-func (t *Table[K, F]) Stats() *Stats { return &t.stats }
+func (t *Table[K]) Stats() *Stats { return &t.stats }
 
 // Len reports keys with partial state.
-func (t *Table[K, F]) Len() int { return len(t.pending) }
+func (t *Table[K]) Len() int { return len(t.pending) }
 
 // Intro records key's announced length and checksum, then replays any
-// data fragments buffered ahead of it. A duplicate introduction is
-// harmless; a disagreeing one drops the transaction under SharedKeys.
-func (t *Table[K, F]) Intro(key K, totalLen int, sum uint16, truth *frame.Truth) {
+// data fragments buffered ahead of it. truth, when non-nil, is copied. A
+// duplicate introduction is harmless; a disagreeing one drops the
+// transaction under SharedKeys.
+func (t *Table[K]) Intro(key K, totalLen int, sum uint16, truth *frame.Truth) {
 	p := t.touch(key)
-	if p.buf != nil {
+	if p.announced {
 		if len(p.buf) != totalLen || p.sum != sum {
-			t.disagree(key)
+			t.disagree(key, p)
 		}
 		return
 	}
-	p.buf = make([]byte, totalLen)
-	p.covered = make([]bool, totalLen)
-	p.sum, p.truth = sum, truth
-	for _, f := range p.early {
-		if !t.merge(key, p, f) {
+	p.announced = true
+	p.buf = resize(p.buf, totalLen)
+	p.covered = resize(p.covered, totalLen)
+	clear(p.covered)
+	p.sum = sum
+	if truth != nil {
+		p.truth, p.hasTruth = *truth, true
+	}
+	start := 0
+	for _, e := range p.early {
+		if !t.merge(key, p, e.off, p.earlyBytes[start:start+e.n]) {
 			return
 		}
+		start += e.n
 	}
-	p.early = nil
+	p.early, p.earlyBytes = p.early[:0], p.earlyBytes[:0]
 	t.complete(key, p)
 }
 
-// Data merges one data fragment, buffering it (up to a bound) until the
-// introduction arrives — on a FIFO radio reordering is impossible, but the
-// introduction frame itself can be lost.
-func (t *Table[K, F]) Data(key K, f F) {
+// Data merges one data fragment, buffering a copy of it (up to a bound)
+// until the introduction arrives — on a FIFO radio reordering is
+// impossible, but the introduction frame itself can be lost. The table
+// never retains payload.
+func (t *Table[K]) Data(key K, offset int, payload []byte) {
 	p := t.touch(key)
-	if p.buf == nil {
+	if !p.announced {
 		if len(p.early) < maxEarlyFragments {
-			p.early = append(p.early, f)
+			p.early = append(p.early, piece{off: offset, n: len(payload)})
+			p.earlyBytes = append(p.earlyBytes, payload...)
 		}
 		return
 	}
-	if t.merge(key, p, f) {
+	if t.merge(key, p, offset, payload) {
 		t.complete(key, p)
 	}
 }
 
 // merge copies a fragment into a partial packet of known length. It
 // reports false when disagreement dropped the state.
-func (t *Table[K, F]) merge(key K, p *partial[F], f F) bool {
-	off, payload := f.Piece()
+func (t *Table[K]) merge(key K, p *partial, off int, payload []byte) bool {
 	end := off + len(payload)
 	if end > len(p.buf) {
-		return t.disagree(key)
+		return t.disagree(key, p)
 	}
 	for i, b := range payload {
 		if p.covered[off+i] && p.buf[off+i] != b {
-			return t.disagree(key)
+			return t.disagree(key, p)
 		}
 	}
 	for i, b := range payload {
@@ -219,7 +239,7 @@ func (t *Table[K, F]) merge(key K, p *partial[F], f F) bool {
 // disagree handles a fragment that contradicts held state and reports
 // whether the state survives: under SharedKeys the transaction is
 // dropped, otherwise only the fragment is.
-func (t *Table[K, F]) disagree(key K) bool {
+func (t *Table[K]) disagree(key K, p *partial) bool {
 	if !t.cfg.SharedKeys {
 		return true
 	}
@@ -228,11 +248,12 @@ func (t *Table[K, F]) disagree(key K) bool {
 	if t.OnConflict != nil {
 		t.OnConflict(key)
 	}
+	t.retire(p)
 	return false
 }
 
 // complete delivers or rejects a fully covered packet.
-func (t *Table[K, F]) complete(key K, p *partial[F]) {
+func (t *Table[K]) complete(key K, p *partial) {
 	if p.gotBytes != len(p.buf) {
 		return
 	}
@@ -242,26 +263,40 @@ func (t *Table[K, F]) complete(key K, p *partial[F]) {
 		if t.OnBadSum != nil {
 			t.OnBadSum(key)
 		}
+		t.retire(p)
 		return
 	}
 	t.stats.Delivered++
 	t.stats.DeliveredBits += int64(8 * len(p.buf))
 	if t.OnDeliver != nil {
-		t.OnDeliver(key, p.buf, p.truth)
+		var truth *frame.Truth
+		if p.hasTruth {
+			truth = &p.truth
+		}
+		t.OnDeliver(key, p.buf, truth)
+		// The delivered buffer now belongs to OnDeliver.
+		p.buf = nil
 	}
+	t.retire(p)
 }
 
 // touch returns key's partial packet, creating it (under the cap) if
 // needed, and records activity: it stamps the state and appends an
 // expiry-queue entry. The cap needs the queue even with timeouts disabled
 // — it is the eviction order.
-func (t *Table[K, F]) touch(key K) *partial[F] {
+func (t *Table[K]) touch(key K) *partial {
 	p, ok := t.pending[key]
 	if !ok {
 		if t.cfg.MaxPartials > 0 && len(t.pending) >= t.cfg.MaxPartials {
 			t.evictOldest()
 		}
-		p = &partial[F]{}
+		if n := len(t.free); n > 0 {
+			p = t.free[n-1]
+			t.free[n-1] = nil
+			t.free = t.free[:n-1]
+		} else {
+			p = &partial{}
+		}
 		t.pending[key] = p
 		if n := int64(len(t.pending)); n > t.stats.PendingPeak {
 			t.stats.PendingPeak = n
@@ -274,23 +309,46 @@ func (t *Table[K, F]) touch(key K) *partial[F] {
 	return p
 }
 
-// live reports whether a queue entry still names its key's latest
-// activity; an entry made stale by later activity is simply discarded
-// (that activity pushed its own entry).
-func (t *Table[K, F]) live(e entry[K]) bool {
+// retire clears a partial packet that has left the pending map and puts
+// it on the free list. Its storage is kept for reuse; nothing else of
+// its old key survives.
+func (t *Table[K]) retire(p *partial) {
+	*p = partial{
+		buf:        p.buf[:0],
+		covered:    p.covered[:0],
+		early:      p.early[:0],
+		earlyBytes: p.earlyBytes[:0],
+	}
+	t.free = append(t.free, p)
+}
+
+// resize returns s with length n, reusing its storage when it is large
+// enough. The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// live returns the partial packet a queue entry names when the entry
+// still marks its latest activity; an entry made stale by later activity
+// is simply discarded (that activity pushed its own entry).
+func (t *Table[K]) live(e entry[K]) (*partial, bool) {
 	p, ok := t.pending[e.key]
-	return ok && p.lastActivity == e.at
+	return p, ok && p.lastActivity == e.at
 }
 
 // evictOldest removes the partial packet with the oldest activity: the
 // first live queue entry names it, deterministically for a given ingest
 // order. OnCapEvict fires first, then OnExpire, so "transaction
 // abandoned" consumers hear cap evictions exactly like timeouts.
-func (t *Table[K, F]) evictOldest() {
+func (t *Table[K]) evictOldest() {
 	for t.expqHead < len(t.expq) {
 		e := t.expq[t.expqHead]
 		t.expqHead++
-		if !t.live(e) {
+		p, ok := t.live(e)
+		if !ok {
 			continue
 		}
 		delete(t.pending, e.key)
@@ -301,6 +359,7 @@ func (t *Table[K, F]) evictOldest() {
 		if t.OnExpire != nil {
 			t.OnExpire(e.key)
 		}
+		t.retire(p)
 		break
 	}
 	t.compact()
@@ -309,7 +368,7 @@ func (t *Table[K, F]) evictOldest() {
 // Sweep evicts partial packets idle strictly longer than the timeout.
 // Each queue entry is examined once ever, so the amortized cost per
 // fragment is O(1).
-func (t *Table[K, F]) Sweep() {
+func (t *Table[K]) Sweep() {
 	if t.cfg.Timeout <= 0 {
 		return
 	}
@@ -320,7 +379,8 @@ func (t *Table[K, F]) Sweep() {
 			break
 		}
 		t.expqHead++
-		if !t.live(e) {
+		p, ok := t.live(e)
+		if !ok {
 			continue
 		}
 		delete(t.pending, e.key)
@@ -328,12 +388,13 @@ func (t *Table[K, F]) Sweep() {
 		if t.OnExpire != nil {
 			t.OnExpire(e.key)
 		}
+		t.retire(p)
 	}
 	t.compact()
 }
 
 // compact reclaims the consumed queue prefix once it dominates the slice.
-func (t *Table[K, F]) compact() {
+func (t *Table[K]) compact() {
 	if t.expqHead < 64 || t.expqHead*2 < len(t.expq) {
 		return
 	}
@@ -346,7 +407,7 @@ func (t *Table[K, F]) compact() {
 // could expire, and whether any timeout is outstanding. The time is when
 // eviction becomes possible, not a promise that state will still be
 // stale then.
-func (t *Table[K, F]) NextExpiry() (time.Duration, bool) {
+func (t *Table[K]) NextExpiry() (time.Duration, bool) {
 	if t.cfg.Timeout <= 0 || t.expqHead >= len(t.expq) {
 		return 0, false
 	}
@@ -355,8 +416,8 @@ func (t *Table[K, F]) NextExpiry() (time.Duration, bool) {
 
 // Reset discards all partial state, modelling a node crash: RAM is gone,
 // the counters (which belong to the measurement harness) survive.
-func (t *Table[K, F]) Reset() {
-	t.pending = make(map[K]*partial[F])
+func (t *Table[K]) Reset() {
+	t.pending = make(map[K]*partial)
 	t.expq = nil
 	t.expqHead = 0
 }

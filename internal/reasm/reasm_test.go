@@ -1,6 +1,8 @@
 package reasm
 
 import (
+	"bytes"
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -8,14 +10,6 @@ import (
 	"retri/internal/checksum"
 	"retri/internal/frame"
 )
-
-// frag is a minimal data fragment.
-type frag struct {
-	off  int
-	data []byte
-}
-
-func (f *frag) Piece() (int, []byte) { return f.off, f.data }
 
 // clock is a settable virtual clock.
 type clock struct{ now time.Duration }
@@ -34,13 +28,13 @@ func (r *recorder) hook(name string) func(string) {
 	return func(k string) { r.log = append(r.log, name+":"+k) }
 }
 
-func newTable(cfg Config, c *clock) (*Table[string, *frag], *recorder) {
+func newTable(cfg Config, c *clock) (*Table[string], *recorder) {
 	cfg.Checksum = checksum.Internet
 	var now func() time.Duration
 	if c != nil {
 		now = c.Now
 	}
-	t := New[string, *frag](cfg, now)
+	t := New[string](cfg, now)
 	rec := &recorder{}
 	t.OnDeliver = func(k string, data []byte, _ *frame.Truth) {
 		rec.log = append(rec.log, "deliver:"+k+":"+string(data))
@@ -54,9 +48,9 @@ func newTable(cfg Config, c *clock) (*Table[string, *frag], *recorder) {
 }
 
 // partialTx starts key's packet and leaves its last fragment missing.
-func partialTx(t *Table[string, *frag], key string) {
+func partialTx(t *Table[string], key string) {
 	t.Intro(key, len(packet), sumOf(packet), nil)
-	t.Data(key, &frag{0, packet[:4]})
+	t.Data(key, 0, packet[:4])
 }
 
 func TestDisagreementSemantics(t *testing.T) {
@@ -67,20 +61,20 @@ func TestDisagreementSemantics(t *testing.T) {
 	// packet still delivers.
 	cases := []struct {
 		name string
-		bad  func(t *Table[string, *frag])
+		bad  func(t *Table[string])
 	}{
-		{"second introduction", func(t *Table[string, *frag]) { t.Intro("k", 9, sumOf(packet), nil) }},
-		{"different checksum", func(t *Table[string, *frag]) { t.Intro("k", len(packet), sumOf(packet)+1, nil) }},
-		{"overlap with different bytes", func(t *Table[string, *frag]) { t.Data("k", &frag{2, []byte("XY")}) }},
-		{"overrun", func(t *Table[string, *frag]) { t.Data("k", &frag{6, []byte("ghij")}) }},
+		{"second introduction", func(t *Table[string]) { t.Intro("k", 9, sumOf(packet), nil) }},
+		{"different checksum", func(t *Table[string]) { t.Intro("k", len(packet), sumOf(packet)+1, nil) }},
+		{"overlap with different bytes", func(t *Table[string]) { t.Data("k", 2, []byte("XY")) }},
+		{"overrun", func(t *Table[string]) { t.Data("k", 6, []byte("ghij")) }},
 	}
 	for _, tc := range cases {
 		for _, shared := range []bool{true, false} {
 			tb, rec := newTable(Config{SharedKeys: shared}, nil)
 			tb.Intro("k", len(packet), sumOf(packet), nil)
-			tb.Data("k", &frag{0, packet[:4]})
+			tb.Data("k", 0, packet[:4])
 			tc.bad(tb)
-			tb.Data("k", &frag{4, packet[4:]})
+			tb.Data("k", 4, packet[4:])
 			st := tb.Stats()
 			if shared {
 				if st.Conflicts != 1 || st.Delivered != 0 {
@@ -105,9 +99,9 @@ func TestDuplicatesAreHarmless(t *testing.T) {
 	tb, rec := newTable(Config{SharedKeys: true}, nil)
 	tb.Intro("k", len(packet), sumOf(packet), nil)
 	tb.Intro("k", len(packet), sumOf(packet), nil)
-	tb.Data("k", &frag{0, packet[:4]})
-	tb.Data("k", &frag{0, packet[:4]})
-	tb.Data("k", &frag{4, packet[4:]})
+	tb.Data("k", 0, packet[:4])
+	tb.Data("k", 0, packet[:4])
+	tb.Data("k", 4, packet[4:])
 	if st := tb.Stats(); st.Delivered != 1 || st.DeliveredBits != 64 || st.Conflicts != 0 {
 		t.Errorf("stats %+v, want one 64-bit delivery and no conflict", *st)
 	}
@@ -121,8 +115,8 @@ func TestDuplicatesAreHarmless(t *testing.T) {
 
 func TestEarlyFragmentsReplayAtIntroduction(t *testing.T) {
 	tb, rec := newTable(Config{}, nil)
-	tb.Data("k", &frag{4, packet[4:]})
-	tb.Data("k", &frag{0, packet[:4]})
+	tb.Data("k", 4, packet[4:])
+	tb.Data("k", 0, packet[:4])
 	if tb.Stats().Delivered != 0 {
 		t.Fatal("delivered before the introduction announced a length")
 	}
@@ -137,8 +131,8 @@ func TestEarlyConflictDropsAtIntroduction(t *testing.T) {
 	// Under shared keys a buffered fragment that overruns the length the
 	// introduction later announces is a collision; the replay stops there.
 	tb, rec := newTable(Config{SharedKeys: true}, nil)
-	tb.Data("k", &frag{6, []byte("ghij")})
-	tb.Data("k", &frag{0, packet[:4]})
+	tb.Data("k", 6, []byte("ghij"))
+	tb.Data("k", 0, packet[:4])
 	tb.Intro("k", len(packet), sumOf(packet), nil)
 	if !slices.Equal(rec.log, []string{"conflict:k"}) || tb.Len() != 0 {
 		t.Errorf("hooks %v, Len %d; want [conflict:k], 0", rec.log, tb.Len())
@@ -148,7 +142,7 @@ func TestEarlyConflictDropsAtIntroduction(t *testing.T) {
 func TestChecksumFailure(t *testing.T) {
 	tb, rec := newTable(Config{}, nil)
 	tb.Intro("k", len(packet), sumOf(packet)+1, nil)
-	tb.Data("k", &frag{0, packet})
+	tb.Data("k", 0, packet)
 	st := tb.Stats()
 	if st.ChecksumFailures != 1 || st.Delivered != 0 || tb.Len() != 0 {
 		t.Errorf("failures/delivered/Len = %d/%d/%d, want 1/0/0",
@@ -159,15 +153,184 @@ func TestChecksumFailure(t *testing.T) {
 	}
 }
 
+// TestDeliverCarriesTruth checks the trailer contract: OnDeliver sees the
+// introduction's trailer in table memory, so a consumer copies it inside
+// the callback, and a later packet without one on the recycled partial
+// sees nil.
 func TestDeliverCarriesTruth(t *testing.T) {
 	tb, _ := newTable(Config{}, nil)
 	truth := &frame.Truth{Node: 3, Seq: 7}
-	var got *frame.Truth
-	tb.OnDeliver = func(_ string, _ []byte, tr *frame.Truth) { got = tr }
+	var got []*frame.Truth
+	var copied []frame.Truth
+	tb.OnDeliver = func(_ string, _ []byte, tr *frame.Truth) {
+		got = append(got, tr)
+		if tr != nil {
+			copied = append(copied, *tr)
+		}
+	}
 	tb.Intro("k", len(packet), sumOf(packet), truth)
-	tb.Data("k", &frag{0, packet})
-	if got != truth {
-		t.Errorf("delivered truth %v, want the introduction's %v", got, truth)
+	tb.Data("k", 0, packet)
+	tb.Intro("k", len(packet), sumOf(packet), nil)
+	tb.Data("k", 0, packet)
+	if len(got) != 2 || got[0] == nil || got[0] == truth || got[1] != nil {
+		t.Fatalf("delivered trailers %v, want a table-owned copy then nil", got)
+	}
+	if copied[0] != *truth {
+		t.Errorf("delivered truth %v, want the introduction's %v", copied[0], *truth)
+	}
+}
+
+// TestRecycledPartialCarriesNoStaleState retires a partial packet by
+// every path — delivery, checksum failure, conflict, timeout with early
+// fragments buffered — and checks each time that the partial on the
+// free list keeps only storage, and that the next key to draw it
+// reassembles from its own fragments alone.
+func TestRecycledPartialCarriesNoStaleState(t *testing.T) {
+	c := &clock{}
+	tb, rec := newTable(Config{Timeout: time.Second, SharedKeys: true}, c)
+	truth := &frame.Truth{Node: 3, Seq: 7}
+	retire := []struct {
+		name string
+		run  func(key string)
+	}{
+		{"delivered", func(k string) {
+			tb.Intro(k, len(packet), sumOf(packet), truth)
+			tb.Data(k, 0, packet)
+		}},
+		{"bad checksum", func(k string) {
+			tb.Data(k, 0, []byte("ZZZZ"))
+			tb.Intro(k, len(packet), 0x1234, truth)
+			tb.Data(k, 4, []byte("YYYY"))
+		}},
+		{"conflict", func(k string) {
+			tb.Intro(k, len(packet), 0x1234, truth)
+			tb.Data(k, 0, []byte("ZZZZ"))
+			tb.Data(k, 0, []byte("YYYY"))
+		}},
+		{"timeout with early fragments", func(k string) {
+			tb.Data(k, 4, []byte("ZZZZ"))
+			tb.Data(k, 0, []byte("YYYY"))
+			c.now += 2 * time.Second
+			tb.Sweep()
+		}},
+	}
+	for i, tc := range retire {
+		old := "old" + string(rune('0'+i))
+		tc.run(old)
+		if tb.Len() != 0 || len(tb.free) != 1 {
+			t.Fatalf("%s: Len %d, free list %d; want the partial retired", tc.name, tb.Len(), len(tb.free))
+		}
+		p := tb.free[0]
+		if p.announced || len(p.buf) != 0 || len(p.covered) != 0 || p.gotBytes != 0 || p.sum != 0 ||
+			p.truth != (frame.Truth{}) || p.hasTruth || len(p.early) != 0 || len(p.earlyBytes) != 0 || p.lastActivity != 0 {
+			t.Fatalf("%s: retired partial holds state %+v", tc.name, *p)
+		}
+
+		// The next transaction draws the same partial: a data fragment
+		// first, so a stale announcement or coverage would show, then an
+		// introduction without a trailer, so a stale one would show.
+		rec.log = nil
+		var truths []*frame.Truth
+		tb.OnDeliver = func(k string, data []byte, tr *frame.Truth) {
+			rec.log = append(rec.log, "deliver:"+k+":"+string(data))
+			truths = append(truths, tr)
+		}
+		tb.Data("new", 0, packet[:4])
+		if tb.pending["new"] != p {
+			t.Fatalf("%s: new key did not reuse the retired partial", tc.name)
+		}
+		tb.Intro("new", len(packet), sumOf(packet), nil)
+		if len(rec.log) != 0 {
+			t.Fatalf("%s: hooks %v before the second half arrived", tc.name, rec.log)
+		}
+		tb.Data("new", 4, packet[4:])
+		want := []string{"complete:new", "deliver:new:abcdefgh"}
+		if !slices.Equal(rec.log, want) || len(truths) != 1 || truths[0] != nil {
+			t.Errorf("%s: hooks %v, trailers %v; want %v with no trailer", tc.name, rec.log, truths, want)
+		}
+	}
+}
+
+// TestDeliveredBufferNeverReused keeps every delivered buffer and checks
+// that none changes while later transactions, delivered and not, run
+// through the recycled partials.
+func TestDeliveredBufferNeverReused(t *testing.T) {
+	tb, _ := newTable(Config{SharedKeys: true}, nil)
+	type kept struct{ got, want []byte }
+	var delivered []kept
+	tb.OnDeliver = func(_ string, data []byte, _ *frame.Truth) {
+		delivered = append(delivered, kept{data, append([]byte(nil), data...)})
+	}
+	want := 0
+	for i := 0; i < 50; i++ {
+		pkt := []byte(fmt.Sprintf("packet-%02d", i))
+		key := string(rune('a' + i%3))
+		switch i % 4 {
+		case 0, 1: // delivered, in halves
+			want++
+			tb.Intro(key, len(pkt), sumOf(pkt), nil)
+			tb.Data(key, 0, pkt[:5])
+			tb.Data(key, 5, pkt[5:])
+		case 2: // checksum failure: its buffer is recycled
+			tb.Intro(key, len(pkt), sumOf(pkt)+1, nil)
+			tb.Data(key, 0, pkt)
+		case 3: // conflict: its buffer is recycled
+			tb.Intro(key, len(pkt), sumOf(pkt), nil)
+			tb.Data(key, 0, pkt[:5])
+			tb.Data(key, 0, []byte("XXXXX"))
+		}
+	}
+	if len(delivered) != want {
+		t.Fatalf("delivered %d packets, want %d", len(delivered), want)
+	}
+	for i, d := range delivered {
+		if !bytes.Equal(d.got, d.want) {
+			t.Errorf("delivery %d changed after delivery: %q, delivered as %q", i, d.got, d.want)
+		}
+	}
+}
+
+// TestSteadyStateAllocatesOnlyDeliveredBuffers drives a warmed table
+// with a steady stream — early fragments, timeouts and deliveries — and
+// holds it to one allocation per packet handed to OnDeliver, the buffer
+// itself. With no OnDeliver nobody takes the buffer, so it is recycled
+// too and the stream allocates nothing.
+func TestSteadyStateAllocatesOnlyDeliveredBuffers(t *testing.T) {
+	sum := sumOf(packet)
+	// Each stale key idles out (1 s at 100 ms a round) well before the
+	// round that reuses it.
+	var stale [20]string
+	for i := range stale {
+		stale[i] = fmt.Sprint("stale", i)
+	}
+	for _, deliver := range []bool{true, false} {
+		c := &clock{}
+		tb := New[string](Config{Checksum: checksum.Internet, Timeout: time.Second, SharedKeys: true}, c.Now)
+		want := 0.0
+		if deliver {
+			tb.OnDeliver = func(string, []byte, *frame.Truth) {}
+			want = 1
+		}
+		n := 0
+		round := func() {
+			c.now += 100 * time.Millisecond
+			tb.Sweep()
+			tb.Data("early", 4, packet[4:]) // heard before its introduction
+			tb.Intro("early", len(packet), sum, nil)
+			tb.Data("early", 0, packet[:4])
+			tb.Data(stale[n%len(stale)], 0, packet[:4]) // never completes
+			n++
+		}
+		for i := 0; i < 100; i++ {
+			round()
+		}
+		delivered := tb.Stats().Delivered
+		if allocs := testing.AllocsPerRun(100, round); allocs != want {
+			t.Errorf("OnDeliver set %v: %.1f allocations per round, want %.0f", deliver, allocs, want)
+		}
+		if tb.Stats().Delivered-delivered != 101 || tb.Stats().Timeouts == 0 {
+			t.Errorf("OnDeliver set %v: stats %+v, want one delivery per round and timeouts", deliver, *tb.Stats())
+		}
 	}
 }
 
@@ -199,7 +362,7 @@ func TestLaterActivityDefersEviction(t *testing.T) {
 	tb, _ := newTable(Config{Timeout: 10 * time.Second}, c)
 	tb.Intro("k", len(packet), sumOf(packet), nil)
 	c.now = 8 * time.Second
-	tb.Data("k", &frag{0, packet[:4]})
+	tb.Data("k", 0, packet[:4])
 	c.now = 10*time.Second + 1
 	tb.Sweep()
 	if tb.Len() != 1 {
@@ -240,7 +403,7 @@ func TestCapEviction(t *testing.T) {
 		partialTx(tb, "b")
 		tick()
 		if tc.refresh {
-			tb.Data("a", &frag{0, packet[:4]})
+			tb.Data("a", 0, packet[:4])
 			tick()
 		}
 		partialTx(tb, "c")
@@ -271,7 +434,7 @@ func TestResetKeepsStats(t *testing.T) {
 	c := &clock{}
 	tb, _ := newTable(Config{Timeout: time.Second}, c)
 	tb.Intro("done", len(packet), sumOf(packet), nil)
-	tb.Data("done", &frag{0, packet})
+	tb.Data("done", 0, packet)
 	partialTx(tb, "k")
 	c.now = 2 * time.Second
 	tb.Sweep()
@@ -300,7 +463,7 @@ func TestResetKeepsStats(t *testing.T) {
 func TestEarlyFragmentsBounded(t *testing.T) {
 	tb, _ := newTable(Config{}, nil)
 	for i := 0; i < maxEarlyFragments+100; i++ {
-		tb.Data("k", &frag{0, packet[:1]})
+		tb.Data("k", 0, packet[:1])
 	}
 	if got := len(tb.pending["k"].early); got != maxEarlyFragments {
 		t.Errorf("buffered %d early fragments, want the bound %d", got, maxEarlyFragments)

@@ -28,7 +28,7 @@ type key struct {
 // corruption and is ignored.
 type Reassembler struct {
 	codec frame.StaticCodec
-	t     *reasm.Table[key, *frame.StaticData]
+	t     *reasm.Table[key]
 }
 
 // NewReassembler returns a reassembler calling deliver for each verified
@@ -37,7 +37,7 @@ func NewReassembler(cfg Config, now func() time.Duration, deliver func(Packet)) 
 	cfg = cfg.withDefaults()
 	r := &Reassembler{
 		codec: cfg.codec(),
-		t: reasm.New[key, *frame.StaticData](reasm.Config{
+		t: reasm.New[key](reasm.Config{
 			Checksum: cfg.Checksum,
 			Timeout:  cfg.ReassemblyTimeout,
 		}, now),
@@ -63,16 +63,16 @@ func (r *Reassembler) Reset() { r.t.Reset() }
 // Ingest processes one received frame.
 func (r *Reassembler) Ingest(frameBytes []byte) {
 	r.t.Sweep()
-	decoded, err := r.codec.Decode(frameBytes)
+	fr, err := r.codec.Decode(frameBytes)
 	if err != nil {
 		r.t.Stats().Malformed++
 		return
 	}
 	r.t.Stats().FragmentsIn++
-	switch fr := decoded.(type) {
-	case *frame.StaticIntro:
-		r.t.Intro(key{src: fr.Src, seq: fr.Seq}, fr.TotalLen, fr.Checksum, nil)
-	case *frame.StaticData:
-		r.t.Data(key{src: fr.Src, seq: fr.Seq}, fr)
+	k := key{src: fr.Src, seq: fr.Seq}
+	if fr.Intro {
+		r.t.Intro(k, fr.TotalLen, fr.Checksum, nil)
+	} else {
+		r.t.Data(k, fr.Offset, fr.Payload)
 	}
 }

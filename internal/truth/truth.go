@@ -131,7 +131,7 @@ type Frame struct {
 	Offset   int
 	TotalLen int    // introduction only
 	Checksum uint16 // introduction only
-	Payload  []byte // data only
+	Payload  []byte // data only; aliases the frame's bytes
 }
 
 // Observer consumes the tracker's attributed feed. Every call is
@@ -220,6 +220,8 @@ type Tracker struct {
 	// the send decoded.
 	last   Frame
 	lastOK bool
+	// frag is the decode scratch behind last; last.Truth points into it.
+	frag frame.Fragment
 
 	counts Counts
 }
@@ -306,26 +308,24 @@ func (t *Tracker) decodeInto(dst *Frame, payload []byte) bool {
 		}
 		payload = inner
 	}
-	decoded, err := t.codec.Decode(payload)
-	if err != nil {
+	var err error
+	if t.frag, err = t.codec.Decode(payload); err != nil {
 		return false
 	}
-	*dst = Frame{}
-	width := 0
-	switch fr := decoded.(type) {
-	case *frame.Intro:
-		dst.Intro, dst.Truth, dst.ID, width = true, fr.Truth, fr.ID, fr.IDBits
+	fr := &t.frag
+	*dst = Frame{Intro: fr.Intro, ID: fr.ID, Offset: fr.Offset, Payload: fr.Payload}
+	if fr.HasTruth {
+		dst.Truth = &fr.Truth
+	}
+	if fr.Intro {
 		dst.Offset, dst.TotalLen, dst.Checksum = -1, fr.TotalLen, fr.Checksum
-	case *frame.Data:
-		dst.Truth, dst.ID, width = fr.Truth, fr.ID, fr.IDBits
-		dst.Offset, dst.Payload = fr.Offset, fr.Payload
 	}
 	// A zero decoded width means the fixed format: the reassembler files
 	// the bare identifier; in-band widths key by (width, id).
-	if width == 0 {
+	if fr.IDBits == 0 {
 		dst.Key, dst.Width = dst.ID, t.codec.IDBits
 	} else {
-		dst.Key, dst.Width = aff.WidthKey(width, dst.ID), width
+		dst.Key, dst.Width = aff.WidthKey(fr.IDBits, dst.ID), fr.IDBits
 	}
 	return true
 }
