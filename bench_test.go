@@ -241,11 +241,14 @@ func BenchmarkEndToEndPacket(b *testing.B) {
 	}
 }
 
-// packetAllocBudget caps heap allocations per 80-byte packet end to end.
-// The event loop and per-frame callbacks allocate nothing in steady state;
-// what remains is the codec's decoded frames, packet buffers and
-// reassembly state (ROADMAP direction 1 lists them).
-const packetAllocBudget = 22
+// packetAllocBudget caps heap allocations per 80-byte packet end to end:
+// the 7 measured plus two of headroom. The event loop, per-frame
+// callbacks, transmit queue, frame decode and reassembly state allocate
+// nothing in steady state; what remains is one sealed buffer per encoded
+// frame (the intro's is small enough that two share one tiny-allocator
+// block), the fragmenter's transaction fragment list and the delivered
+// packet buffer.
+const packetAllocBudget = 9
 
 // raceEnabled is set by race_test.go in -race builds.
 var raceEnabled bool

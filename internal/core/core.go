@@ -284,13 +284,18 @@ func (l *ListeningSelector) Space() Space { return l.space }
 // Name returns "listening".
 func (l *ListeningSelector) Name() string { return "listening" }
 
+// trim forgets the observations older than the window. It drops them
+// from the front of recent in place, so ObserveWidth's append keeps
+// reusing one backing array.
 func (l *ListeningSelector) trim(window int) {
 	if window < 0 {
 		window = 0
 	}
-	for len(l.recent) > window {
-		old := l.recent[0]
-		l.recent = l.recent[1:]
+	drop := len(l.recent) - window
+	if drop <= 0 {
+		return
+	}
+	for _, old := range l.recent[:drop] {
 		if l.counts[old] <= 1 {
 			delete(l.counts, old)
 			bits, _ := SplitWidthKey(old)
@@ -302,6 +307,7 @@ func (l *ListeningSelector) trim(window int) {
 			l.counts[old]--
 		}
 	}
+	l.recent = l.recent[:copy(l.recent, l.recent[drop:])]
 }
 
 // SequentialSelector cycles deterministically through the space. It is not

@@ -124,6 +124,40 @@ func TestListeningSelectorWindowEviction(t *testing.T) {
 	}
 }
 
+// TestListeningSelectorWindowReusesStorage slides a full window, and then
+// a shrinking one, across a stream of observations: the window keeps
+// exactly the newest keys, and once warm it allocates nothing, because
+// trim drops the oldest entries in place.
+func TestListeningSelectorWindowReusesStorage(t *testing.T) {
+	window := 10
+	sel := NewListeningSelector(MustSpace(8), xrand.NewSource(5).Stream("slide"), func() int { return window })
+	next := uint64(0)
+	observe := func() {
+		sel.Observe(next % 256)
+		next++
+	}
+	for i := 0; i < 300; i++ {
+		observe()
+	}
+	base := &sel.recent[0]
+	if allocs := testing.AllocsPerRun(1000, observe); allocs != 0 {
+		t.Errorf("Observe allocated %.1f times once warm, want 0", allocs)
+	}
+	if &sel.recent[0] != base {
+		t.Error("the window moved to a new backing array once warm")
+	}
+	window = 4
+	observe()
+	if sel.Recent() != 4 || sel.RecentDistinct() != 4 {
+		t.Fatalf("window = %d/%d distinct after shrinking to 4", sel.Recent(), sel.RecentDistinct())
+	}
+	for back := uint64(1); back <= 4; back++ {
+		if sel.counts[WidthKey(8, (next-back)%256)] != 1 {
+			t.Errorf("newest observation %d missing from the window", (next-back)%256)
+		}
+	}
+}
+
 func TestListeningSelectorDuplicateObservations(t *testing.T) {
 	rng := xrand.NewSource(4).Stream("dup")
 	s := MustSpace(2)

@@ -425,3 +425,38 @@ func TestDeterministicRuns(t *testing.T) {
 		t.Errorf("runs diverged:\n%+v @ %v\n%+v @ %v", c1, t1, c2, t2)
 	}
 }
+
+// TestSendCycleAllocatesNothing holds the per-frame path to zero heap
+// allocations once warm: the transmit queue pops in place, so a burst of
+// sends keeps reusing one backing array, and the popped slots are
+// cleared so they pin no sent payload.
+func TestSendCycleAllocatesNothing(t *testing.T) {
+	eng, m := newTestMedium(t, FullMesh{}, DefaultParams())
+	a := m.MustAttach(1)
+	b := m.MustAttach(2)
+	received := 0
+	b.SetHandler(func(Frame) { received++ })
+	payloads := [][]byte{[]byte("one"), []byte("two"), []byte("three")}
+	cycle := func() {
+		for _, p := range payloads {
+			if err := a.Send(p, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eng.Run()
+	}
+	for i := 0; i < 10; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("send, transmit and complete allocated %.1f times per burst, want 0", allocs)
+	}
+	if received != 111*len(payloads) {
+		t.Errorf("received %d frames, want %d", received, 111*len(payloads))
+	}
+	for i, f := range a.queue[:cap(a.queue)] {
+		if f.Payload != nil {
+			t.Errorf("vacated queue slot %d still holds payload %q", i, f.Payload)
+		}
+	}
+}

@@ -173,10 +173,14 @@ func (r *Radio) attempt() {
 	r.transmitHead()
 }
 
-// transmitHead puts the head-of-queue frame on the air.
+// transmitHead puts the head-of-queue frame on the air. It pops in
+// place, so Send's append keeps reusing one backing array, and clears the
+// vacated slot so a sent payload is not kept reachable from it.
 func (r *Radio) transmitHead() {
 	f := r.queue[0]
-	r.queue = r.queue[1:]
+	n := copy(r.queue, r.queue[1:])
+	r.queue[n] = Frame{}
+	r.queue = r.queue[:n]
 	r.inFlight = true
 	r.m.begin(r, f)
 }
