@@ -159,6 +159,12 @@ func parseArgs(args []string) (options, error) {
 	if o.soak < 0 {
 		return options{}, fmt.Errorf("invalid -soak %v: must be non-negative", o.soak)
 	}
+	if o.trials < 1 {
+		return options{}, fmt.Errorf("invalid -trials %d: want at least 1", o.trials)
+	}
+	if o.duration <= 0 {
+		return options{}, fmt.Errorf("invalid -duration %v: must be positive", o.duration)
+	}
 	if o.arqRetries < 0 {
 		return options{}, fmt.Errorf("invalid -arq-retries %d: must be non-negative", o.arqRetries)
 	}

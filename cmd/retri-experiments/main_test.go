@@ -624,6 +624,28 @@ func TestParseMultihopFlags(t *testing.T) {
 	}
 }
 
+// TestParseRejectsNonPositiveTrialsAndDuration: a zero or negative
+// -duration runs trials with no simulated time (figure 4 then claims a 0
+// collision rate at every width) and -trials 0 leaves every mean NaN, so
+// both are rejected for any figure or ablation, -quick included.
+func TestParseRejectsNonPositiveTrialsAndDuration(t *testing.T) {
+	for _, args := range [][]string{
+		{"-figure", "4", "-duration", "0"},
+		{"-figure", "4", "-duration", "-1s"},
+		{"-figure", "scaling", "-duration", "0s"},
+		{"-ablation", "window", "-trials", "0"},
+		{"-figure", "4", "-trials", "-3"},
+		{"-quick", "-trials", "0"},
+	} {
+		if _, err := parseArgs(args); err == nil {
+			t.Errorf("%v accepted", args)
+		}
+	}
+	if _, err := parseArgs([]string{"-figure", "4", "-trials", "1", "-duration", "1ns"}); err != nil {
+		t.Errorf("smallest valid -trials and -duration rejected: %v", err)
+	}
+}
+
 func TestRunMultihopTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")

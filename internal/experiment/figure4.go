@@ -159,7 +159,7 @@ func (o TrialOutcome) capture() *TrialObs { return o.Obs }
 
 // Figure4 runs the full sweep.
 func Figure4(cfg Figure4Config) (Figure4Result, error) {
-	if cfg.Transmitters < 1 || cfg.Trials < 1 || len(cfg.IDBits) == 0 {
+	if cfg.Transmitters < 1 || cfg.Trials < 1 || cfg.Duration <= 0 || len(cfg.IDBits) == 0 {
 		return Figure4Result{}, fmt.Errorf("experiment: degenerate figure-4 config %+v", cfg)
 	}
 	res := Figure4Result{

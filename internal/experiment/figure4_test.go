@@ -127,6 +127,19 @@ func TestFigure4ValidatesConfig(t *testing.T) {
 	}
 }
 
+// TestFigure4RejectsNonPositiveDuration: a trial with no simulated time
+// delivers nothing, and the sweep would report a 0 collision rate at
+// every width instead of failing.
+func TestFigure4RejectsNonPositiveDuration(t *testing.T) {
+	for _, d := range []time.Duration{0, -time.Second} {
+		bad := quickConfig()
+		bad.Duration = d
+		if _, err := Figure4(bad); err == nil {
+			t.Errorf("duration %v accepted", d)
+		}
+	}
+}
+
 func TestMakeSelectorUnknownKind(t *testing.T) {
 	cfg := quickConfig()
 	if _, err := RunCollisionTrial(cfg, SelectorKind("bogus"), 6, xrand.NewSource(1).Child("x")); err == nil {
