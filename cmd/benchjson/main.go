@@ -70,9 +70,9 @@ type Snapshot struct {
 }
 
 // defaultMatch selects the gated benchmark families: the wire codec, the
-// radio medium delivery path, the event engine, one packet end to end, and
-// the sharded core.
-const defaultMatch = `^(AFFEncodeData|AFFDecodeData|Medium|ScheduleRun|EngineSteadyState|EndToEndPacket|Shard)`
+// radio medium delivery path, the event engine, one packet reassembled,
+// one packet end to end, and the sharded core.
+const defaultMatch = `^(AFFEncodeData|AFFDecodeData|Medium|ScheduleRun|EngineSteadyState|Reassemble80Byte|EndToEndPacket|Shard)`
 
 func main() {
 	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
