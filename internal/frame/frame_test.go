@@ -34,6 +34,9 @@ func TestAFFIntroRoundTrip(t *testing.T) {
 	if gi.HasTruth {
 		t.Error("uninstrumented decode produced a Truth trailer")
 	}
+	if gi.IDBits != 0 {
+		t.Errorf("fixed-width decode set IDBits = %d, want 0", gi.IDBits)
+	}
 }
 
 func TestAFFDataRoundTrip(t *testing.T) {
@@ -331,30 +334,26 @@ func TestAFFInBandWidthDemux(t *testing.T) {
 	}
 }
 
-// TestAFFFixedWidthBytesUnchanged pins the original wire format: a codec
-// without InBandWidth must emit exactly the bytes it always has, and its
-// decodes must leave IDBits zero.
-func TestAFFFixedWidthBytesUnchanged(t *testing.T) {
-	c := AFFCodec{IDBits: 9}
-	buf, bits, err := c.EncodeIntro(Intro{ID: 0x1AB, TotalLen: 80, Checksum: 0xBEEF})
+// encodeVector encodes a wire vector's introduction and data frame.
+func encodeVector(v wireVector) (intro, data wireFrame, err error) {
+	if v.seqBits > 0 {
+		c := StaticCodec{AddrBits: v.idBits, SeqBits: v.seqBits}
+		buf, bits, err := c.EncodeIntro(StaticIntro{Src: v.id, Seq: v.seq, TotalLen: vectorLen, Checksum: vectorSum})
+		if err != nil {
+			return intro, data, err
+		}
+		intro = newWireFrame(buf, bits)
+		buf, bits, err = c.EncodeData(StaticData{Src: v.id, Seq: v.seq, Offset: vectorOffset, Payload: vectorPayload})
+		return intro, newWireFrame(buf, bits), err
+	}
+	c := AFFCodec{IDBits: v.idBits, Instrument: v.instrument, InBandWidth: v.inBand}
+	buf, bits, err := c.EncodeIntro(Intro{ID: v.id, TotalLen: vectorLen, Checksum: vectorSum, Truth: v.truth})
 	if err != nil {
-		t.Fatal(err)
+		return intro, data, err
 	}
-	if bits != 1+9+16+16 {
-		t.Errorf("fixed intro bits = %d, want 42", bits)
-	}
-	// kind=0, id=0x1AB (9 bits), len=80, sum=0xBEEF, packed MSB-first.
-	want := []byte{0x6A, 0xC0, 0x14, 0x2F, 0xBB, 0xC0}
-	if !bytes.Equal(buf, want) {
-		t.Errorf("fixed intro bytes = %x, want %x", buf, want)
-	}
-	gi, err := c.Decode(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gi.IDBits != 0 {
-		t.Errorf("fixed decode set IDBits = %d, want 0", gi.IDBits)
-	}
+	intro = newWireFrame(buf, bits)
+	buf, bits, err = c.EncodeData(Data{ID: v.id, Offset: vectorOffset, Payload: vectorPayload, Truth: v.truth})
+	return intro, newWireFrame(buf, bits), err
 }
 
 // TestDecodeAllocatesNothing holds both codecs' receive path to zero heap
