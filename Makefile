@@ -10,9 +10,7 @@ FUZZTIME ?= 10s
 # package per -fuzz run, so the short CI pass loops over pkg:target pairs.
 FUZZ_TARGETS := \
 	./internal/frame/:FuzzAFFDecode \
-	./internal/frame/:FuzzStaticDecode \
 	./internal/frame/:FuzzAFFBitFlip \
-	./internal/frame/:FuzzStaticBitFlip \
 	./internal/mobility/:FuzzMobilityScript \
 	./internal/flood/:FuzzRelayEnvelope
 
@@ -25,7 +23,10 @@ FUZZ_TARGETS := \
 # is the ground-truth lifecycle both the oracle and the span tracer read.
 # reasm is the partial-packet table under all three reassemblers, so a
 # hole there is a hole in both sides of every collision measurement.
-COVER_PKGS := internal/density internal/adapt internal/oracle internal/truth internal/dynaddr internal/reasm
+# frame, aff and staticaddr are the one codec and split loop both
+# fragment formats share and the two services built on them.
+COVER_PKGS := internal/density internal/adapt internal/oracle internal/truth internal/dynaddr internal/reasm \
+	internal/frame internal/aff internal/staticaddr
 COVER_FLOOR := 80
 
 .PHONY: check vet build test race golden benchtest fuzz benchsmoke benchcompare bench profile cover trace-demo chaossmoke scalesmoke multihopsmoke

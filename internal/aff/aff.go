@@ -24,16 +24,6 @@ import (
 	"retri/internal/frame"
 )
 
-var (
-	// ErrPacketTooLarge is returned for packets beyond the 64 KiB driver
-	// limit.
-	ErrPacketTooLarge = errors.New("aff: packet exceeds 64KiB limit")
-	// ErrEmptyPacket is returned for zero-length packets.
-	ErrEmptyPacket = errors.New("aff: empty packet")
-	// ErrMTUTooSmall is returned when no payload fits in a data fragment.
-	ErrMTUTooSmall = errors.New("aff: MTU too small for fragment header")
-)
-
 // Config parameterizes a fragmenter/reassembler pair. Both ends of a
 // deployment must agree on Space, Checksum and Instrument (they define the
 // wire format).
@@ -79,8 +69,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-func (c Config) codec() frame.AFFCodec {
-	return frame.AFFCodec{IDBits: c.Space.Bits(), Instrument: c.Instrument, InBandWidth: c.AdaptiveWidth}
+func (c Config) codec() frame.Codec {
+	return frame.Codec{IDBits: c.Space.Bits(), Instrument: c.Instrument, InBandWidth: c.AdaptiveWidth}
 }
 
 // WidthKey builds the composite reassembly key for an identifier heard at
@@ -95,22 +85,17 @@ func WidthKey(bits int, id uint64) uint64 { return core.WidthKey(bits, id) }
 // SplitWidthKey undoes WidthKey, returning the width and raw identifier.
 func SplitWidthKey(key uint64) (bits int, id uint64) { return core.SplitWidthKey(key) }
 
-// Fragment is one encoded radio frame of a transaction.
-type Fragment struct {
-	// Bytes is the encoded frame.
-	Bytes []byte
-	// Bits is the number of meaningful bits (airtime/energy accounting).
-	Bits int
-}
-
 // Transaction is a fragmented packet ready for transmission. In the
 // paper's terms, transmitting all of these frames is one transaction.
 type Transaction struct {
 	// ID is the RETRI identifier drawn for this packet.
 	ID uint64
+	// Key is the transaction's reassembly key: ID in fixed-width mode,
+	// the WidthKey(IDBits, ID) composite in adaptive mode.
+	Key uint64
 	// Fragments holds the introduction first, then data fragments in
 	// offset order.
-	Fragments []Fragment
+	Fragments []frame.Encoded
 	// DataBits is the packet's payload size in bits (the "useful bits"
 	// numerator of Equation 1).
 	DataBits int
@@ -128,21 +113,10 @@ type Transaction struct {
 	Redraws int
 }
 
-// TotalBits sums the meaningful bits across all fragments (the
-// protocol-level "total bits transmitted" denominator of Equation 1,
-// excluding MAC framing).
-func (t Transaction) TotalBits() int {
-	sum := 0
-	for _, f := range t.Fragments {
-		sum += f.Bits
-	}
-	return sum
-}
-
 // Fragmenter splits packets into address-free fragments.
 type Fragmenter struct {
 	cfg   Config
-	codec frame.AFFCodec
+	codec frame.Codec
 	sel   core.Selector
 	node  uint32
 	seq   uint32
@@ -161,11 +135,8 @@ func NewFragmenter(cfg Config, sel core.Selector, truthNode uint32) (*Fragmenter
 			sel.Space().Bits(), cfg.Space.Bits())
 	}
 	codec := cfg.codec()
-	if codec.MaxPayload(cfg.MTU) <= 0 {
-		return nil, fmt.Errorf("%w: %d bytes", ErrMTUTooSmall, cfg.MTU)
-	}
-	if (codec.IntroBits()+7)/8 > cfg.MTU {
-		return nil, fmt.Errorf("%w: intro needs %d bytes", ErrMTUTooSmall, (codec.IntroBits()+7)/8)
+	if err := codec.CheckMTU(cfg.MTU); err != nil {
+		return nil, err
 	}
 	return &Fragmenter{cfg: cfg, codec: codec, sel: sel, node: truthNode}, nil
 }
@@ -179,11 +150,8 @@ func (f *Fragmenter) Selector() core.Selector { return f.sel }
 // Fragment draws a fresh identifier and splits packet into fragments:
 // one introduction plus ceil(len/payload) data fragments.
 func (f *Fragmenter) Fragment(packet []byte) (Transaction, error) {
-	if len(packet) == 0 {
-		return Transaction{}, ErrEmptyPacket
-	}
-	if len(packet) > frame.MaxPacketLen {
-		return Transaction{}, fmt.Errorf("%w: %d bytes", ErrPacketTooLarge, len(packet))
+	if err := frame.CheckPacket(packet); err != nil {
+		return Transaction{}, err
 	}
 	return f.fragmentWithID(f.codec, f.sel.Next(), packet)
 }
@@ -203,11 +171,8 @@ func (f *Fragmenter) FragmentWidth(packet []byte, bits int) (Transaction, error)
 	if bits < 1 || bits > f.cfg.Space.Bits() {
 		return Transaction{}, fmt.Errorf("aff: width %d outside [1, %d]", bits, f.cfg.Space.Bits())
 	}
-	if len(packet) == 0 {
-		return Transaction{}, ErrEmptyPacket
-	}
-	if len(packet) > frame.MaxPacketLen {
-		return Transaction{}, fmt.Errorf("%w: %d bytes", ErrPacketTooLarge, len(packet))
+	if err := frame.CheckPacket(packet); err != nil {
+		return Transaction{}, err
 	}
 	codec := f.codec
 	codec.IDBits = bits
@@ -251,22 +216,13 @@ func (f *Fragmenter) FragmentWidthAvoiding(packet []byte, bits int, avoid uint64
 // avoid, comparing under the mode's reassembly keyspace: raw identifiers
 // in fixed-width mode, WidthKey composites in adaptive mode.
 func (f *Fragmenter) fragmentAvoidingAt(packet []byte, bits int, avoid uint64) (Transaction, error) {
-	if len(packet) == 0 {
-		return Transaction{}, ErrEmptyPacket
-	}
-	if len(packet) > frame.MaxPacketLen {
-		return Transaction{}, fmt.Errorf("%w: %d bytes", ErrPacketTooLarge, len(packet))
-	}
-	key := func(id uint64) uint64 {
-		if f.cfg.AdaptiveWidth {
-			return WidthKey(bits, id)
-		}
-		return id
+	if err := frame.CheckPacket(packet); err != nil {
+		return Transaction{}, err
 	}
 	id := f.sel.NextWidth(bits)
 	redraws := 0
 	if uint64(1)<<uint(bits) > 1 {
-		for key(id) == avoid {
+		for f.key(bits, id) == avoid {
 			id = f.sel.NextWidth(bits)
 			redraws++
 		}
@@ -284,49 +240,32 @@ func (f *Fragmenter) fragmentAvoidingAt(packet []byte, bits int, avoid uint64) (
 // fragmentWithID splits a validated packet under the given identifier,
 // encoding with the given codec (the fragmenter's own, or a narrower-width
 // variant built by FragmentWidth).
-func (f *Fragmenter) fragmentWithID(codec frame.AFFCodec, id uint64, packet []byte) (Transaction, error) {
+func (f *Fragmenter) fragmentWithID(codec frame.Codec, id uint64, packet []byte) (Transaction, error) {
 	var truth *frame.Truth
 	if f.cfg.Instrument {
 		truth = &frame.Truth{Node: f.node, Seq: f.seq}
 		f.seq++
 	}
-
-	maxPayload := codec.MaxPayload(f.cfg.MTU)
-	nData := (len(packet) + maxPayload - 1) / maxPayload
-	tx := Transaction{
+	frames, err := codec.Split(packet, f.cfg.MTU, id, 0, checksum.Sum(f.cfg.Checksum, packet), truth)
+	if err != nil {
+		return Transaction{}, fmt.Errorf("aff: %w", err)
+	}
+	return Transaction{
 		ID:        id,
-		Fragments: make([]Fragment, 0, nData+1),
+		Key:       f.key(codec.IDBits, id),
+		Fragments: frames,
 		DataBits:  8 * len(packet),
 		IDBits:    codec.IDBits,
 		Truth:     truth,
-	}
+	}, nil
+}
 
-	introBytes, introBits, err := codec.EncodeIntro(frame.Intro{
-		ID:       id,
-		TotalLen: len(packet),
-		Checksum: checksum.Sum(f.cfg.Checksum, packet),
-		Truth:    truth,
-	})
-	if err != nil {
-		return Transaction{}, fmt.Errorf("aff: encode intro: %w", err)
+// key maps an identifier drawn at the given width into the reassembly
+// keyspace: raw identifiers in fixed-width mode, WidthKey composites in
+// adaptive mode.
+func (f *Fragmenter) key(bits int, id uint64) uint64 {
+	if f.cfg.AdaptiveWidth {
+		return WidthKey(bits, id)
 	}
-	tx.Fragments = append(tx.Fragments, Fragment{Bytes: introBytes, Bits: introBits})
-
-	for off := 0; off < len(packet); off += maxPayload {
-		end := off + maxPayload
-		if end > len(packet) {
-			end = len(packet)
-		}
-		dataBytes, dataBits, err := codec.EncodeData(frame.Data{
-			ID:      id,
-			Offset:  off,
-			Payload: packet[off:end],
-			Truth:   truth,
-		})
-		if err != nil {
-			return Transaction{}, fmt.Errorf("aff: encode data at %d: %w", off, err)
-		}
-		tx.Fragments = append(tx.Fragments, Fragment{Bytes: dataBytes, Bits: dataBits})
-	}
-	return tx, nil
+	return id
 }

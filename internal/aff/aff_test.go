@@ -52,18 +52,18 @@ func TestFragmentPacketShape(t *testing.T) {
 			t.Errorf("fragment %d bit count %d inconsistent with %d bytes", i, fr.Bits, len(fr.Bytes))
 		}
 	}
-	if tx.TotalBits() <= tx.DataBits {
+	if frame.TotalBits(tx.Fragments) <= tx.DataBits {
 		t.Error("TotalBits must exceed DataBits (headers cost something)")
 	}
 }
 
 func TestFragmentRejectsBadPackets(t *testing.T) {
 	f := newFragmenter(t, testConfig(9), 2)
-	if _, err := f.Fragment(nil); !errors.Is(err, ErrEmptyPacket) {
-		t.Errorf("empty packet err = %v, want ErrEmptyPacket", err)
+	if _, err := f.Fragment(nil); !errors.Is(err, frame.ErrEmptyPacket) {
+		t.Errorf("empty packet err = %v, want frame.ErrEmptyPacket", err)
 	}
-	if _, err := f.Fragment(make([]byte, frame.MaxPacketLen+1)); !errors.Is(err, ErrPacketTooLarge) {
-		t.Errorf("oversize packet err = %v, want ErrPacketTooLarge", err)
+	if _, err := f.Fragment(make([]byte, frame.MaxPacketLen+1)); !errors.Is(err, frame.ErrPacketTooLarge) {
+		t.Errorf("oversize packet err = %v, want frame.ErrPacketTooLarge", err)
 	}
 }
 
@@ -79,8 +79,8 @@ func TestNewFragmenterValidation(t *testing.T) {
 	tiny := cfg
 	tiny.MTU = 2
 	sel := core.NewUniformSelector(cfg.Space, xrand.NewSource(1).Stream("y"))
-	if _, err := NewFragmenter(tiny, sel, 0); !errors.Is(err, ErrMTUTooSmall) {
-		t.Errorf("tiny MTU err = %v, want ErrMTUTooSmall", err)
+	if _, err := NewFragmenter(tiny, sel, 0); !errors.Is(err, frame.ErrMTUTooSmall) {
+		t.Errorf("tiny MTU err = %v, want frame.ErrMTUTooSmall", err)
 	}
 }
 

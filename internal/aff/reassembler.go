@@ -31,7 +31,7 @@ type Packet struct {
 // overlap with different bytes, an offset past the announced length) is
 // evidence of a collision and drops the transaction.
 type Reassembler struct {
-	codec frame.AFFCodec
+	codec frame.Codec
 	t     *reasm.Table[uint64]
 	// frag is the decode scratch: one fragment at a time, by value.
 	frag frame.Fragment

@@ -18,7 +18,7 @@ import (
 // Reassembler over the same fragment stream gives the two packet counts
 // whose ratio is the measured collision rate.
 type TruthReassembler struct {
-	codec frame.AFFCodec
+	codec frame.Codec
 	t     *reasm.Table[frame.Truth]
 	// frag is the decode scratch: one fragment at a time, by value.
 	frag frame.Fragment

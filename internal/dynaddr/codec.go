@@ -26,6 +26,7 @@ import (
 	"fmt"
 
 	"retri/internal/bitio"
+	"retri/internal/frame"
 )
 
 // Frame demultiplexer values.
@@ -90,14 +91,6 @@ func (c codec) encodeControl(m Control) ([]byte, int, error) {
 	return w.Bytes(), bits, nil
 }
 
-// wrapData prefixes a data frame with the demux bit.
-func wrapData(payload []byte, bits int) ([]byte, int) {
-	w := bitio.NewWriter()
-	mustWrite(w, demuxData, 1)
-	w.WriteBytes(payload)
-	return w.Bytes(), 1 + bits
-}
-
 // decode splits a frame into either a control message or an inner data
 // frame. Exactly one of ctrl/data is meaningful, per isControl.
 func (c codec) decode(p []byte) (ctrl Control, data []byte, isControl bool, err error) {
@@ -107,11 +100,10 @@ func (c codec) decode(p []byte) (ctrl Control, data []byte, isControl bool, err 
 		return Control{}, nil, false, fmt.Errorf("%w: empty frame", ErrBadControl)
 	}
 	if demux == demuxData {
-		inner := make([]byte, r.Remaining()/8)
-		if err := r.ReadBytes(inner); err != nil {
-			return Control{}, nil, false, fmt.Errorf("%w: %v", ErrBadControl, err)
-		}
-		return Control{}, inner, false, nil
+		// The data frame sits behind the demux bit, shifted off byte
+		// boundaries; UnwrapBit shifts it back.
+		_, data, _ = frame.UnwrapBit(p)
+		return Control{}, data, false, nil
 	}
 	kind, err := r.ReadBits(kindBits)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"retri/internal/frame"
 	"retri/internal/radio"
 	"retri/internal/sim"
 	"retri/internal/staticaddr"
@@ -67,7 +68,7 @@ func TestCodecRejectsBadControl(t *testing.T) {
 func TestCodecDataRoundTrip(t *testing.T) {
 	c := codec{addrBits: 10}
 	inner := []byte{9, 8, 7, 6}
-	buf, bits := wrapData(inner, 8*len(inner))
+	buf, bits := frame.WrapBit(demuxData, inner, 8*len(inner))
 	if bits != 1+32 {
 		t.Errorf("wrapped bits = %d, want 33", bits)
 	}

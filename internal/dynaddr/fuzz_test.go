@@ -1,13 +1,17 @@
 package dynaddr
 
-import "testing"
+import (
+	"testing"
+
+	"retri/internal/frame"
+)
 
 // FuzzDecode: the demux/control decoder must never panic, and any control
 // message it accepts must re-encode to an equivalent frame.
 func FuzzDecode(f *testing.F) {
 	c := codec{addrBits: 10}
 	claim, _, _ := c.encodeControl(Control{Kind: MsgClaim, Addr: 5, Nonce: 9})
-	data, _ := wrapData([]byte{1, 2, 3}, 24)
+	data, _ := frame.WrapBit(demuxData, []byte{1, 2, 3}, 24)
 	f.Add(claim, 10)
 	f.Add(data, 10)
 	f.Add([]byte{}, 4)

@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"time"
 
+	"retri/internal/frame"
 	"retri/internal/radio"
 	"retri/internal/sim"
 	"retri/internal/staticaddr"
@@ -151,7 +152,7 @@ func (n *Node) SendPacket(p []byte) error {
 		return err
 	}
 	for _, fr := range tx.Fragments {
-		payload, bits := wrapData(fr.Bytes, fr.Bits)
+		payload, bits := frame.WrapBit(demuxData, fr.Bytes, fr.Bits)
 		if n.relay != nil {
 			payload, bits = n.relay.WrapOutgoing(payload, bits)
 		}

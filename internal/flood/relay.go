@@ -52,7 +52,7 @@ type Keyer func(inner []byte) (RelayKey, bool)
 // composites (aff.WidthKey), so a relay carrying mixed-width traffic
 // never suppresses across widths.
 func AFFKeyer(cfg aff.Config) Keyer {
-	codec := frame.AFFCodec{
+	codec := frame.Codec{
 		IDBits:      cfg.Space.Bits(),
 		Instrument:  cfg.Instrument,
 		InBandWidth: cfg.AdaptiveWidth,

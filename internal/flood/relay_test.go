@@ -197,7 +197,7 @@ func TestRelayValidation(t *testing.T) {
 func TestAFFKeyerMixedWidthKeys(t *testing.T) {
 	affCfg := aff.Config{Space: core.MustSpace(16), MTU: 27, AdaptiveWidth: true}
 	keyer := AFFKeyer(affCfg)
-	codec := frame.AFFCodec{IDBits: 16, InBandWidth: true}
+	codec := frame.Codec{IDBits: 16, InBandWidth: true}
 	intro := func(width int, id uint64) RelayKey {
 		c := codec
 		c.IDBits = width

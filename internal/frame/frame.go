@@ -1,21 +1,25 @@
-// Package frame defines the on-air wire formats.
+// Package frame defines the on-air wire formats and the fragmenting
+// steps both fragmentation services share.
 //
-// The AFF format is the paper's Section 5 fragment layout: a packet
-// introduction carrying the random identifier, total length and checksum,
-// followed by data fragments carrying the identifier and a byte offset. No
-// fragment carries a source or destination address — that is the design.
-//
-// The static format is the baseline the paper compares against: every
-// fragment carries the sender's statically allocated unique address plus a
-// per-sender sequence number, forming a guaranteed-unique packet key
-// exactly as IP fragmentation does with (source address, identification).
+// One Codec covers both of the paper's formats, which differ only in how
+// a fragment names its transaction. The AFF format is the paper's Section
+// 5 fragment layout: a packet introduction carrying the random
+// identifier, total length and checksum, followed by data fragments
+// carrying the identifier and a byte offset. No fragment carries a source
+// or destination address — that is the design. The static format is the
+// baseline the paper compares against: the identifier field holds the
+// sender's statically allocated unique address and a sequence field
+// follows it, forming a guaranteed-unique packet key exactly as IP
+// fragmentation does with (source address, identification). A codec with
+// SeqBits above zero speaks the static format.
 //
 // Both formats are packed with bit precision: an H-bit identifier costs H
 // bits on air, not a rounded-up byte. Encoders return the meaningful bit
 // count alongside the byte buffer so the radio layer can price airtime and
-// energy honestly.
+// energy honestly. Split turns a packet into its introduction and data
+// frames under one key; the services around it only choose the key.
 //
-// For the Figure 4 methodology, both formats can carry an instrumentation
+// For the Figure 4 methodology, fragments can carry an instrumentation
 // trailer with the simulation's ground-truth (node, sequence) pair. The
 // reassembler under test never reads it; only the measurement harness does
 // (Section 5.1: "the fragment format is augmented to include this
@@ -42,8 +46,13 @@ const (
 	// MaxPacketLen is the largest packet either format can describe.
 	MaxPacketLen = 1<<lenBits - 1
 
-	// MaxIDBits is the widest identifier either AFF format can carry.
+	// MaxIDBits is the widest AFF identifier: the cap for a codec without
+	// a sequence field, and for any codec with the in-band width field.
 	MaxIDBits = 32
+	// maxAddrBits and maxSeqBits bound the static format's address and
+	// sequence fields.
+	maxAddrBits = 64
+	maxSeqBits  = 32
 )
 
 // Fragment kinds on the wire.
@@ -58,6 +67,14 @@ var (
 	ErrTruncated = errors.New("frame: truncated frame")
 	// ErrBadField is returned when a field value cannot be encoded.
 	ErrBadField = errors.New("frame: field out of range")
+	// ErrEmptyPacket is returned for zero-length packets.
+	ErrEmptyPacket = errors.New("frame: empty packet")
+	// ErrPacketTooLarge is returned for packets beyond the 64 KiB driver
+	// limit.
+	ErrPacketTooLarge = errors.New("frame: packet exceeds 64KiB limit")
+	// ErrMTUTooSmall is returned when a fragment header leaves no room in
+	// the MTU.
+	ErrMTUTooSmall = errors.New("frame: MTU too small for fragment header")
 )
 
 // Truth is the instrumentation trailer: simulation ground truth identifying
@@ -70,9 +87,11 @@ type Truth struct {
 }
 
 // Intro is a packet-introduction fragment: "containing the packet's AFF
-// identifier, total length, and checksum" (Section 5).
+// identifier, total length, and checksum" (Section 5). In the static
+// format ID is the sender's address and Seq its packet sequence number.
 type Intro struct {
 	ID       uint64
+	Seq      uint64
 	TotalLen int
 	Checksum uint16
 	Truth    *Truth
@@ -82,17 +101,20 @@ type Intro struct {
 // data it carries" (Section 5).
 type Data struct {
 	ID      uint64
+	Seq     uint64
 	Offset  int
 	Payload []byte
 	Truth   *Truth
 }
 
-// Fragment is one decoded AFF fragment, an introduction or a data
-// fragment, held by value so that decoding allocates nothing.
+// Fragment is one decoded fragment, an introduction or a data fragment,
+// held by value so that decoding allocates nothing.
 type Fragment struct {
 	// Intro marks an introduction; otherwise the fragment carries data.
 	Intro bool
 	ID    uint64
+	// Seq is the static format's sequence number; 0 in the AFF format.
+	Seq uint64
 	// IDBits is the identifier width the fragment was decoded with. It is
 	// set only by in-band-width codecs (InBandWidth); fixed-width decodes
 	// leave it 0, meaning "the codec's configured width".
@@ -111,8 +133,12 @@ type Fragment struct {
 	HasTruth bool
 }
 
-// AFFCodec encodes and decodes address-free fragments with IDBits-wide
-// identifiers. Instrument appends the Truth trailer to every fragment.
+// Codec encodes and decodes fragments with IDBits-wide identifiers.
+// Instrument appends the Truth trailer to every fragment.
+//
+// SeqBits above zero selects the static format: a SeqBits-wide sequence
+// field follows the identifier, which then holds a 1- to 64-bit address.
+// SeqBits 0 is the AFF format, whose identifiers are at most MaxIDBits.
 //
 // InBandWidth switches to the adaptive-width wire format: a 5-bit field
 // after the kind bit carries the identifier width (stored as IDBits-1),
@@ -121,33 +147,43 @@ type Fragment struct {
 // per transaction at the width its controller chose — while decoding
 // trusts the in-band field, so one receiver codec demuxes a mix of widths.
 // With InBandWidth unset the wire format is bit-for-bit the original.
-type AFFCodec struct {
+//
+// The layout is [kind][width?][id][seq?][len+checksum | offset][trailer?].
+type Codec struct {
 	IDBits      int
+	SeqBits     int
 	Instrument  bool
 	InBandWidth bool
 }
 
+// AFFCodec is Codec's name from before it covered the static format,
+// kept because the benchmark module (bench/) still builds codecs by it.
+type AFFCodec = Codec
+
 // IntroBits returns the meaningful bit length of an introduction fragment.
-func (c AFFCodec) IntroBits() int {
-	return kindBits + c.widthOverhead() + c.IDBits + lenBits + checksumBits + c.truthOverhead()
+func (c Codec) IntroBits() int {
+	return c.keyBits() + lenBits + checksumBits + c.truthOverhead()
 }
 
 // DataHeaderBits returns the meaningful bit length of a data fragment's
 // header, excluding payload.
-func (c AFFCodec) DataHeaderBits() int {
-	return kindBits + c.widthOverhead() + c.IDBits + offsetBits + c.truthOverhead()
+func (c Codec) DataHeaderBits() int {
+	return c.keyBits() + offsetBits + c.truthOverhead()
 }
 
-func (c AFFCodec) widthOverhead() int {
+// keyBits is the header before the kind-specific fields: the kind bit,
+// the in-band width, the identifier and the sequence number.
+func (c Codec) keyBits() int {
+	n := kindBits + c.IDBits + c.SeqBits
 	if c.InBandWidth {
-		return widthBits
+		n += widthBits
 	}
-	return 0
+	return n
 }
 
 // MaxPayload returns the number of data bytes that fit in one data
 // fragment under the given MTU (in bytes), or 0 if none fit.
-func (c AFFCodec) MaxPayload(mtu int) int {
+func (c Codec) MaxPayload(mtu int) int {
 	headerBytes := (c.DataHeaderBits() + 7) / 8
 	if mtu <= headerBytes {
 		return 0
@@ -155,36 +191,55 @@ func (c AFFCodec) MaxPayload(mtu int) int {
 	return mtu - headerBytes
 }
 
-func (c AFFCodec) truthOverhead() int {
+func (c Codec) truthOverhead() int {
 	if c.Instrument {
 		return truthBits + truthGuardBits
 	}
 	return 0
 }
 
-func (c AFFCodec) validate() error {
-	if c.IDBits < 1 || c.IDBits > 32 {
+func (c Codec) validate() error {
+	maxID := MaxIDBits
+	if c.SeqBits > 0 && !c.InBandWidth {
+		maxID = maxAddrBits
+	}
+	if c.IDBits < 1 || c.IDBits > maxID {
 		return fmt.Errorf("%w: identifier width %d", ErrBadField, c.IDBits)
+	}
+	if c.SeqBits < 0 || c.SeqBits > maxSeqBits {
+		return fmt.Errorf("%w: sequence width %d", ErrBadField, c.SeqBits)
 	}
 	return nil
 }
 
+// checkKey validates the codec and that id and seq fit their fields.
+func (c Codec) checkKey(id, seq uint64) error {
+	if err := c.validate(); err != nil {
+		return err
+	}
+	if !fits(id, c.IDBits) {
+		return fmt.Errorf("%w: id %d exceeds %d bits", ErrBadField, id, c.IDBits)
+	}
+	if !fits(seq, c.SeqBits) {
+		return fmt.Errorf("%w: sequence %d exceeds %d bits", ErrBadField, seq, c.SeqBits)
+	}
+	return nil
+}
+
+// fits reports whether v fits in an n-bit field.
+func fits(v uint64, n int) bool { return n >= 64 || v < 1<<uint(n) }
+
 // EncodeIntro serializes an introduction fragment, returning the frame
 // bytes and the count of meaningful bits.
-func (c AFFCodec) EncodeIntro(in Intro) ([]byte, int, error) {
-	if err := c.validate(); err != nil {
+func (c Codec) EncodeIntro(in Intro) ([]byte, int, error) {
+	if err := c.checkKey(in.ID, in.Seq); err != nil {
 		return nil, 0, err
-	}
-	if in.ID >= 1<<uint(c.IDBits) {
-		return nil, 0, fmt.Errorf("%w: id %d exceeds %d bits", ErrBadField, in.ID, c.IDBits)
 	}
 	if in.TotalLen < 0 || in.TotalLen > MaxPacketLen {
 		return nil, 0, fmt.Errorf("%w: total length %d", ErrBadField, in.TotalLen)
 	}
 	w := getWriter()
-	mustWrite(w, kindIntro, kindBits)
-	c.writeWidth(w)
-	mustWrite(w, in.ID, c.IDBits)
+	c.writeKey(w, kindIntro, in.ID, in.Seq)
 	mustWrite(w, uint64(in.TotalLen), lenBits)
 	mustWrite(w, uint64(in.Checksum), checksumBits)
 	writeTruth(w, c.Instrument, in.Truth)
@@ -196,12 +251,9 @@ func (c AFFCodec) EncodeIntro(in Intro) ([]byte, int, error) {
 // EncodeData serializes a data fragment, returning the frame bytes and the
 // count of meaningful bits. The payload begins at the next byte boundary
 // after the header.
-func (c AFFCodec) EncodeData(d Data) ([]byte, int, error) {
-	if err := c.validate(); err != nil {
+func (c Codec) EncodeData(d Data) ([]byte, int, error) {
+	if err := c.checkKey(d.ID, d.Seq); err != nil {
 		return nil, 0, err
-	}
-	if d.ID >= 1<<uint(c.IDBits) {
-		return nil, 0, fmt.Errorf("%w: id %d exceeds %d bits", ErrBadField, d.ID, c.IDBits)
 	}
 	if d.Offset < 0 || d.Offset > MaxPacketLen {
 		return nil, 0, fmt.Errorf("%w: offset %d", ErrBadField, d.Offset)
@@ -210,9 +262,7 @@ func (c AFFCodec) EncodeData(d Data) ([]byte, int, error) {
 		return nil, 0, fmt.Errorf("%w: empty data fragment", ErrBadField)
 	}
 	w := getWriter()
-	mustWrite(w, kindData, kindBits)
-	c.writeWidth(w)
-	mustWrite(w, d.ID, c.IDBits)
+	c.writeKey(w, kindData, d.ID, d.Seq)
 	mustWrite(w, uint64(d.Offset), offsetBits)
 	writeTruth(w, c.Instrument, d.Truth)
 	w.Align()
@@ -223,7 +273,7 @@ func (c AFFCodec) EncodeData(d Data) ([]byte, int, error) {
 
 // Decode parses one fragment. It allocates nothing: the result is a
 // value and its Payload aliases p.
-func (c AFFCodec) Decode(p []byte) (Fragment, error) {
+func (c Codec) Decode(p []byte) (Fragment, error) {
 	if err := c.validate(); err != nil {
 		return Fragment{}, err
 	}
@@ -245,6 +295,11 @@ func (c AFFCodec) Decode(p []byte) (Fragment, error) {
 	}
 	if f.ID, err = r.ReadBits(idBits); err != nil {
 		return Fragment{}, truncated(err)
+	}
+	if c.SeqBits > 0 {
+		if f.Seq, err = r.ReadBits(c.SeqBits); err != nil {
+			return Fragment{}, truncated(err)
+		}
 	}
 	if f.Intro {
 		total, err := r.ReadBits(lenBits)
@@ -274,10 +329,17 @@ func (c AFFCodec) Decode(p []byte) (Fragment, error) {
 	return f, nil
 }
 
-// writeWidth emits the in-band width field (IDBits-1) when enabled.
-func (c AFFCodec) writeWidth(w *bitio.Writer) {
+// writeKey emits the header every fragment starts with: the kind bit, the
+// in-band width field (IDBits-1) when enabled, the identifier, and the
+// sequence number when the codec has one.
+func (c Codec) writeKey(w *bitio.Writer, kind, id, seq uint64) {
+	mustWrite(w, kind, kindBits)
 	if c.InBandWidth {
 		mustWrite(w, uint64(c.IDBits-1), widthBits)
+	}
+	mustWrite(w, id, c.IDBits)
+	if c.SeqBits > 0 {
+		mustWrite(w, seq, c.SeqBits)
 	}
 }
 

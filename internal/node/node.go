@@ -21,6 +21,7 @@ import (
 	"retri/internal/aff"
 	"retri/internal/core"
 	"retri/internal/density"
+	"retri/internal/frame"
 	"retri/internal/radio"
 	"retri/internal/sim"
 )
@@ -61,10 +62,9 @@ var errNilRadio = errors.New("node: nil radio")
 type SpanSink interface {
 	// TxOpen fires when a transaction's fragments are queued on the radio,
 	// before any of them airs: the identifier draw (tx.ID at tx.IDBits,
-	// after tx.Redraws avoid-redraws, by the named strategy) is decided
-	// here. key is the transaction's reassembly key — tx.ID in fixed-width
-	// mode, the aff.WidthKey composite in adaptive mode.
-	TxOpen(sender radio.NodeID, tx aff.Transaction, key uint64, strategy string)
+	// after tx.Redraws avoid-redraws, by the named strategy, under
+	// reassembly key tx.Key) is decided here.
+	TxOpen(sender radio.NodeID, tx aff.Transaction, strategy string)
 	// RxExpired fires when a receiver's reassembly timeout evicts the
 	// partial state held under key.
 	RxExpired(receiver radio.NodeID, key uint64)
@@ -352,11 +352,7 @@ func (d *AFFDriver) SendPacketAvoiding(p []byte, avoid uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	key := tx.ID
-	if d.frag.Config().AdaptiveWidth {
-		key = aff.WidthKey(tx.IDBits, tx.ID)
-	}
-	return key, d.sendTx(tx)
+	return tx.Key, d.sendTx(tx)
 }
 
 func (d *AFFDriver) sendTx(tx aff.Transaction) error {
@@ -364,11 +360,7 @@ func (d *AFFDriver) sendTx(tx aff.Transaction) error {
 		// Announce the transaction before any fragment is queued: the
 		// fragments air later (CSMA contention), and the span tracer must
 		// already know the draw when the first FrameSent arrives.
-		key := tx.ID
-		if d.frag.Config().AdaptiveWidth {
-			key = aff.WidthKey(tx.IDBits, tx.ID)
-		}
-		d.opts.Span.TxOpen(d.r.ID(), tx, key, d.sel.Name())
+		d.opts.Span.TxOpen(d.r.ID(), tx, d.sel.Name())
 	}
 	if d.opts.ObserveOwn {
 		// Observe under the same key a receiver would use, so the node's
@@ -376,10 +368,6 @@ func (d *AFFDriver) sendTx(tx aff.Transaction) error {
 		// selector gets the (width, id) pair per its keyspace contract
 		// (in fixed-width mode IDBits is the space width, so this is the
 		// plain Observe path), the estimator the composite key.
-		key := tx.ID
-		if d.frag.Config().AdaptiveWidth {
-			key = aff.WidthKey(tx.IDBits, tx.ID)
-		}
 		d.sel.ObserveWidth(tx.IDBits, tx.ID)
 		if d.opts.Estimator != nil {
 			if co, ok := d.opts.Estimator.(density.CompletionObserver); ok {
@@ -391,15 +379,15 @@ func (d *AFFDriver) sendTx(tx aff.Transaction) error {
 				if d.hasOwnKey {
 					co.ObserveComplete(d.lastOwnKey)
 				}
-				d.lastOwnKey, d.hasOwnKey = key, true
+				d.lastOwnKey, d.hasOwnKey = tx.Key, true
 			}
-			d.opts.Estimator.Observe(key)
+			d.opts.Estimator.Observe(tx.Key)
 		}
 	}
 	for _, fr := range tx.Fragments {
 		payload, bits := fr.Bytes, fr.Bits
 		if d.opts.NotifyCollisions {
-			payload, bits = wrapDiscriminated(discFragment, payload, bits)
+			payload, bits = frame.WrapBit(discFragment, payload, bits)
 		}
 		if d.opts.Relay != nil {
 			payload, bits = d.opts.Relay.WrapOutgoing(payload, bits)
@@ -474,7 +462,7 @@ func (d *AFFDriver) onFrame(f radio.Frame) {
 		payload = inner
 	}
 	if d.opts.NotifyCollisions {
-		kind, inner, ok := unwrapDiscriminated(payload)
+		kind, inner, ok := frame.UnwrapBit(payload)
 		if !ok {
 			return
 		}

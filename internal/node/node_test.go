@@ -8,6 +8,7 @@ import (
 	"retri/internal/aff"
 	"retri/internal/core"
 	"retri/internal/density"
+	"retri/internal/frame"
 	"retri/internal/radio"
 	"retri/internal/sim"
 	"retri/internal/staticaddr"
@@ -269,7 +270,7 @@ func TestCollisionNotificationRoundTrip(t *testing.T) {
 		}
 		frames := make([][]byte, len(tx.Fragments))
 		for i, f := range tx.Fragments {
-			frames[i], _ = wrapDiscriminated(discFragment, f.Bytes, f.Bits)
+			frames[i], _ = frame.WrapBit(discFragment, f.Bytes, f.Bits)
 		}
 		return frames
 	}
@@ -301,7 +302,7 @@ func TestNotificationCodecRoundTrip(t *testing.T) {
 		if bits != 1+idBits {
 			t.Errorf("idBits=%d: bits = %d, want %d", idBits, bits, 1+idBits)
 		}
-		kind, inner, ok := unwrapDiscriminated(buf)
+		kind, inner, ok := frame.UnwrapBit(buf)
 		if !ok || kind != discNotification {
 			t.Fatalf("idBits=%d: unwrap failed (kind=%d ok=%v)", idBits, kind, ok)
 		}
@@ -314,18 +315,18 @@ func TestNotificationCodecRoundTrip(t *testing.T) {
 
 func TestWrapUnwrapFragment(t *testing.T) {
 	payload := []byte{1, 2, 3, 4, 5}
-	wrapped, bits := wrapDiscriminated(discFragment, payload, 8*len(payload))
+	wrapped, bits := frame.WrapBit(discFragment, payload, 8*len(payload))
 	if bits != 1+40 {
 		t.Errorf("bits = %d, want 41", bits)
 	}
-	kind, inner, ok := unwrapDiscriminated(wrapped)
+	kind, inner, ok := frame.UnwrapBit(wrapped)
 	if !ok || kind != discFragment || !bytes.Equal(inner, payload) {
 		t.Errorf("unwrap = (%d, %v, %v)", kind, inner, ok)
 	}
 }
 
 func TestUnwrapEmptyFrame(t *testing.T) {
-	if _, _, ok := unwrapDiscriminated(nil); ok {
+	if _, _, ok := frame.UnwrapBit(nil); ok {
 		t.Error("unwrap of empty frame succeeded")
 	}
 }

@@ -1,6 +1,9 @@
 package node
 
-import "retri/internal/bitio"
+import (
+	"retri/internal/bitio"
+	"retri/internal/frame"
+)
 
 // Frame discriminator values used only when the collision-notification
 // extension is enabled. One bit distinguishes ordinary AFF fragments from
@@ -11,44 +14,20 @@ const (
 	discNotification = 1
 )
 
-// wrapDiscriminated prefixes a frame with the 1-bit discriminator.
-func wrapDiscriminated(kind uint64, payload []byte, bits int) ([]byte, int) {
-	w := bitio.NewWriter()
-	// Widths here are constants; writes cannot fail.
-	_ = w.WriteBits(kind, 1)
-	w.WriteBytes(payload)
-	return w.Bytes(), 1 + bits
-}
-
-// unwrapDiscriminated strips the discriminator bit, returning the kind and
-// the inner frame bytes.
-func unwrapDiscriminated(p []byte) (kind uint64, inner []byte, ok bool) {
-	r := bitio.NewReader(p)
-	kind, err := r.ReadBits(1)
-	if err != nil {
-		return 0, nil, false
-	}
-	inner = make([]byte, r.Remaining()/8)
-	if err := r.ReadBytes(inner); err != nil {
-		return 0, nil, false
-	}
-	return kind, inner, true
-}
-
 // encodeNotification builds a collision-notification frame: the
 // discriminator bit followed by a byte-aligned body carrying the collided
-// identifier. The body is byte-aligned so that unwrapDiscriminated's
+// identifier. The body is byte-aligned so that frame.UnwrapBit's
 // byte-shifted extraction preserves it exactly.
 func encodeNotification(id uint64, idBits int) ([]byte, int) {
 	body := bitio.NewWriter()
 	_ = body.WriteBits(id, idBits)
 	body.Align()
-	return wrapDiscriminated(discNotification, body.Bytes(), idBits)
+	return frame.WrapBit(discNotification, body.Bytes(), idBits)
 }
 
 // decodeNotification extracts the identifier from an unwrapped
 // notification body. The discriminator bit has already been consumed by
-// unwrapDiscriminated, which byte-shifted the remainder, so the identifier
+// frame.UnwrapBit, which byte-shifted the remainder, so the identifier
 // starts at bit 0 of inner.
 func decodeNotification(inner []byte, idBits int) (uint64, bool) {
 	r := bitio.NewReader(inner)

@@ -45,7 +45,7 @@ func newTestOracle(t *testing.T, now *time.Duration) (*truth.Tracker, *Oracle) {
 // given node and returns the frames for reuse on the delivery side.
 func sendTx(t *testing.T, tr *truth.Tracker, from radio.NodeID, id uint64, trailer frame.Truth, payload []byte) []radio.Frame {
 	t.Helper()
-	codec := frame.AFFCodec{IDBits: 8, Instrument: true}
+	codec := frame.Codec{IDBits: 8, Instrument: true}
 	ib, ibits, err := codec.EncodeIntro(frame.Intro{ID: id, TotalLen: len(payload), Checksum: 7, Truth: &trailer})
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestOracleTransactionLifecycle(t *testing.T) {
 	now := time.Duration(0)
 	tr, o := newTestOracle(t, &now)
 
-	codec := frame.AFFCodec{IDBits: 8, Instrument: true}
+	codec := frame.Codec{IDBits: 8, Instrument: true}
 	truth := frame.Truth{Node: 1, Seq: 1}
 	ib, ibits, _ := codec.EncodeIntro(frame.Intro{ID: 5, TotalLen: 4, Checksum: 7, Truth: &truth})
 	tr.FrameSent(radio.Frame{From: 1, Payload: ib, Bits: ibits})
@@ -142,7 +142,7 @@ func TestOracleDetectsConservationViolation(t *testing.T) {
 	sendTx(t, tr, 1, 5, truth, []byte{1, 2, 3, 4})
 
 	// A delivered data fragment whose bytes were never sent.
-	codec := frame.AFFCodec{IDBits: 8, Instrument: true}
+	codec := frame.Codec{IDBits: 8, Instrument: true}
 	db, dbits, _ := codec.EncodeData(frame.Data{ID: 5, Offset: 0, Payload: []byte{9, 9}, Truth: &truth})
 	tr.FrameFate(2, radio.Frame{From: 1, Payload: db, Bits: dbits}, radio.FateDelivered)
 	if rep := o.Report(); rep.ConservationViolations != 1 {
@@ -159,7 +159,7 @@ func TestOracleDetectsConservationViolation(t *testing.T) {
 func TestOracleDetectsCollisionAndFreshness(t *testing.T) {
 	now := time.Duration(0)
 	tr, o := newTestOracle(t, &now)
-	codec := frame.AFFCodec{IDBits: 8, Instrument: true}
+	codec := frame.Codec{IDBits: 8, Instrument: true}
 
 	// Two senders open transactions under the same identifier: a true
 	// collision, not a freshness violation.
@@ -200,7 +200,7 @@ func TestOracleDetectsCollisionAndFreshness(t *testing.T) {
 func TestOracleStallPruning(t *testing.T) {
 	now := time.Duration(0)
 	tr, o := newTestOracle(t, &now)
-	codec := frame.AFFCodec{IDBits: 8, Instrument: true}
+	codec := frame.Codec{IDBits: 8, Instrument: true}
 	truth := frame.Truth{Node: 1, Seq: 1}
 	ib, bits, _ := codec.EncodeIntro(frame.Intro{ID: 5, TotalLen: 4, Checksum: 7, Truth: &truth})
 	tr.FrameSent(radio.Frame{From: 1, Payload: ib, Bits: bits})
@@ -235,7 +235,7 @@ func TestOracleVisibleTRespectsTopology(t *testing.T) {
 	disk.Place(3, radio.Point{X: 100, Y: 0}) // out of range
 	tr, o := newOracleOn(t, testAFF(), Config{Topo: disk}, &now)
 	sendTx := func(from radio.NodeID, seq uint32, id uint64) {
-		codec := frame.AFFCodec{IDBits: 8, Instrument: true}
+		codec := frame.Codec{IDBits: 8, Instrument: true}
 		truth := frame.Truth{Node: uint32(from), Seq: seq}
 		ib, bits, _ := codec.EncodeIntro(frame.Intro{ID: id, TotalLen: 4, Checksum: 7, Truth: &truth})
 		tr.FrameSent(radio.Frame{From: from, Payload: ib, Bits: bits})
@@ -266,7 +266,7 @@ func TestOracleAdaptiveWidthKeys(t *testing.T) {
 	// A 4-bit id 3 and a 9-bit id 3 are distinct transactions, not a
 	// collision.
 	for i, w := range []int{4, 9} {
-		codec := frame.AFFCodec{IDBits: w, Instrument: true, InBandWidth: true}
+		codec := frame.Codec{IDBits: w, Instrument: true, InBandWidth: true}
 		truth := frame.Truth{Node: uint32(i + 1), Seq: 1}
 		ib, bits, err := codec.EncodeIntro(frame.Intro{ID: 3, TotalLen: 4, Checksum: 7, Truth: &truth})
 		if err != nil {
@@ -314,7 +314,7 @@ func TestOracleProbe(t *testing.T) {
 
 	// The probe scores against a smoothed truth: a transaction opening
 	// moves the instantaneous count to 2, but the EMA only goes halfway.
-	codec := frame.AFFCodec{IDBits: 8, Instrument: true}
+	codec := frame.Codec{IDBits: 8, Instrument: true}
 	truth := frame.Truth{Node: 3, Seq: 1}
 	ib, bits, _ := codec.EncodeIntro(frame.Intro{ID: 9, TotalLen: 4, Checksum: 7, Truth: &truth})
 	tr.FrameSent(radio.Frame{From: 3, Payload: ib, Bits: bits})

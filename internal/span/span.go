@@ -299,12 +299,12 @@ func New(tr *truth.Tracker) *Tracer {
 // TxOpen records a selector draw: a transaction entered its sender's
 // transmit queue. Called synchronously from the fragmenting send path,
 // before any fragment airs and before any ARQ attempt bookkeeping.
-func (t *Tracer) TxOpen(sender radio.NodeID, tx aff.Transaction, key uint64, strategy string) {
+func (t *Tracer) TxOpen(sender radio.NodeID, tx aff.Transaction, strategy string) {
 	s := &Span{
 		Index:    len(t.spans),
 		Truth:    tx.Truth,
 		Sender:   sender,
-		Key:      key,
+		Key:      tx.Key,
 		Width:    tx.IDBits,
 		ID:       tx.ID,
 		Strategy: strategy,

@@ -19,7 +19,7 @@ import (
 type harness struct {
 	trk   *truth.Tracker
 	tr    *Tracer
-	codec frame.AFFCodec
+	codec frame.Codec
 	now   time.Duration
 }
 
@@ -40,7 +40,7 @@ func newHarness(t *testing.T, instrument bool) *harness {
 	}
 	h.trk = trk
 	h.tr = New(trk)
-	h.codec = frame.AFFCodec{IDBits: 8, Instrument: instrument}
+	h.codec = frame.Codec{IDBits: 8, Instrument: instrument}
 	return h
 }
 
@@ -63,7 +63,7 @@ func (h *harness) data(t *testing.T, from radio.NodeID, id uint64, offset int, p
 }
 
 func (h *harness) open(sender radio.NodeID, id uint64, truth *frame.Truth, strategy string, redraws int) {
-	h.tr.TxOpen(sender, aff.Transaction{ID: id, IDBits: 8, Truth: truth, Redraws: redraws}, id, strategy)
+	h.tr.TxOpen(sender, aff.Transaction{ID: id, Key: id, IDBits: 8, Truth: truth, Redraws: redraws}, strategy)
 }
 
 func TestLifecycleDelivered(t *testing.T) {

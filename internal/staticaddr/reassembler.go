@@ -27,8 +27,10 @@ type key struct {
 // key is unique, so a fragment that disagrees with held state can only be
 // corruption and is ignored.
 type Reassembler struct {
-	codec frame.StaticCodec
+	codec frame.Codec
 	t     *reasm.Table[key]
+	// frag is the decode scratch: one fragment at a time, by value.
+	frag frame.Fragment
 }
 
 // NewReassembler returns a reassembler calling deliver for each verified
@@ -63,13 +65,14 @@ func (r *Reassembler) Reset() { r.t.Reset() }
 // Ingest processes one received frame.
 func (r *Reassembler) Ingest(frameBytes []byte) {
 	r.t.Sweep()
-	fr, err := r.codec.Decode(frameBytes)
-	if err != nil {
+	var err error
+	if r.frag, err = r.codec.Decode(frameBytes); err != nil {
 		r.t.Stats().Malformed++
 		return
 	}
 	r.t.Stats().FragmentsIn++
-	k := key{src: fr.Src, seq: fr.Seq}
+	fr := &r.frag
+	k := key{src: fr.ID, seq: fr.Seq}
 	if fr.Intro {
 		r.t.Intro(k, fr.TotalLen, fr.Checksum, nil)
 	} else {

@@ -21,16 +21,11 @@ import (
 	"retri/internal/frame"
 )
 
-var (
-	// ErrPacketTooLarge is returned for packets beyond the 64 KiB limit.
-	ErrPacketTooLarge = errors.New("staticaddr: packet exceeds 64KiB limit")
-	// ErrEmptyPacket is returned for zero-length packets.
-	ErrEmptyPacket = errors.New("staticaddr: empty packet")
-	// ErrMTUTooSmall is returned when no payload fits in a data fragment.
-	ErrMTUTooSmall = errors.New("staticaddr: MTU too small for fragment header")
-	// ErrBadAddress is returned when an address does not fit AddrBits.
-	ErrBadAddress = errors.New("staticaddr: address out of range")
-)
+// ErrBadAddress is returned when an address does not fit AddrBits.
+var ErrBadAddress = errors.New("staticaddr: address out of range")
+
+// DefaultSeqBits matches IP's 16-bit identification field.
+const DefaultSeqBits = 16
 
 // Config parameterizes the static fragmentation service.
 type Config struct {
@@ -50,7 +45,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.SeqBits == 0 {
-		c.SeqBits = frame.DefaultSeqBits
+		c.SeqBits = DefaultSeqBits
 	}
 	if c.MTU == 0 {
 		c.MTU = 27
@@ -64,14 +59,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-func (c Config) codec() frame.StaticCodec {
-	return frame.StaticCodec{AddrBits: c.AddrBits, SeqBits: c.SeqBits}
-}
-
-// Fragment is one encoded radio frame.
-type Fragment struct {
-	Bytes []byte
-	Bits  int
+// codec is the static format: the address travels in the identifier
+// field, followed by the sequence number.
+func (c Config) codec() frame.Codec {
+	return frame.Codec{IDBits: c.AddrBits, SeqBits: c.SeqBits}
 }
 
 // Transaction is a fragmented packet ready for transmission.
@@ -80,24 +71,15 @@ type Transaction struct {
 	Src uint64
 	Seq uint64
 	// Fragments holds the introduction first, then data in offset order.
-	Fragments []Fragment
+	Fragments []frame.Encoded
 	// DataBits is the packet payload size in bits.
 	DataBits int
-}
-
-// TotalBits sums meaningful bits across fragments.
-func (t Transaction) TotalBits() int {
-	sum := 0
-	for _, f := range t.Fragments {
-		sum += f.Bits
-	}
-	return sum
 }
 
 // Fragmenter splits packets into statically addressed fragments.
 type Fragmenter struct {
 	cfg   Config
-	codec frame.StaticCodec
+	codec frame.Codec
 	addr  uint64
 	seq   uint64
 }
@@ -116,11 +98,8 @@ func NewFragmenter(cfg Config, addr uint64) (*Fragmenter, error) {
 		return nil, fmt.Errorf("%w: %d needs more than %d bits", ErrBadAddress, addr, cfg.AddrBits)
 	}
 	codec := cfg.codec()
-	if codec.MaxPayload(cfg.MTU) <= 0 {
-		return nil, fmt.Errorf("%w: %d bytes", ErrMTUTooSmall, cfg.MTU)
-	}
-	if (codec.IntroBits()+7)/8 > cfg.MTU {
-		return nil, fmt.Errorf("%w: intro needs %d bytes", ErrMTUTooSmall, (codec.IntroBits()+7)/8)
+	if err := codec.CheckMTU(cfg.MTU); err != nil {
+		return nil, err
 	}
 	return &Fragmenter{cfg: cfg, codec: codec, addr: addr}, nil
 }
@@ -134,50 +113,14 @@ func (f *Fragmenter) Addr() uint64 { return f.addr }
 // Fragment splits packet into one introduction plus data fragments under
 // the next sequence number.
 func (f *Fragmenter) Fragment(packet []byte) (Transaction, error) {
-	if len(packet) == 0 {
-		return Transaction{}, ErrEmptyPacket
-	}
-	if len(packet) > frame.MaxPacketLen {
-		return Transaction{}, fmt.Errorf("%w: %d bytes", ErrPacketTooLarge, len(packet))
+	if err := frame.CheckPacket(packet); err != nil {
+		return Transaction{}, err
 	}
 	seq := f.seq
 	f.seq = (f.seq + 1) % (1 << uint(f.cfg.SeqBits))
-
-	maxPayload := f.codec.MaxPayload(f.cfg.MTU)
-	nData := (len(packet) + maxPayload - 1) / maxPayload
-	tx := Transaction{
-		Src:       f.addr,
-		Seq:       seq,
-		Fragments: make([]Fragment, 0, nData+1),
-		DataBits:  8 * len(packet),
-	}
-
-	introBytes, introBits, err := f.codec.EncodeIntro(frame.StaticIntro{
-		Src:      f.addr,
-		Seq:      seq,
-		TotalLen: len(packet),
-		Checksum: checksum.Sum(f.cfg.Checksum, packet),
-	})
+	frames, err := f.codec.Split(packet, f.cfg.MTU, f.addr, seq, checksum.Sum(f.cfg.Checksum, packet), nil)
 	if err != nil {
-		return Transaction{}, fmt.Errorf("staticaddr: encode intro: %w", err)
+		return Transaction{}, fmt.Errorf("staticaddr: %w", err)
 	}
-	tx.Fragments = append(tx.Fragments, Fragment{Bytes: introBytes, Bits: introBits})
-
-	for off := 0; off < len(packet); off += maxPayload {
-		end := off + maxPayload
-		if end > len(packet) {
-			end = len(packet)
-		}
-		dataBytes, dataBits, err := f.codec.EncodeData(frame.StaticData{
-			Src:     f.addr,
-			Seq:     seq,
-			Offset:  off,
-			Payload: packet[off:end],
-		})
-		if err != nil {
-			return Transaction{}, fmt.Errorf("staticaddr: encode data at %d: %w", off, err)
-		}
-		tx.Fragments = append(tx.Fragments, Fragment{Bytes: dataBytes, Bits: dataBits})
-	}
-	return tx, nil
+	return Transaction{Src: f.addr, Seq: seq, Fragments: frames, DataBits: 8 * len(packet)}, nil
 }

@@ -73,8 +73,8 @@ func TestFragmenterValidation(t *testing.T) {
 	}
 	cfg := testConfig()
 	cfg.MTU = 3
-	if _, err := NewFragmenter(cfg, 1); !errors.Is(err, ErrMTUTooSmall) {
-		t.Errorf("tiny MTU err = %v, want ErrMTUTooSmall", err)
+	if _, err := NewFragmenter(cfg, 1); !errors.Is(err, frame.ErrMTUTooSmall) {
+		t.Errorf("tiny MTU err = %v, want frame.ErrMTUTooSmall", err)
 	}
 }
 
@@ -115,10 +115,10 @@ func TestFragmentRejectsBadPackets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Fragment(nil); !errors.Is(err, ErrEmptyPacket) {
+	if _, err := f.Fragment(nil); !errors.Is(err, frame.ErrEmptyPacket) {
 		t.Errorf("empty err = %v", err)
 	}
-	if _, err := f.Fragment(make([]byte, frame.MaxPacketLen+1)); !errors.Is(err, ErrPacketTooLarge) {
+	if _, err := f.Fragment(make([]byte, frame.MaxPacketLen+1)); !errors.Is(err, frame.ErrPacketTooLarge) {
 		t.Errorf("oversize err = %v", err)
 	}
 }
@@ -197,7 +197,7 @@ func TestStaticHeaderCostGrowsWithAddrBits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out.TotalBits()
+		return frame.TotalBits(out.Fragments)
 	}
 	b16, b32, b48 := tx(16), tx(32), tx(48)
 	if !(b16 < b32 && b32 < b48) {

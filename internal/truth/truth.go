@@ -195,7 +195,7 @@ const defaultStall = 250 * time.Millisecond
 // radio.FateObserver; install it on the medium's fate slot. Like every
 // protocol component it is single-threaded within one trial.
 type Tracker struct {
-	codec      frame.AFFCodec
+	codec      frame.Codec
 	instrument bool
 	now        func() time.Duration
 	stall      time.Duration
@@ -244,7 +244,7 @@ func New(cfg Config) (*Tracker, error) {
 		cfg.Retain = stall
 	}
 	return &Tracker{
-		codec: frame.AFFCodec{
+		codec: frame.Codec{
 			IDBits:      cfg.AFF.Space.Bits(),
 			Instrument:  cfg.AFF.Instrument,
 			InBandWidth: cfg.AFF.AdaptiveWidth,

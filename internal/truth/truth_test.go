@@ -40,13 +40,13 @@ func (r *recorder) Fate(_ radio.NodeID, f *Frame, tx *Tx, fate radio.Fate) {
 type rig struct {
 	tr    *Tracker
 	rec   *recorder
-	codec frame.AFFCodec
+	codec frame.Codec
 	now   time.Duration
 }
 
 func newRig(t *testing.T, instrument bool, retain time.Duration) *rig {
 	t.Helper()
-	r := &rig{rec: &recorder{}, codec: frame.AFFCodec{IDBits: 8, Instrument: instrument}}
+	r := &rig{rec: &recorder{}, codec: frame.Codec{IDBits: 8, Instrument: instrument}}
 	tr, err := New(Config{
 		AFF: aff.Config{
 			Space:             core.MustSpace(8),
@@ -343,7 +343,7 @@ func TestUnwrapAndAdaptiveKeys(t *testing.T) {
 	rec := &recorder{}
 	tr.Attach(rec)
 	for i, w := range []int{4, 9} {
-		codec := frame.AFFCodec{IDBits: w, Instrument: true, InBandWidth: true}
+		codec := frame.Codec{IDBits: w, Instrument: true, InBandWidth: true}
 		p, bits, err := codec.EncodeIntro(frame.Intro{ID: 3, TotalLen: 4, Truth: &frame.Truth{Node: uint32(i + 1), Seq: 1}})
 		if err != nil {
 			t.Fatal(err)
