@@ -214,6 +214,40 @@ func TestDataFlowsAfterAssignment(t *testing.T) {
 	}
 }
 
+// TestDataFramesFitMediumMTU runs a pair on a 20-byte-MTU medium: the
+// data fragmenter must size its frames for that medium, not a fixed 27
+// bytes, so an 80-byte packet still gets through.
+func TestDataFramesFitMediumMTU(t *testing.T) {
+	eng := sim.NewEngine()
+	src := xrand.NewSource(37).Child("dynaddr", t.Name())
+	params := radio.DefaultParams()
+	params.MTU = 20
+	med := radio.NewMedium(eng, radio.FullMesh{}, params, src.Stream("medium"))
+	nodes := make([]*Node, 2)
+	for i := range nodes {
+		n, err := NewNode(eng, med.MustAttach(radio.NodeID(i)), Config{AddrBits: 10}, src.Stream("node", fmt.Sprint(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Start()
+		nodes[i] = n
+	}
+	eng.Run()
+	var got []byte
+	nodes[1].SetPacketHandler(func(p []byte) { got = append([]byte(nil), p...) })
+	packet := make([]byte, 80)
+	for i := range packet {
+		packet[i] = byte(i)
+	}
+	if err := nodes[0].SendPacket(packet); err != nil {
+		t.Fatalf("SendPacket on a 20-byte medium: %v", err)
+	}
+	eng.Run()
+	if !bytes.Equal(got, packet) {
+		t.Errorf("received %x, want %x", got, packet)
+	}
+}
+
 // TestCrashKeepsReassemblyStats pins that a crash wipes partial
 // reassembly state but not the harness counters: Reassembler().Stats()
 // must agree with PacketsDelivered across a crash.

@@ -61,7 +61,7 @@ func NewNode(eng *sim.Engine, r *radio.Radio, cfg Config, rng *rand.Rand) (*Node
 			AddrBits: cfg.AddrBits,
 			// Data frames carry the demux prefix, so the fragmenter must
 			// leave one byte of headroom.
-			MTU:               mtuOf(r) - 1,
+			MTU:               r.MTU() - 1,
 			ReassemblyTimeout: 30 * time.Second,
 		},
 	}
@@ -89,12 +89,6 @@ func (n *Node) SetRelay(rl Relay) {
 		wp, wb := rl.WrapOutgoing(p, bits)
 		return n.r.Send(wp, wb)
 	})
-}
-
-func mtuOf(r *radio.Radio) int {
-	// The radio's medium enforces the MTU on Send; the fragment sizing
-	// needs the same figure. DefaultParams uses 27.
-	return 27
 }
 
 // Start begins address acquisition.

@@ -181,7 +181,7 @@ func (rt *Router) Originate(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	if len(buf) > 27 {
+	if len(buf) > rt.r.MTU() {
 		return fmt.Errorf("%w: %d bytes", ErrTooLarge, len(buf))
 	}
 	// The originator marks its own identifier seen so echoes from

@@ -264,6 +264,40 @@ func TestOriginateValidation(t *testing.T) {
 	}
 }
 
+// TestOriginateHonorsMediumMTU checks the size limit is the medium's MTU:
+// on a 40-byte medium a 30-byte frame (12-bit id, 4-bit TTL, 28 bytes of
+// payload) is originated and delivered, and a 41-byte one is refused.
+func TestOriginateHonorsMediumMTU(t *testing.T) {
+	eng := sim.NewEngine()
+	src := xrand.NewSource(9).Child("mtu")
+	params := radio.DefaultParams()
+	params.MTU = 40
+	med := radio.NewMedium(eng, radio.FullMesh{}, params, src.Stream("m"))
+	cfg := Config{Space: core.MustSpace(12), TTL: 1}
+	routers := make([]*Router, 2)
+	for i := range routers {
+		rt, err := NewRouter(cfg, eng, med.MustAttach(radio.NodeID(i)),
+			core.NewUniformSelector(cfg.Space, src.Stream("sel", fmt.Sprint(i))), src.Stream("rng", fmt.Sprint(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		routers[i] = rt
+	}
+	var got []byte
+	routers[1].OnMessage(func(p []byte) { got = append([]byte(nil), p...) })
+	payload := bytes.Repeat([]byte{0xA5}, 28)
+	if err := routers[0].Originate(payload); err != nil {
+		t.Fatalf("30-byte frame on a 40-byte medium: %v", err)
+	}
+	eng.Run()
+	if !bytes.Equal(got, payload) {
+		t.Errorf("delivered %x, want %x", got, payload)
+	}
+	if err := routers[0].Originate(make([]byte, 39)); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("41-byte frame err = %v, want ErrTooLarge", err)
+	}
+}
+
 func TestNewRouterValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	src := xrand.NewSource(7).Child("val")

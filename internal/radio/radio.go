@@ -44,6 +44,10 @@ func (r *Radio) ID() NodeID { return r.id }
 // clock.
 func (r *Radio) Now() time.Duration { return r.m.eng.Now() }
 
+// MTU returns the largest frame payload, in bytes, the medium accepts on
+// Send; fragmenters size their frames by it.
+func (r *Radio) MTU() int { return r.m.p.MTU }
+
 // SetHandler installs the receive callback. The callback runs inside the
 // simulation event that completes the frame; it may call Send.
 func (r *Radio) SetHandler(h func(Frame)) { r.handler = h }
