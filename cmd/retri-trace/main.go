@@ -28,6 +28,7 @@ import (
 	"strings"
 	"time"
 
+	"retri/internal/frame"
 	"retri/internal/span"
 )
 
@@ -39,8 +40,11 @@ func main() {
 }
 
 type options struct {
-	in       string
-	tx       string
+	in string
+	tx string
+	// txWidth and txID are tx parsed; a txWidth of -1 matches every width.
+	txWidth  int
+	txID     uint64
 	failed   bool
 	retries  bool
 	timeline bool
@@ -71,8 +75,19 @@ func parseArgs(args []string) (options, error) {
 	if modes != 1 {
 		return options{}, fmt.Errorf("pick exactly one of -tx, -failed, -retries, -timeline")
 	}
+	intervalSet := false
+	fs.Visit(func(f *flag.Flag) { intervalSet = intervalSet || f.Name == "interval" })
+	if intervalSet && !o.timeline {
+		return options{}, fmt.Errorf("-interval has no effect without -timeline")
+	}
 	if o.interval <= 0 {
 		return options{}, fmt.Errorf("invalid -interval %v: must be positive", o.interval)
+	}
+	if o.tx != "" {
+		var err error
+		if o.txWidth, o.txID, err = parseTx(o.tx); err != nil {
+			return options{}, err
+		}
 	}
 	return o, nil
 }
@@ -97,7 +112,7 @@ func run(args []string, w io.Writer) error {
 	}
 	switch {
 	case o.tx != "":
-		return printTx(w, recs, o.tx)
+		return printTx(w, recs, o)
 	case o.failed:
 		return printFailed(w, recs)
 	case o.retries:
@@ -113,8 +128,8 @@ func parseTx(s string) (width int, id uint64, err error) {
 	width = -1
 	if i := strings.IndexByte(s, ':'); i >= 0 {
 		w64, werr := strconv.ParseInt(s[:i], 10, 32)
-		if werr != nil || w64 < 1 {
-			return 0, 0, fmt.Errorf("invalid -tx width %q", s[:i])
+		if werr != nil || w64 < 1 || w64 > frame.MaxIDBits {
+			return 0, 0, fmt.Errorf("invalid -tx width %q: want 1 to %d bits", s[:i], frame.MaxIDBits)
 		}
 		width = int(w64)
 		s = s[i+1:]
@@ -173,11 +188,8 @@ func (ix index) chainRoot(r span.Record) span.Record {
 // printTx dumps the full causal chain of every span matching the
 // identifier: the whole retry lineage, each attempt's fragments with
 // their channel fates, and the receiver-side events.
-func printTx(w io.Writer, recs []span.Record, sel string) error {
-	width, id, err := parseTx(sel)
-	if err != nil {
-		return err
-	}
+func printTx(w io.Writer, recs []span.Record, o options) error {
+	width, id := o.txWidth, o.txID
 	ix := buildIndex(recs)
 	printed := make(map[string]bool) // chain roots already dumped
 	matches := 0
@@ -196,7 +208,7 @@ func printTx(w io.Writer, recs []span.Record, sel string) error {
 		fmt.Fprintln(w)
 	}
 	if matches == 0 {
-		return fmt.Errorf("no spans match %s", sel)
+		return fmt.Errorf("no spans match %s", o.tx)
 	}
 	return nil
 }

@@ -234,3 +234,33 @@ func TestFlagValidation(t *testing.T) {
 		t.Error("missing ledger file accepted")
 	}
 }
+
+// TestIntervalRequiresTimeline: -interval is read only by -timeline, so
+// passing it to any other mode is an error rather than silently ignored.
+func TestIntervalRequiresTimeline(t *testing.T) {
+	for _, args := range [][]string{
+		{"-in", "x.jsonl", "-failed", "-interval", "5s"},
+		{"-in", "x.jsonl", "-tx", "4:11", "-interval", "1s"},
+	} {
+		if _, err := parseArgs(args); err == nil {
+			t.Errorf("%q accepted", args)
+		}
+	}
+	if _, err := parseArgs([]string{"-in", "x.jsonl", "-timeline", "-interval", "5s"}); err != nil {
+		t.Errorf("-timeline -interval rejected: %v", err)
+	}
+}
+
+// TestTxWidthBounded: no identifier is wider than frame.MaxIDBits, so a
+// wider -tx width is rejected at parse time, before any ledger is read,
+// instead of ending in "no spans match".
+func TestTxWidthBounded(t *testing.T) {
+	for _, tx := range []string{"40:5", "33:0x1", "0:5", "banana"} {
+		if _, err := parseArgs([]string{"-in", "x.jsonl", "-tx", tx}); err == nil {
+			t.Errorf("-tx %s accepted", tx)
+		}
+	}
+	if _, err := parseArgs([]string{"-in", "x.jsonl", "-tx", "32:5"}); err != nil {
+		t.Errorf("-tx 32:5 rejected: %v", err)
+	}
+}
