@@ -44,6 +44,7 @@ func TestFragmentPacketShape(t *testing.T) {
 	if !f.cfg.Space.Contains(tx.ID) {
 		t.Errorf("transaction ID %d outside space", tx.ID)
 	}
+	totalBits := 0
 	for i, fr := range tx.Fragments {
 		if len(fr.Bytes) > 27 {
 			t.Errorf("fragment %d is %d bytes, exceeds MTU", i, len(fr.Bytes))
@@ -51,9 +52,10 @@ func TestFragmentPacketShape(t *testing.T) {
 		if fr.Bits <= 0 || fr.Bits > 8*len(fr.Bytes) {
 			t.Errorf("fragment %d bit count %d inconsistent with %d bytes", i, fr.Bits, len(fr.Bytes))
 		}
+		totalBits += fr.Bits
 	}
-	if frame.TotalBits(tx.Fragments) <= tx.DataBits {
-		t.Error("TotalBits must exceed DataBits (headers cost something)")
+	if totalBits <= tx.DataBits {
+		t.Error("total bits must exceed DataBits (headers cost something)")
 	}
 }
 

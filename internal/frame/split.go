@@ -10,17 +10,6 @@ type Encoded struct {
 	Bits int
 }
 
-// TotalBits sums the meaningful bits across frames: the protocol-level
-// "total bits transmitted" denominator of Equation 1, excluding MAC
-// framing.
-func TotalBits(frames []Encoded) int {
-	sum := 0
-	for _, f := range frames {
-		sum += f.Bits
-	}
-	return sum
-}
-
 // CheckPacket reports whether a packet can be fragmented: it must be
 // non-empty and within the 64 KiB the length field can announce.
 func CheckPacket(packet []byte) error {

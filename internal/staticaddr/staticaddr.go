@@ -24,8 +24,8 @@ import (
 // ErrBadAddress is returned when an address does not fit AddrBits.
 var ErrBadAddress = errors.New("staticaddr: address out of range")
 
-// DefaultSeqBits matches IP's 16-bit identification field.
-const DefaultSeqBits = 16
+// defaultSeqBits matches IP's 16-bit identification field.
+const defaultSeqBits = 16
 
 // Config parameterizes the static fragmentation service.
 type Config struct {
@@ -45,7 +45,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.SeqBits == 0 {
-		c.SeqBits = DefaultSeqBits
+		c.SeqBits = defaultSeqBits
 	}
 	if c.MTU == 0 {
 		c.MTU = 27

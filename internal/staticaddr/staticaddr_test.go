@@ -197,7 +197,11 @@ func TestStaticHeaderCostGrowsWithAddrBits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return frame.TotalBits(out.Fragments)
+		total := 0
+		for _, fr := range out.Fragments {
+			total += fr.Bits
+		}
+		return total
 	}
 	b16, b32, b48 := tx(16), tx(32), tx(48)
 	if !(b16 < b32 && b32 < b48) {
