@@ -69,7 +69,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-func (c Config) codec() frame.Codec {
+// Codec returns the wire codec the configuration speaks: Space-wide
+// identifiers, the trailer when Instrument is set, and the in-band width
+// field when AdaptiveWidth is.
+func (c Config) Codec() frame.Codec {
 	return frame.Codec{IDBits: c.Space.Bits(), Instrument: c.Instrument, InBandWidth: c.AdaptiveWidth}
 }
 
@@ -84,6 +87,17 @@ func WidthKey(bits int, id uint64) uint64 { return core.WidthKey(bits, id) }
 
 // SplitWidthKey undoes WidthKey, returning the width and raw identifier.
 func SplitWidthKey(key uint64) (bits int, id uint64) { return core.SplitWidthKey(key) }
+
+// FragmentKey is a decoded fragment's reassembly key. A fixed-width
+// decode reports width 0 and keys by the raw identifier, exactly as
+// before adaptive mode existed; an in-band decode keys by (width, id), so
+// transactions at different widths never share state.
+func FragmentKey(f *frame.Fragment) uint64 {
+	if f.IDBits == 0 {
+		return f.ID
+	}
+	return WidthKey(f.IDBits, f.ID)
+}
 
 // Transaction is a fragmented packet ready for transmission. In the
 // paper's terms, transmitting all of these frames is one transaction.
@@ -134,7 +148,7 @@ func NewFragmenter(cfg Config, sel core.Selector, truthNode uint32) (*Fragmenter
 		return nil, fmt.Errorf("aff: selector space %d bits != config space %d bits",
 			sel.Space().Bits(), cfg.Space.Bits())
 	}
-	codec := cfg.codec()
+	codec := cfg.Codec()
 	if err := codec.CheckMTU(cfg.MTU); err != nil {
 		return nil, err
 	}

@@ -50,7 +50,7 @@ type Reassembler struct {
 func NewReassembler(cfg Config, now func() time.Duration, deliver func(Packet)) *Reassembler {
 	cfg = cfg.withDefaults()
 	r := &Reassembler{
-		codec: cfg.codec(),
+		codec: cfg.Codec(),
 		t: reasm.New[uint64](reasm.Config{
 			Checksum:    cfg.Checksum,
 			Timeout:     cfg.ReassemblyTimeout,
@@ -117,7 +117,7 @@ func (r *Reassembler) Ingest(frameBytes []byte) {
 	}
 	r.t.Stats().FragmentsIn++
 	fr := &r.frag
-	key := r.key(fr.IDBits, fr.ID)
+	key := FragmentKey(fr)
 	if r.observer != nil {
 		r.observer(key, fr.Intro)
 	}
@@ -130,17 +130,6 @@ func (r *Reassembler) Ingest(frameBytes []byte) {
 		truth = &fr.Truth
 	}
 	r.t.Intro(key, fr.TotalLen, fr.Checksum, truth)
-}
-
-// key maps a decoded fragment to its reassembly key. Fixed-width decodes
-// report width 0 and key by the raw identifier, exactly as before
-// adaptive mode existed; in-band decodes key by (width, id) so
-// transactions at different widths never share state.
-func (r *Reassembler) key(decodedWidth int, id uint64) uint64 {
-	if decodedWidth == 0 {
-		return id
-	}
-	return WidthKey(decodedWidth, id)
 }
 
 // Sweep runs timeout eviction at the present instant without ingesting a

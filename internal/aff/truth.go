@@ -32,7 +32,7 @@ func NewTruthReassembler(cfg Config, now func() time.Duration) *TruthReassembler
 	cfg = cfg.withDefaults()
 	cfg.Instrument = true
 	return &TruthReassembler{
-		codec: cfg.codec(),
+		codec: cfg.Codec(),
 		t: reasm.New[frame.Truth](reasm.Config{
 			Checksum: cfg.Checksum,
 			Timeout:  cfg.ReassemblyTimeout,

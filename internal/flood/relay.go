@@ -25,7 +25,6 @@ import (
 
 	"retri/internal/aff"
 	"retri/internal/bitio"
-	"retri/internal/frame"
 	"retri/internal/radio"
 	"retri/internal/sim"
 )
@@ -52,26 +51,16 @@ type Keyer func(inner []byte) (RelayKey, bool)
 // composites (aff.WidthKey), so a relay carrying mixed-width traffic
 // never suppresses across widths.
 func AFFKeyer(cfg aff.Config) Keyer {
-	codec := frame.Codec{
-		IDBits:      cfg.Space.Bits(),
-		Instrument:  cfg.Instrument,
-		InBandWidth: cfg.AdaptiveWidth,
-	}
-	key := func(decodedWidth int, id uint64) uint64 {
-		if decodedWidth == 0 {
-			return id
-		}
-		return aff.WidthKey(decodedWidth, id)
-	}
+	codec := cfg.Codec()
 	return func(inner []byte) (RelayKey, bool) {
 		fr, err := codec.Decode(inner)
 		if err != nil {
 			return RelayKey{}, false
 		}
 		if fr.Intro {
-			return RelayKey{A: key(fr.IDBits, fr.ID), B: introMark}, true
+			return RelayKey{A: aff.FragmentKey(&fr), B: introMark}, true
 		}
-		return RelayKey{A: key(fr.IDBits, fr.ID), B: uint64(fr.Offset)}, true
+		return RelayKey{A: aff.FragmentKey(&fr), B: uint64(fr.Offset)}, true
 	}
 }
 

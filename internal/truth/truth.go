@@ -244,11 +244,7 @@ func New(cfg Config) (*Tracker, error) {
 		cfg.Retain = stall
 	}
 	return &Tracker{
-		codec: frame.Codec{
-			IDBits:      cfg.AFF.Space.Bits(),
-			Instrument:  cfg.AFF.Instrument,
-			InBandWidth: cfg.AFF.AdaptiveWidth,
-		},
+		codec:      cfg.AFF.Codec(),
 		instrument: cfg.AFF.Instrument,
 		now:        cfg.Now,
 		stall:      stall,
@@ -320,12 +316,11 @@ func (t *Tracker) decodeInto(dst *Frame, payload []byte) bool {
 	if fr.Intro {
 		dst.Offset, dst.TotalLen, dst.Checksum = -1, fr.TotalLen, fr.Checksum
 	}
-	// A zero decoded width means the fixed format: the reassembler files
-	// the bare identifier; in-band widths key by (width, id).
-	if fr.IDBits == 0 {
-		dst.Key, dst.Width = dst.ID, t.codec.IDBits
-	} else {
-		dst.Key, dst.Width = aff.WidthKey(fr.IDBits, dst.ID), fr.IDBits
+	// The key is the one the reassembler files the fragment under. A zero
+	// decoded width means the fixed format, at the codec's width.
+	dst.Key, dst.Width = aff.FragmentKey(fr), fr.IDBits
+	if dst.Width == 0 {
+		dst.Width = t.codec.IDBits
 	}
 	return true
 }
