@@ -69,8 +69,8 @@ var (
 	ErrBadField = errors.New("frame: field out of range")
 	// ErrEmptyPacket is returned for zero-length packets.
 	ErrEmptyPacket = errors.New("frame: empty packet")
-	// ErrPacketTooLarge is returned for packets beyond the 64 KiB driver
-	// limit.
+	// ErrPacketTooLarge is returned for packets beyond MaxPacketLen, the
+	// paper's 64 KiB limit.
 	ErrPacketTooLarge = errors.New("frame: packet exceeds 64KiB limit")
 	// ErrMTUTooSmall is returned when a fragment header leaves no room in
 	// the MTU.
