@@ -22,9 +22,13 @@ func CheckPacket(packet []byte) error {
 	return nil
 }
 
-// CheckMTU reports whether both fragment kinds fit an MTU of mtu bytes:
-// a data fragment with at least one payload byte, and an introduction.
+// CheckMTU reports whether the codec's field widths are valid and both
+// fragment kinds fit an MTU of mtu bytes: a data fragment with at least
+// one payload byte, and an introduction.
 func (c Codec) CheckMTU(mtu int) error {
+	if err := c.validate(); err != nil {
+		return err
+	}
 	if c.MaxPayload(mtu) <= 0 {
 		return fmt.Errorf("%w: %d bytes", ErrMTUTooSmall, mtu)
 	}

@@ -92,6 +92,9 @@ func TestCheckMTU(t *testing.T) {
 			t.Errorf("CheckMTU(%d) = %v, want ok=%v", tc.mtu, err, tc.ok)
 		}
 	}
+	if err := (Codec{IDBits: 16, SeqBits: 33}).CheckMTU(27); !errors.Is(err, ErrBadField) {
+		t.Errorf("invalid codec CheckMTU = %v, want ErrBadField", err)
+	}
 }
 
 func TestWrapBit(t *testing.T) {

@@ -88,18 +88,12 @@ type Fragmenter struct {
 // address.
 func NewFragmenter(cfg Config, addr uint64) (*Fragmenter, error) {
 	cfg = cfg.withDefaults()
-	if cfg.AddrBits < 1 || cfg.AddrBits > 64 {
-		return nil, fmt.Errorf("staticaddr: address width %d out of range", cfg.AddrBits)
-	}
-	if cfg.SeqBits < 1 || cfg.SeqBits > 32 {
-		return nil, fmt.Errorf("staticaddr: sequence width %d out of range", cfg.SeqBits)
-	}
-	if cfg.AddrBits < 64 && addr >= 1<<uint(cfg.AddrBits) {
-		return nil, fmt.Errorf("%w: %d needs more than %d bits", ErrBadAddress, addr, cfg.AddrBits)
-	}
 	codec := cfg.codec()
 	if err := codec.CheckMTU(cfg.MTU); err != nil {
 		return nil, err
+	}
+	if cfg.AddrBits < 64 && addr >= 1<<uint(cfg.AddrBits) {
+		return nil, fmt.Errorf("%w: %d needs more than %d bits", ErrBadAddress, addr, cfg.AddrBits)
 	}
 	return &Fragmenter{cfg: cfg, codec: codec, addr: addr}, nil
 }
