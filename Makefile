@@ -10,7 +10,9 @@ FUZZTIME ?= 10s
 # package per -fuzz run, so the short CI pass loops over pkg:target pairs.
 FUZZ_TARGETS := \
 	./internal/frame/:FuzzAFFDecode \
+	./internal/frame/:FuzzStaticDecode \
 	./internal/frame/:FuzzAFFBitFlip \
+	./internal/frame/:FuzzStaticBitFlip \
 	./internal/mobility/:FuzzMobilityScript \
 	./internal/flood/:FuzzRelayEnvelope
 

@@ -290,15 +290,24 @@ func TestStaticHeaderCostExceedsAFF(t *testing.T) {
 }
 
 func TestAFFDecodeTruncated(t *testing.T) {
-	for _, c := range []Codec{{IDBits: 9}, {IDBits: 32, SeqBits: 16}} {
-		buf, _, err := c.EncodeIntro(Intro{ID: 1, TotalLen: 100, Checksum: 0xAA})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for cut := 0; cut < len(buf); cut++ {
-			if _, err := c.Decode(buf[:cut]); !errors.Is(err, ErrTruncated) {
-				t.Errorf("%+v: Decode(%d/%d bytes) err = %v, want ErrTruncated", c, cut, len(buf), err)
-			}
+	checkTruncated(t, Codec{IDBits: 9}, Intro{ID: 1, TotalLen: 100, Checksum: 0xAA})
+}
+
+func TestStaticDecodeTruncated(t *testing.T) {
+	checkTruncated(t, Codec{IDBits: 32, SeqBits: 16}, Intro{ID: 9, Seq: 9, TotalLen: 9, Checksum: 9})
+}
+
+// checkTruncated requires every proper prefix of in's encoding to decode
+// as ErrTruncated.
+func checkTruncated(t *testing.T, c Codec, in Intro) {
+	t.Helper()
+	buf, _, err := c.EncodeIntro(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := 0; cut < len(buf); cut++ {
+		if _, err := c.Decode(buf[:cut]); !errors.Is(err, ErrTruncated) {
+			t.Errorf("Decode(%d/%d bytes) err = %v, want ErrTruncated", cut, len(buf), err)
 		}
 	}
 }
@@ -332,17 +341,34 @@ func TestAFFMaxPayload(t *testing.T) {
 	}
 }
 
-// TestAFFRoundTripProperty fuzzes formats, widths, offsets and payloads:
-// half the codecs carry a sequence field, and with it an address of up to
-// 64 bits.
+// TestAFFRoundTripProperty fuzzes widths, offsets, payloads and the
+// trailer over AFF codecs.
 func TestAFFRoundTripProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, 3))
-		c := Codec{IDBits: int(rng.Uint64N(MaxIDBits)) + 1, Instrument: rng.Uint64N(2) == 0}
-		if rng.Uint64N(2) == 0 {
-			c.IDBits = int(rng.Uint64N(maxAddrBits)) + 1
-			c.SeqBits = int(rng.Uint64N(maxSeqBits)) + 1
+	roundTripProperty(t, 3, func(rng *rand.Rand) Codec {
+		return Codec{IDBits: int(rng.Uint64N(MaxIDBits)) + 1, Instrument: rng.Uint64N(2) == 0}
+	})
+}
+
+// TestStaticRoundTripProperty: the same property over static codecs, whose
+// sequence field lets the address reach 64 bits.
+func TestStaticRoundTripProperty(t *testing.T) {
+	roundTripProperty(t, 4, func(rng *rand.Rand) Codec {
+		return Codec{
+			IDBits:     int(rng.Uint64N(maxAddrBits)) + 1,
+			SeqBits:    int(rng.Uint64N(maxSeqBits)) + 1,
+			Instrument: rng.Uint64N(2) == 0,
 		}
+	})
+}
+
+// roundTripProperty requires random intro and data fragments to survive
+// an encode and decode under codecs drawn by pick, 300 seeds on PCG
+// stream stream.
+func roundTripProperty(t *testing.T, stream uint64, pick func(*rand.Rand) Codec) {
+	t.Helper()
+	f := func(seed uint64) bool {
+		rng := rand.New(rand.NewPCG(seed, stream))
+		c := pick(rng)
 		id := rng.Uint64() & mask(c.IDBits)
 		seq := rng.Uint64() & mask(c.SeqBits)
 		payload := make([]byte, rng.Uint64N(20)+1)
