@@ -26,7 +26,10 @@ type Pool struct {
 	jobs chan poolJob
 	wg   sync.WaitGroup
 
-	// round state, guarded by the round WaitGroup inside Each.
+	// Round state, reset by each Each under mu. round is pool-owned so a
+	// round allocates nothing; reusing it is safe because Each holds mu
+	// until round.Wait returns.
+	round     sync.WaitGroup
 	panicOnce sync.Once
 	panicked  *PanicError
 }
@@ -34,7 +37,6 @@ type Pool struct {
 type poolJob struct {
 	fn    func(int)
 	index int
-	done  *sync.WaitGroup
 }
 
 // NewPool starts a pool of the given size. Sizes <= 1 run everything inline
@@ -69,7 +71,7 @@ func (p *Pool) Workers() int {
 // run executes one job, converting a panic into the round's recorded
 // failure so the barrier in Each can re-raise it on the caller.
 func (p *Pool) run(j poolJob) {
-	defer j.done.Done()
+	defer p.round.Done()
 	defer func() {
 		if r := recover(); r != nil {
 			p.panicOnce.Do(func() {
@@ -102,12 +104,11 @@ func (p *Pool) Each(n int, fn func(i int)) {
 	defer p.mu.Unlock()
 	p.panicOnce = sync.Once{}
 	p.panicked = nil
-	var done sync.WaitGroup
-	done.Add(n)
+	p.round.Add(n)
 	for i := 0; i < n; i++ {
-		p.jobs <- poolJob{fn: fn, index: i, done: &done}
+		p.jobs <- poolJob{fn: fn, index: i}
 	}
-	done.Wait()
+	p.round.Wait()
 	if p.panicked != nil {
 		panic(fmt.Errorf("runner: pool worker: %w", p.panicked))
 	}

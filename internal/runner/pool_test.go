@@ -90,3 +90,15 @@ func TestPoolZeroAndNegativeN(t *testing.T) {
 	p.Each(0, func(int) { t.Error("fn called for n=0") })
 	p.Each(-3, func(int) { t.Error("fn called for n<0") })
 }
+
+// TestPoolEachAllocatesNothing: a warmed round on real workers allocates
+// nothing, so the sharded engine's two rounds per window cost no garbage.
+func TestPoolEachAllocatesNothing(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+	var hits [2]int
+	fn := func(i int) { hits[i]++ }
+	if allocs := testing.AllocsPerRun(100, func() { p.Each(len(hits), fn) }); allocs != 0 {
+		t.Errorf("Each allocated %.1f times per round, want 0", allocs)
+	}
+}

@@ -1,8 +1,10 @@
 package shard
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -445,7 +447,11 @@ type SensorTile struct {
 	emitSeq uint32
 
 	// window holds live records sorted by (End, Seq); the first nSettled
-	// are already judged and kept only for overlap scans.
+	// are already judged and kept only for overlap scans. overlappers
+	// relies on two preconditions: the window stays sorted by (End, Seq),
+	// and every record lasts exactly FrameAir (frag sets End = Start +
+	// FrameAir), so Start is sorted too and a record's time-overlappers
+	// form one contiguous run.
 	window   []Record
 	nSettled int
 	overl    []int32
@@ -712,13 +718,15 @@ func (t *SensorTile) Emit(into []Record) []Record {
 // unsettled tail keeps the whole window sorted.
 func (t *SensorTile) Absorb(batch []Record) {
 	t.window = append(t.window, batch...)
-	tail := t.window[t.nSettled:]
-	sort.Slice(tail, func(a, b int) bool {
-		if tail[a].End != tail[b].End {
-			return tail[a].End < tail[b].End
-		}
-		return tail[a].Seq < tail[b].Seq
-	})
+	slices.SortFunc(t.window[t.nSettled:], byEndSeq)
+}
+
+// byEndSeq orders records by (End, Seq), the window's sort key.
+func byEndSeq(a, b Record) int {
+	if c := cmp.Compare(a.End, b.End); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Seq, b.Seq)
 }
 
 // Settle judges every absorbed record whose airtime ended by the barrier.
@@ -746,18 +754,8 @@ func (t *SensorTile) verdicts(r *Record) {
 	cfg := &t.cl.cfg
 	r2 := cfg.Range * cfg.Range
 	// Find the record's time-overlappers once; receivers then only test
-	// audibility per overlapper. Same-sender records never overlap (a
-	// sender is strictly sequential), so they are skipped wholesale.
-	t.overl = t.overl[:0]
-	for j := range t.window {
-		o := &t.window[j]
-		if o.Seq == r.Seq || o.From == r.From {
-			continue
-		}
-		if o.Start < r.End && o.End > r.Start {
-			t.overl = append(t.overl, int32(j))
-		}
-	}
+	// audibility per overlapper.
+	t.overl = overlappers(t.window, r, t.overl[:0])
 	for _, v := range t.awakeList {
 		gid := t.gid(v)
 		if gid == r.From {
@@ -804,6 +802,22 @@ func (t *SensorTile) verdicts(r *Record) {
 		}
 		t.deliver(r, v)
 	}
+}
+
+// overlappers appends to into the window indices, in window order, of every
+// record whose airtime overlaps r's (o.Start < r.End && o.End > r.Start).
+// Same-sender records never overlap (a sender is strictly sequential), so
+// they are skipped wholesale, r itself included. Under the window's
+// preconditions the overlappers are the run from the first End > r.Start
+// up to the first Start >= r.End: O(log W + k), not a full-window scan.
+func overlappers(window []Record, r *Record, into []int32) []int32 {
+	first := sort.Search(len(window), func(j int) bool { return window[j].End > r.Start })
+	for j := first; j < len(window) && window[j].Start < r.End; j++ {
+		if window[j].From != r.From {
+			into = append(into, int32(j))
+		}
+	}
+	return into
 }
 
 // lost is the counter-based per-receiver loss draw: a pure function of

@@ -147,29 +147,38 @@ func (e *Engine) Stats() RunStats { return e.stats }
 // Run executes windows until the safe time reaches horizon, stopping at
 // the first barrier at or past it. Regions are striped across the
 // pool's workers; because every region is independent between barriers,
-// the striping pattern cannot affect results.
+// the striping pattern cannot affect results. The two phase closures are
+// bound once per call and read the window end from end, so a window
+// allocates nothing of its own.
 func (e *Engine) Run(horizon time.Duration) {
 	n := len(e.regions)
-	w := e.pool.Workers()
-	if w > n {
-		w = n
-	}
-	for {
-		if e.now >= horizon {
-			return
+	w := min(e.pool.Workers(), n)
+	var end time.Duration
+	advance := func(worker int) {
+		for i := worker; i < n; i += w {
+			e.regions[i].Advance(end)
 		}
-		end := e.now + e.lookahead
-		e.pool.Each(w, func(worker int) {
-			for i := worker; i < n; i += w {
-				e.regions[i].Advance(end)
+	}
+	settle := func(worker int) {
+		for i := worker; i < n; i += w {
+			in := e.batch
+			if e.Router != nil {
+				in = e.inbox[i]
 			}
-		})
+			if len(in) > 0 {
+				e.regions[i].Absorb(in)
+			}
+			e.regions[i].Settle(end)
+		}
+	}
+	for e.now < horizon {
+		end = e.now + e.lookahead
+		e.pool.Each(w, advance)
 		e.batch = e.batch[:0]
 		for _, r := range e.regions {
 			e.batch = r.Emit(e.batch)
 		}
 		e.stats.Exchanged += uint64(len(e.batch))
-		batch := e.batch
 		if e.Router != nil {
 			if e.inbox == nil {
 				e.inbox = make([][]Record, n)
@@ -177,25 +186,14 @@ func (e *Engine) Run(horizon time.Duration) {
 			for i := range e.inbox {
 				e.inbox[i] = e.inbox[i][:0]
 			}
-			for j := range batch {
-				e.route = e.Router.Route(&batch[j], e.route[:0])
+			for j := range e.batch {
+				e.route = e.Router.Route(&e.batch[j], e.route[:0])
 				for _, ti := range e.route {
-					e.inbox[ti] = append(e.inbox[ti], batch[j])
+					e.inbox[ti] = append(e.inbox[ti], e.batch[j])
 				}
 			}
 		}
-		e.pool.Each(w, func(worker int) {
-			for i := worker; i < n; i += w {
-				in := batch
-				if e.Router != nil {
-					in = e.inbox[i]
-				}
-				if len(in) > 0 {
-					e.regions[i].Absorb(in)
-				}
-				e.regions[i].Settle(end)
-			}
-		})
+		e.pool.Each(w, settle)
 		e.now = end
 		e.stats.Windows++
 		if e.OnBarrier != nil {
