@@ -91,20 +91,18 @@ type options struct {
 	memprofile  string
 }
 
-// parseArgs parses and validates flags. Quick-mode defaults apply only to
-// flags the user did not set explicitly (fs.Visit covers exactly the set
-// flags), so `-quick -trials 5` keeps the user's 5 trials.
-func parseArgs(args []string) (options, error) {
+// newFlagSet registers every command-line flag on a fresh set, each bound
+// to its field of o.
+func newFlagSet(o *options) *flag.FlagSet {
 	fs := flag.NewFlagSet("retri-experiments", flag.ContinueOnError)
-	var o options
-	fs.StringVar(&o.figure, "figure", "", "figure to regenerate: 1, 2, 3, 4, scaling, strategies, recovery, dynamics, chaos, multihop or all")
+	fs.StringVar(&o.figure, "figure", "", "figure to regenerate: 1, 2, 3, 4, scaling, strategies, recovery, dynamics, chaos, multihop, massive or all")
 	fs.StringVar(&o.ablation, "ablation", "", "ablation to run: window, hidden, mac, lengths, flood, estimator, lifetime, churn or all")
-	fs.IntVar(&o.trials, "trials", 10, "trials per configuration (figure 4 and ablations)")
+	fs.IntVar(&o.trials, "trials", 10, "trials per configuration (figures 4, recovery, dynamics, chaos, strategies, multihop and massive; ablations window, hidden, lengths and estimator)")
 	fs.DurationVar(&o.duration, "duration", 2*time.Minute, "simulated time per trial")
 	fs.Uint64Var(&o.seed, "seed", 1, "master random seed")
 	fs.BoolVar(&o.quick, "quick", false, "shrink trials/duration for a fast pass")
 	fs.StringVar(&o.format, "format", "table", "output format for figures: table or csv")
-	fs.IntVar(&o.parallel, "parallel", 1, "concurrent trials per experiment; 0 uses all CPUs, 1 is sequential")
+	fs.IntVar(&o.parallel, "parallel", 1, "concurrent trials per experiment; 0 uses all CPUs, 1 is sequential; for -figure massive, the shard worker count inside each trial")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write the radio event stream as JSON Lines to this file")
 	fs.StringVar(&o.metricsOut, "metrics-out", "", "write a JSON run manifest and metrics snapshot to this file")
 	fs.StringVar(&o.spanOut, "span-out", "", "write per-transaction lifecycle spans as JSON Lines to this file (query with retri-trace)")
@@ -127,6 +125,15 @@ func parseArgs(args []string) (options, error) {
 	fs.DurationVar(&o.soak, "soak", 0, "soak mode for -figure chaos: audit oracle invariants at this interval inside every trial (0 disables)")
 	fs.StringVar(&o.multihopArms, "arms", "all", "protocol arms for -figure multihop: comma list of fixed, adaptive-turnover, dynaddr; or all")
 	fs.IntVar(&o.regions, "regions", 3, "per-region width table grid for -figure multihop: the field splits into regions x regions cells")
+	return fs
+}
+
+// parseArgs parses and validates flags. Quick-mode defaults apply only to
+// flags the user did not set explicitly (fs.Visit covers exactly the set
+// flags), so `-quick -trials 5` keeps the user's 5 trials.
+func parseArgs(args []string) (options, error) {
+	var o options
+	fs := newFlagSet(&o)
 	if err := fs.Parse(args); err != nil {
 		return options{}, err
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -88,6 +89,21 @@ func TestParseParallel(t *testing.T) {
 	}
 	if o.parallel != 4 {
 		t.Errorf("-parallel 4 resolved to %d", o.parallel)
+	}
+}
+
+// TestUsageListsEverySelection: the -figure and -ablation help must name
+// every selection the golden table runs, so the lists cannot drift from
+// what the CLI offers.
+func TestUsageListsEverySelection(t *testing.T) {
+	fs := newFlagSet(new(options))
+	for _, sel := range quickSelections {
+		usage := fs.Lookup(sel[0][1:]).Usage
+		_, list, _ := strings.Cut(usage, ": ")
+		words := strings.FieldsFunc(list, func(r rune) bool { return r == ',' || r == ' ' })
+		if !slices.Contains(words, sel[1]) {
+			t.Errorf("%s usage %q omits %s", sel[0], usage, sel[1])
+		}
 	}
 }
 
