@@ -31,9 +31,9 @@ COVER_PKGS := internal/density internal/adapt internal/oracle internal/truth int
 	internal/frame internal/aff internal/staticaddr
 COVER_FLOOR := 80
 
-.PHONY: check vet build test race golden benchtest fuzz benchsmoke benchcompare bench profile cover trace-demo chaossmoke scalesmoke multihopsmoke
+.PHONY: check vet build test race golden poisoncheck benchtest fuzz benchsmoke benchcompare bench profile cover trace-demo chaossmoke scalesmoke multihopsmoke
 
-check: vet build race golden benchtest fuzz benchcompare cover trace-demo chaossmoke scalesmoke multihopsmoke
+check: vet build race golden poisoncheck benchtest fuzz benchcompare cover trace-demo chaossmoke scalesmoke multihopsmoke
 
 vet:
 	$(GO) vet ./...
@@ -54,6 +54,17 @@ race:
 # (too slow there), so it runs here uninstrumented.
 golden:
 	$(GO) test -count=1 -run '^TestQuickStdoutGolden$$' ./cmd/retri-experiments/
+
+# poisoncheck reruns the tests under the retri_poison build tag, which
+# overwrites a medium frame buffer, a lent delivery buffer and a
+# fragmenter's frame arena before each is reused (internal/poison). A
+# reader that keeps such memory past its lifetime then reads garbage, so
+# a golden moves or a round trip fails. The two goldens run by name as
+# well, uncached, since they pin every sweep's bytes.
+poisoncheck:
+	$(GO) test -tags retri_poison ./...
+	$(GO) test -tags retri_poison -count=1 -run '^TestQuickStdoutGolden$$' ./cmd/retri-experiments/
+	$(GO) test -tags retri_poison -count=1 -run '^TestGoldenDigests$$' ./internal/experiment/
 
 # benchtest builds and tests the end-to-end benchmark, its own module
 # under bench/ that root `go test ./...` never reaches. It reads the

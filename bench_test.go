@@ -242,13 +242,12 @@ func BenchmarkEndToEndPacket(b *testing.B) {
 }
 
 // packetAllocBudget caps heap allocations per 80-byte packet end to end:
-// the 7 measured plus two of headroom. The event loop, per-frame
-// callbacks, transmit queue, frame decode and reassembly state allocate
-// nothing in steady state; what remains is one sealed buffer per encoded
-// frame (the intro's is small enough that two share one tiny-allocator
-// block), the fragmenter's transaction fragment list and the delivered
-// packet buffer.
-const packetAllocBudget = 9
+// the 1 measured plus one of headroom. The event loop, per-frame
+// callbacks, transmit queue, fragmenter arena, medium frame buffers,
+// frame decode and reassembly state allocate nothing in steady state;
+// what remains is the copy the root facade's OnPacket hands its caller
+// to keep.
+const packetAllocBudget = 2
 
 // raceEnabled is set by race_test.go in -race builds.
 var raceEnabled bool

@@ -59,7 +59,7 @@ func TestFragmentWidthRoundTrip(t *testing.T) {
 	}
 	for _, w := range []int{1, 4, 9, 16} {
 		var out []Packet
-		r := NewReassembler(cfg, nil, func(p Packet) { out = append(out, p) })
+		r := NewReassembler(cfg, nil, collect(&out))
 		tx, err := f.FragmentWidth(packet, w)
 		if err != nil {
 			t.Fatalf("FragmentWidth(%d): %v", w, err)
@@ -92,12 +92,15 @@ func TestMixedWidthSameIDNoMerge(t *testing.T) {
 	wide := bytes.Repeat([]byte{0x55}, 90)
 
 	// Redraw until the two widths produce the same numeric identifier.
+	// The narrow transaction is cloned: the next call reuses the
+	// fragmenter's storage.
 	var txN, txW Transaction
 	for {
 		var err error
 		if txN, err = f.FragmentWidth(narrow, 4); err != nil {
 			t.Fatal(err)
 		}
+		txN = clone(txN)
 		if txW, err = f.FragmentWidth(wide, 9); err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +110,7 @@ func TestMixedWidthSameIDNoMerge(t *testing.T) {
 	}
 
 	var out []Packet
-	r := NewReassembler(cfg, nil, func(p Packet) { out = append(out, p) })
+	r := NewReassembler(cfg, nil, collect(&out))
 	// Interleave the two fragment streams.
 	for i := 0; i < len(txN.Fragments) || i < len(txW.Fragments); i++ {
 		if i < len(txN.Fragments) {
@@ -196,7 +199,7 @@ func TestFixedConfigIgnoresAdaptiveFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out []Packet
-	r := NewReassembler(testConfig(9), nil, func(p Packet) { out = append(out, p) })
+	r := NewReassembler(testConfig(9), nil, collect(&out))
 	for _, fr := range tx.Fragments {
 		r.Ingest(fr.Bytes)
 	}

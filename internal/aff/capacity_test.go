@@ -84,6 +84,8 @@ func TestCapRefreshedPartialSurvives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Fragmenting B and C reuses the fragmenter's storage.
+	txA = clone(txA)
 	r.Ingest(txA.Fragments[0].Bytes) // A born at t=0
 	now = time.Millisecond
 	idB := startPartial(t, f, r) // B born at t=1ms

@@ -102,7 +102,7 @@ func TestLossOnlyAffectsLossyTransactions(t *testing.T) {
 	}
 
 	var out []Packet
-	r := NewReassembler(cfg, nil, func(p Packet) { out = append(out, p) })
+	r := NewReassembler(cfg, nil, collect(&out))
 	// Interleave, dropping txA's second data fragment.
 	for i := 0; i < len(txA.Fragments); i++ {
 		if i != 2 {
@@ -132,7 +132,7 @@ func TestIdentifierImmediatelyReusableAfterDelivery(t *testing.T) {
 	}
 
 	var out []Packet
-	r := NewReassembler(cfg, nil, func(p Packet) { out = append(out, p) })
+	r := NewReassembler(cfg, nil, collect(&out))
 	for round := 0; round < 5; round++ {
 		pkt := bytes.Repeat([]byte{byte(round)}, 50)
 		fr := f1

@@ -27,39 +27,68 @@ var (
 	ErrShortBuffer = errors.New("bitio: read past end of buffer")
 )
 
-// Writer accumulates bits into a growing byte buffer.
+// Writer appends bits to a byte slice.
 //
-// The zero value is ready to use.
+// The zero value is ready to use and starts from an empty slice.
+// AppendTo starts a writer at the end of caller-owned bytes instead, so
+// an encoder can fill storage its caller reuses.
 type Writer struct {
-	buf   []byte
+	buf []byte
+	// base is len(buf) when writing began: Len counts only bits after it.
+	base  int
 	nbits int
 }
 
 // NewWriter returns an empty Writer.
 func NewWriter() *Writer { return &Writer{} }
 
+// AppendTo returns a Writer whose first bit follows dst's last byte.
+// Bytes then returns dst extended by what was written, in dst's storage
+// for as long as its capacity lasts. dst's spare capacity is scratch:
+// WriteBits may zero bytes of it past the last one written.
+func AppendTo(dst []byte) Writer { return Writer{buf: dst, base: len(dst)} }
+
 // WriteBits appends the low n bits of v, MSB-first. n must be in [0, 64].
+//
+// The field is shifted into one word aligned to the byte it starts in
+// and stored with one 8-byte load and store, as ReadBits gathers a
+// field: the word keeps the bits already written in that byte and zeroes
+// every bit after the field. The store may therefore zero up to seven
+// bytes of spare capacity past the last byte written, so the buffer's
+// spare capacity must hold nothing of value, as for any append. Only
+// when fewer than 8 bytes of capacity remain is the word stored byte by
+// byte, and only a field wider than 56 bits that starts mid-byte spills
+// into a ninth byte.
 func (w *Writer) WriteBits(v uint64, n int) error {
 	if n < 0 || n > MaxBits {
 		return fmt.Errorf("bitio: WriteBits width %d out of range [0, %d]", n, MaxBits)
 	}
-	if n < 64 {
-		v &= (uint64(1) << uint(n)) - 1
+	if n == 0 {
+		return nil
 	}
-	for n > 0 {
-		if w.nbits%8 == 0 {
-			w.buf = append(w.buf, 0)
-		}
-		free := 8 - w.nbits%8
-		take := free
-		if n < take {
-			take = n
-		}
-		chunk := byte(v>>uint(n-take)) & byte((1<<uint(take))-1)
-		w.buf[len(w.buf)-1] |= chunk << uint(free-take)
-		w.nbits += take
-		n -= take
+	v <<= 64 - uint(n) // drop bits above the field; it now starts at the top
+	pos := 8*w.base + w.nbits
+	i, skip := pos/8, uint(pos%8)
+	if need := (pos + n + 7) / 8; need > cap(w.buf) {
+		w.buf = append(w.buf, make([]byte, need-len(w.buf))...)
+	} else if need > len(w.buf) {
+		w.buf = w.buf[:need]
 	}
+	word := v >> skip
+	keep := ^(^uint64(0) >> skip) // the bits of byte i already written
+	if i+8 <= cap(w.buf) {
+		b := w.buf[i : i+8]
+		binary.BigEndian.PutUint64(b, binary.BigEndian.Uint64(b)&keep|word)
+	} else {
+		w.buf[i] = w.buf[i]&byte(keep>>56) | byte(word>>56)
+		for k := 1; i+k < len(w.buf); k++ {
+			w.buf[i+k] = byte(word >> (56 - 8*uint(k)))
+		}
+	}
+	if skip+uint(n) > 64 {
+		w.buf[i+8] = byte(v << (64 - skip) >> 56)
+	}
+	w.nbits += n
 	return nil
 }
 
@@ -97,13 +126,15 @@ func (w *Writer) Align() {
 // Len reports the number of bits written so far.
 func (w *Writer) Len() int { return w.nbits }
 
-// Bytes returns the packed buffer. Trailing bits of the final byte are zero.
-// The returned slice aliases the Writer's internal buffer.
+// Bytes returns the packed buffer, after AppendTo's dst bytes when it
+// has any. Trailing bits of the final byte are zero. The returned slice
+// aliases the Writer's internal buffer.
 func (w *Writer) Bytes() []byte { return w.buf }
 
-// Reset clears the writer for reuse, retaining the allocated buffer.
+// Reset clears the writer for reuse, retaining the allocated buffer. A
+// writer from AppendTo keeps dst's bytes.
 func (w *Writer) Reset() {
-	w.buf = w.buf[:0]
+	w.buf = w.buf[:w.base]
 	w.nbits = 0
 }
 

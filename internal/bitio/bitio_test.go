@@ -241,6 +241,75 @@ func TestReadBitsMatchesBitwiseReference(t *testing.T) {
 	}
 }
 
+// TestWriteBitsMatchesBitwiseReference writes every width from 0 to 64
+// at every bit offset from 0 to 80 and checks the bytes against a
+// bit-by-bit reference. Each case runs on a growing writer, on one
+// appending after a head byte into spare capacity full of set bits (the
+// word store must clear what follows the field), and on one whose
+// capacity ends exactly at the last byte (the bytewise tail).
+func TestWriteBitsMatchesBitwiseReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 8))
+	const head = 0xA5
+	garbage := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = 0xFF
+		}
+		b[0] = head
+		return b[:1]
+	}
+	for start := 0; start <= 80; start++ {
+		for n := 0; n <= MaxBits; n++ {
+			bits := make([]bool, start+n)
+			for i := range bits {
+				bits[i] = rng.Uint64()&1 == 1
+			}
+			var v uint64
+			for _, b := range bits[start:] {
+				v <<= 1
+				if b {
+					v |= 1
+				}
+			}
+			// Set bits above the field, which WriteBits must ignore.
+			if n < 64 {
+				v |= ^uint64(0) << uint(n)
+			}
+			want := make([]byte, (start+n+7)/8)
+			for i, b := range bits {
+				if b {
+					want[i/8] |= 0x80 >> (i % 8)
+				}
+			}
+			for _, tc := range []struct {
+				name string
+				w    Writer
+				skip int // head bytes before the first bit
+			}{
+				{"growing", Writer{}, 0},
+				{"spare capacity", AppendTo(garbage(1 + len(want) + 16)), 1},
+				{"tight capacity", AppendTo(garbage(1 + len(want))), 1},
+			} {
+				w := &tc.w
+				for _, b := range bits[:start] {
+					w.WriteBool(b)
+				}
+				if err := w.WriteBits(v, n); err != nil {
+					t.Fatal(err)
+				}
+				got := w.Bytes()
+				if tc.skip > 0 && got[0] != head {
+					t.Fatalf("%s, offset %d, width %d: head byte %#x, want %#x", tc.name, start, n, got[0], head)
+				}
+				if !bytes.Equal(got[tc.skip:], want) || w.Len() != start+n {
+					t.Fatalf("%s, offset %d, width %d: wrote %x (%d bits), want %x (%d bits)",
+						tc.name, start, n, got[tc.skip:], w.Len(), want, start+n)
+				}
+			}
+		}
+	}
+}
+
 // TestRoundTripProperty checks that any sequence of variable-width fields
 // written and then read back yields the original values.
 func TestRoundTripProperty(t *testing.T) {

@@ -92,8 +92,9 @@ func (c codec) encodeControl(m Control) ([]byte, int, error) {
 }
 
 // decode splits a frame into either a control message or an inner data
-// frame. Exactly one of ctrl/data is meaningful, per isControl.
-func (c codec) decode(p []byte) (ctrl Control, data []byte, isControl bool, err error) {
+// frame, appended to dst. Exactly one of ctrl/data is meaningful, per
+// isControl.
+func (c codec) decode(dst, p []byte) (ctrl Control, data []byte, isControl bool, err error) {
 	r := bitio.NewReader(p)
 	demux, err := r.ReadBits(1)
 	if err != nil {
@@ -102,7 +103,7 @@ func (c codec) decode(p []byte) (ctrl Control, data []byte, isControl bool, err 
 	if demux == demuxData {
 		// The data frame sits behind the demux bit, shifted off byte
 		// boundaries; UnwrapBit shifts it back.
-		_, data, _ = frame.UnwrapBit(p)
+		_, data, _ = frame.UnwrapBit(dst, p)
 		return Control{}, data, false, nil
 	}
 	kind, err := r.ReadBits(kindBits)

@@ -42,7 +42,7 @@ func TestCodecControlRoundTrip(t *testing.T) {
 		if bits != 1+2+10+16 {
 			t.Errorf("control bits = %d, want 29", bits)
 		}
-		got, _, isControl, err := c.decode(buf)
+		got, _, isControl, err := c.decode(nil, buf)
 		if err != nil || !isControl {
 			t.Fatalf("decode: %v (control=%v)", err, isControl)
 		}
@@ -60,7 +60,7 @@ func TestCodecRejectsBadControl(t *testing.T) {
 	if _, _, err := c.encodeControl(Control{Kind: MsgClaim, Addr: 1 << 10}); err == nil {
 		t.Error("oversize address accepted")
 	}
-	if _, _, _, err := c.decode(nil); !errors.Is(err, ErrBadControl) {
+	if _, _, _, err := c.decode(nil, nil); !errors.Is(err, ErrBadControl) {
 		t.Errorf("empty frame err = %v", err)
 	}
 }
@@ -68,11 +68,11 @@ func TestCodecRejectsBadControl(t *testing.T) {
 func TestCodecDataRoundTrip(t *testing.T) {
 	c := codec{addrBits: 10}
 	inner := []byte{9, 8, 7, 6}
-	buf, bits := frame.WrapBit(demuxData, inner, 8*len(inner))
+	buf, bits := frame.WrapBit(nil, demuxData, inner, 8*len(inner))
 	if bits != 1+32 {
 		t.Errorf("wrapped bits = %d, want 33", bits)
 	}
-	_, data, isControl, err := c.decode(buf)
+	_, data, isControl, err := c.decode(nil, buf)
 	if err != nil || isControl {
 		t.Fatalf("decode: %v (control=%v)", err, isControl)
 	}

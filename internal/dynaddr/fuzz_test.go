@@ -11,7 +11,7 @@ import (
 func FuzzDecode(f *testing.F) {
 	c := codec{addrBits: 10}
 	claim, _, _ := c.encodeControl(Control{Kind: MsgClaim, Addr: 5, Nonce: 9})
-	data, _ := frame.WrapBit(demuxData, []byte{1, 2, 3}, 24)
+	data, _ := frame.WrapBit(nil, demuxData, []byte{1, 2, 3}, 24)
 	f.Add(claim, 10)
 	f.Add(data, 10)
 	f.Add([]byte{}, 4)
@@ -23,7 +23,7 @@ func FuzzDecode(f *testing.F) {
 			b = 1
 		}
 		c := codec{addrBits: b}
-		ctrl, _, isControl, err := c.decode(p)
+		ctrl, _, isControl, err := c.decode(nil, p)
 		if err != nil || !isControl {
 			return
 		}
@@ -31,7 +31,7 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded control failed to re-encode: %v (%+v)", err, ctrl)
 		}
-		again, _, ok, err := c.decode(buf)
+		again, _, ok, err := c.decode(nil, buf)
 		if err != nil || !ok || again != ctrl {
 			t.Fatalf("control round trip drift: %+v vs %+v (%v)", ctrl, again, err)
 		}

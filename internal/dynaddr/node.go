@@ -19,8 +19,9 @@ var ErrNoAddress = errors.New("dynaddr: no address assigned yet")
 
 // Relay is the multi-hop forwarding service SetRelay plugs in
 // (flood.Relay satisfies it): WrapOutgoing envelopes outgoing frames
-// with the hop budget, UnwrapIncoming dedups and rebroadcasts received
-// copies, Reset wipes the dedup table on a crash.
+// with the hop budget, in storage its next call may reuse, UnwrapIncoming
+// dedups and rebroadcasts received copies, Reset wipes the dedup table on
+// a crash.
 type Relay interface {
 	WrapOutgoing(payload []byte, bits int) ([]byte, int)
 	UnwrapIncoming(f radio.Frame) (inner []byte, deliver bool)
@@ -43,6 +44,11 @@ type Node struct {
 
 	handler func(data []byte)
 	sent    int64
+
+	// wrapped and unwrapped are scratch for one data frame with and
+	// without the demux prefix: the outgoing frame Send copies, and the
+	// incoming one being reassembled.
+	wrapped, unwrapped []byte
 }
 
 // NewNode builds a dynamically addressed node. Data packets can be sent
@@ -146,7 +152,9 @@ func (n *Node) SendPacket(p []byte) error {
 		return err
 	}
 	for _, fr := range tx.Fragments {
-		payload, bits := frame.WrapBit(demuxData, fr.Bytes, fr.Bits)
+		var bits int
+		n.wrapped, bits = frame.WrapBit(n.wrapped[:0], demuxData, fr.Bytes, fr.Bits)
+		payload := n.wrapped
 		if n.relay != nil {
 			payload, bits = n.relay.WrapOutgoing(payload, bits)
 		}
@@ -181,7 +189,7 @@ func (n *Node) onFrame(f radio.Frame) {
 		}
 		payload = inner
 	}
-	ctrl, data, isControl, err := n.codec.decode(payload)
+	ctrl, data, isControl, err := n.codec.decode(n.unwrapped[:0], payload)
 	if err != nil {
 		return
 	}
@@ -189,5 +197,6 @@ func (n *Node) onFrame(f radio.Frame) {
 		n.alloc.HandleControl(ctrl)
 		return
 	}
+	n.unwrapped = data
 	n.reasm.Ingest(data)
 }

@@ -157,6 +157,8 @@ type Relay struct {
 	seen  window[RelayKey]
 	gen   int // bumped by Reset so pre-crash forwards die with the RAM
 	stats RelayStats
+	// wrapped holds the frame the last WrapOutgoing returned.
+	wrapped []byte
 }
 
 // NewRelay builds a relay on r. Unlike Router it does not take over the
@@ -194,13 +196,16 @@ func (rl *Relay) Reset() {
 // WrapOutgoing envelopes one of this node's own frames with the full hop
 // budget, marking its key seen so echoes from neighbours are neither
 // re-forwarded nor self-delivered. The envelope costs one byte; callers
-// must leave it room within the radio MTU.
+// must leave it room within the radio MTU. The returned frame is the
+// relay's scratch, valid until the next call: send it (Send copies) or
+// copy it.
 func (rl *Relay) WrapOutgoing(payload []byte, bits int) ([]byte, int) {
 	if k, ok := rl.cfg.Keyer(payload); ok {
 		rl.seen.mark(k, rl.eng.Now())
 	}
 	rl.stats.Originated++
-	return wrapEnvelope(rl.cfg.TTL, payload, bits)
+	rl.wrapped = appendEnvelope(rl.wrapped[:0], rl.cfg.TTL, payload)
+	return rl.wrapped, envelopeBits + bits
 }
 
 // UnwrapIncoming strips a received frame's envelope. First copies are
@@ -233,7 +238,9 @@ func (rl *Relay) UnwrapIncoming(f radio.Frame) (inner []byte, deliver bool) {
 	if ib < 0 {
 		ib = len(inner) * 8
 	}
-	fwd, bits := wrapEnvelope(ttl-1, inner, ib)
+	// The copy waits out its jitter, so it needs storage of its own.
+	fwd := appendEnvelope(make([]byte, 0, 1+len(inner)), ttl-1, inner)
+	bits := envelopeBits + ib
 	delay := time.Duration(rl.rng.Int64N(int64(rl.cfg.ForwardJitter)))
 	gen := rl.gen
 	rl.eng.Schedule(delay, func() {
@@ -252,13 +259,11 @@ func (rl *Relay) UnwrapIncoming(f radio.Frame) (inner []byte, deliver bool) {
 	return inner, true
 }
 
-// wrapEnvelope prefixes the one-byte hop-scope header.
-func wrapEnvelope(ttl int, inner []byte, innerBits int) ([]byte, int) {
-	w := bitio.NewWriter()
-	_ = w.WriteBits(uint64(ttl), ttlBits)
-	w.Align()
-	w.WriteBytes(inner)
-	return w.Bytes(), envelopeBits + innerBits
+// appendEnvelope appends inner behind the one-byte hop-scope header: the
+// TTL in the top ttlBits bits, the rest padding.
+func appendEnvelope(dst []byte, ttl int, inner []byte) []byte {
+	dst = append(dst, byte(ttl)<<(envelopeBits-ttlBits))
+	return append(dst, inner...)
 }
 
 // StripEnvelope removes the relay envelope without dedup or forwarding —

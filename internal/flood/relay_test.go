@@ -201,7 +201,7 @@ func TestAFFKeyerMixedWidthKeys(t *testing.T) {
 	intro := func(width int, id uint64) RelayKey {
 		c := codec
 		c.IDBits = width
-		buf, _, err := c.EncodeIntro(frame.Intro{ID: id, TotalLen: 48, Checksum: 7})
+		buf, _, err := c.AppendIntro(nil, frame.Intro{ID: id, TotalLen: 48, Checksum: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +214,7 @@ func TestAFFKeyerMixedWidthKeys(t *testing.T) {
 	data := func(width int, id uint64, off int) RelayKey {
 		c := codec
 		c.IDBits = width
-		buf, _, err := c.EncodeData(frame.Data{ID: id, Offset: off, Payload: []byte{1, 2, 3}})
+		buf, _, err := c.AppendData(nil, frame.Data{ID: id, Offset: off, Payload: []byte{1, 2, 3}})
 		if err != nil {
 			t.Fatal(err)
 		}

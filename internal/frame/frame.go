@@ -15,9 +15,11 @@
 //
 // Both formats are packed with bit precision: an H-bit identifier costs H
 // bits on air, not a rounded-up byte. Encoders return the meaningful bit
-// count alongside the byte buffer so the radio layer can price airtime and
-// energy honestly. Split turns a packet into its introduction and data
-// frames under one key; the services around it only choose the key.
+// count alongside the bytes so the radio layer can price airtime and
+// energy honestly. They append to storage the caller passes in, so a
+// caller that reuses it encodes without allocating. Split turns a packet
+// into its introduction and data frames under one key, in a Frames the
+// caller owns; the services around it only choose the key.
 //
 // For the Figure 4 methodology, fragments can carry an instrumentation
 // trailer with the simulation's ground-truth (node, sequence) pair. The
@@ -229,46 +231,49 @@ func (c Codec) checkKey(id, seq uint64) error {
 // fits reports whether v fits in an n-bit field.
 func fits(v uint64, n int) bool { return n >= 64 || v < 1<<uint(n) }
 
-// EncodeIntro serializes an introduction fragment, returning the frame
-// bytes and the count of meaningful bits.
-func (c Codec) EncodeIntro(in Intro) ([]byte, int, error) {
+// AppendIntro appends an encoded introduction fragment to dst, returning
+// the extended slice and the count of meaningful bits. It allocates only
+// when dst lacks the capacity; dst's spare capacity is scratch (see
+// bitio.AppendTo).
+func (c Codec) AppendIntro(dst []byte, in Intro) ([]byte, int, error) {
 	if err := c.checkKey(in.ID, in.Seq); err != nil {
-		return nil, 0, err
+		return dst, 0, err
 	}
 	if in.TotalLen < 0 || in.TotalLen > MaxPacketLen {
-		return nil, 0, fmt.Errorf("%w: total length %d", ErrBadField, in.TotalLen)
+		return dst, 0, fmt.Errorf("%w: total length %d", ErrBadField, in.TotalLen)
 	}
-	w := getWriter()
-	c.writeKey(w, kindIntro, in.ID, in.Seq)
-	mustWrite(w, uint64(in.TotalLen), lenBits)
-	mustWrite(w, uint64(in.Checksum), checksumBits)
-	writeTruth(w, c.Instrument, in.Truth)
+	w := bitio.AppendTo(dst)
+	c.writeKey(&w, kindIntro, in.ID, in.Seq)
+	mustWrite(&w, uint64(in.TotalLen), lenBits)
+	mustWrite(&w, uint64(in.Checksum), checksumBits)
+	writeTruth(&w, c.Instrument, in.Truth)
 	bits := w.Len()
 	w.Align()
-	return seal(w), bits, nil
+	return w.Bytes(), bits, nil
 }
 
-// EncodeData serializes a data fragment, returning the frame bytes and the
-// count of meaningful bits. The payload begins at the next byte boundary
-// after the header.
-func (c Codec) EncodeData(d Data) ([]byte, int, error) {
+// AppendData appends an encoded data fragment to dst, returning the
+// extended slice and the count of meaningful bits. The payload begins at
+// the next byte boundary after the header. It allocates only when dst
+// lacks the capacity; dst's spare capacity is scratch (see
+// bitio.AppendTo).
+func (c Codec) AppendData(dst []byte, d Data) ([]byte, int, error) {
 	if err := c.checkKey(d.ID, d.Seq); err != nil {
-		return nil, 0, err
+		return dst, 0, err
 	}
 	if d.Offset < 0 || d.Offset > MaxPacketLen {
-		return nil, 0, fmt.Errorf("%w: offset %d", ErrBadField, d.Offset)
+		return dst, 0, fmt.Errorf("%w: offset %d", ErrBadField, d.Offset)
 	}
 	if len(d.Payload) == 0 {
-		return nil, 0, fmt.Errorf("%w: empty data fragment", ErrBadField)
+		return dst, 0, fmt.Errorf("%w: empty data fragment", ErrBadField)
 	}
-	w := getWriter()
-	c.writeKey(w, kindData, d.ID, d.Seq)
-	mustWrite(w, uint64(d.Offset), offsetBits)
-	writeTruth(w, c.Instrument, d.Truth)
+	w := bitio.AppendTo(dst)
+	c.writeKey(&w, kindData, d.ID, d.Seq)
+	mustWrite(&w, uint64(d.Offset), offsetBits)
+	writeTruth(&w, c.Instrument, d.Truth)
 	w.Align()
 	w.WriteBytes(d.Payload)
-	bits := w.Len()
-	return seal(w), bits, nil
+	return w.Bytes(), w.Len(), nil
 }
 
 // Decode parses one fragment. It allocates nothing: the result is a

@@ -23,9 +23,9 @@ func TestAFFIntroRoundTrip(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			buf, bits, err := tt.c.EncodeIntro(tt.in)
+			buf, bits, err := tt.c.AppendIntro(nil, tt.in)
 			if err != nil {
-				t.Fatalf("EncodeIntro: %v", err)
+				t.Fatalf("AppendIntro: %v", err)
 			}
 			if want := 1 + tt.c.IDBits + tt.c.SeqBits + 16 + 16; bits != want {
 				t.Errorf("intro bits = %d, want %d", bits, want)
@@ -59,9 +59,9 @@ func TestAFFDataRoundTrip(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			buf, bits, err := tt.c.EncodeData(tt.d)
+			buf, bits, err := tt.c.AppendData(nil, tt.d)
 			if err != nil {
-				t.Fatalf("EncodeData: %v", err)
+				t.Fatalf("AppendData: %v", err)
 			}
 			// The header aligns to a byte boundary, then the payload.
 			wantBits := ((1+tt.c.IDBits+tt.c.SeqBits+16+7)/8)*8 + 8*len(tt.d.Payload)
@@ -85,7 +85,7 @@ func TestAFFDataRoundTrip(t *testing.T) {
 func TestAFFInstrumentedRoundTrip(t *testing.T) {
 	c := Codec{IDBits: 4, Instrument: true}
 	truth := &Truth{Node: 3, Seq: 41}
-	buf, _, err := c.EncodeIntro(Intro{ID: 7, TotalLen: 80, Checksum: 1, Truth: truth})
+	buf, _, err := c.AppendIntro(nil, Intro{ID: 7, TotalLen: 80, Checksum: 1, Truth: truth})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestAFFInstrumentedRoundTrip(t *testing.T) {
 		t.Errorf("intro = %+v, want truth %+v", gi, truth)
 	}
 
-	buf, _, err = c.EncodeData(Data{ID: 7, Offset: 16, Payload: []byte{1}, Truth: truth})
+	buf, _, err = c.AppendData(nil, Data{ID: 7, Offset: 16, Payload: []byte{1}, Truth: truth})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestAFFInstrumentedRoundTrip(t *testing.T) {
 
 func TestAFFInstrumentNilTruthEncodesZero(t *testing.T) {
 	c := Codec{IDBits: 4, Instrument: true}
-	buf, _, err := c.EncodeIntro(Intro{ID: 1, TotalLen: 2, Checksum: 3})
+	buf, _, err := c.AppendIntro(nil, Intro{ID: 1, TotalLen: 2, Checksum: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestAFFInstrumentationCostsBits(t *testing.T) {
 func TestAFFTruthGuardCatchesEveryBitFlip(t *testing.T) {
 	c := Codec{IDBits: 4, Instrument: true}
 	truth := &Truth{Node: 3, Seq: 41}
-	buf, _, err := c.EncodeData(Data{ID: 7, Offset: 16, Payload: []byte{1, 2}, Truth: truth})
+	buf, _, err := c.AppendData(nil, Data{ID: 7, Offset: 16, Payload: []byte{1, 2}, Truth: truth})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,31 +178,31 @@ func TestAFFEncodeValidation(t *testing.T) {
 		run  func(c Codec) error
 	}{
 		{"id too wide", Codec{IDBits: 4}, func(c Codec) error {
-			_, _, err := c.EncodeIntro(Intro{ID: 16})
+			_, _, err := c.AppendIntro(nil, Intro{ID: 16})
 			return err
 		}},
 		{"bad codec width 0", Codec{IDBits: 0}, func(c Codec) error {
-			_, _, err := c.EncodeIntro(Intro{})
+			_, _, err := c.AppendIntro(nil, Intro{})
 			return err
 		}},
 		{"bad codec width 33", Codec{IDBits: 33}, func(c Codec) error {
-			_, _, err := c.EncodeData(Data{Payload: []byte{1}})
+			_, _, err := c.AppendData(nil, Data{Payload: []byte{1}})
 			return err
 		}},
 		{"negative length", Codec{IDBits: 4}, func(c Codec) error {
-			_, _, err := c.EncodeIntro(Intro{TotalLen: -1})
+			_, _, err := c.AppendIntro(nil, Intro{TotalLen: -1})
 			return err
 		}},
 		{"length too large", Codec{IDBits: 4}, func(c Codec) error {
-			_, _, err := c.EncodeIntro(Intro{TotalLen: MaxPacketLen + 1})
+			_, _, err := c.AppendIntro(nil, Intro{TotalLen: MaxPacketLen + 1})
 			return err
 		}},
 		{"negative offset", Codec{IDBits: 4}, func(c Codec) error {
-			_, _, err := c.EncodeData(Data{Offset: -1, Payload: []byte{1}})
+			_, _, err := c.AppendData(nil, Data{Offset: -1, Payload: []byte{1}})
 			return err
 		}},
 		{"empty payload", Codec{IDBits: 4}, func(c Codec) error {
-			_, _, err := c.EncodeData(Data{})
+			_, _, err := c.AppendData(nil, Data{})
 			return err
 		}},
 	}
@@ -225,19 +225,19 @@ func TestStaticValidation(t *testing.T) {
 		run  func(c Codec) error
 	}{
 		{"addr width 0", Codec{IDBits: 0, SeqBits: 16}, func(c Codec) error {
-			_, _, err := c.EncodeIntro(Intro{})
+			_, _, err := c.AppendIntro(nil, Intro{})
 			return err
 		}},
 		{"addr width 65", Codec{IDBits: 65, SeqBits: 16}, func(c Codec) error {
-			_, _, err := c.EncodeIntro(Intro{})
+			_, _, err := c.AppendIntro(nil, Intro{})
 			return err
 		}},
 		{"in-band addr width 33", Codec{IDBits: 33, SeqBits: 16, InBandWidth: true}, func(c Codec) error {
-			_, _, err := c.EncodeIntro(Intro{})
+			_, _, err := c.AppendIntro(nil, Intro{})
 			return err
 		}},
 		{"seq width 33", Codec{IDBits: 16, SeqBits: 33}, func(c Codec) error {
-			_, _, err := c.EncodeIntro(Intro{})
+			_, _, err := c.AppendIntro(nil, Intro{})
 			return err
 		}},
 		{"seq width negative", Codec{IDBits: 16, SeqBits: -1}, func(c Codec) error {
@@ -245,23 +245,23 @@ func TestStaticValidation(t *testing.T) {
 			return err
 		}},
 		{"src too wide", Codec{IDBits: 8, SeqBits: 16}, func(c Codec) error {
-			_, _, err := c.EncodeIntro(Intro{ID: 256})
+			_, _, err := c.AppendIntro(nil, Intro{ID: 256})
 			return err
 		}},
 		{"seq too wide", Codec{IDBits: 8, SeqBits: 8}, func(c Codec) error {
-			_, _, err := c.EncodeData(Data{Seq: 256, Payload: []byte{1}})
+			_, _, err := c.AppendData(nil, Data{Seq: 256, Payload: []byte{1}})
 			return err
 		}},
 		{"seq without a seq field", Codec{IDBits: 8}, func(c Codec) error {
-			_, _, err := c.EncodeIntro(Intro{Seq: 1})
+			_, _, err := c.AppendIntro(nil, Intro{Seq: 1})
 			return err
 		}},
 		{"empty payload", Codec{IDBits: 8, SeqBits: 8}, func(c Codec) error {
-			_, _, err := c.EncodeData(Data{})
+			_, _, err := c.AppendData(nil, Data{})
 			return err
 		}},
 		{"bad offset", Codec{IDBits: 8, SeqBits: 8}, func(c Codec) error {
-			_, _, err := c.EncodeData(Data{Offset: -2, Payload: []byte{1}})
+			_, _, err := c.AppendData(nil, Data{Offset: -2, Payload: []byte{1}})
 			return err
 		}},
 	}
@@ -301,7 +301,7 @@ func TestStaticDecodeTruncated(t *testing.T) {
 // as ErrTruncated.
 func checkTruncated(t *testing.T, c Codec, in Intro) {
 	t.Helper()
-	buf, _, err := c.EncodeIntro(in)
+	buf, _, err := c.AppendIntro(nil, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func checkTruncated(t *testing.T, c Codec, in Intro) {
 func TestAFFDecodeEmptyDataPayload(t *testing.T) {
 	// Craft a data fragment header with no payload bytes after alignment.
 	c := Codec{IDBits: 7}
-	buf, _, err := c.EncodeData(Data{ID: 1, Offset: 0, Payload: []byte{0xEE}})
+	buf, _, err := c.AppendData(nil, Data{ID: 1, Offset: 0, Payload: []byte{0xEE}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func roundTripProperty(t *testing.T, stream uint64, pick func(*rand.Rand) Codec)
 		}
 		truth := &Truth{Node: uint32(rng.Uint64()), Seq: uint32(rng.Uint64())}
 		d := Data{ID: id, Seq: seq, Offset: int(rng.Uint64N(MaxPacketLen + 1)), Payload: payload, Truth: truth}
-		buf, _, err := c.EncodeData(d)
+		buf, _, err := c.AppendData(nil, d)
 		if err != nil {
 			return false
 		}
@@ -392,7 +392,7 @@ func roundTripProperty(t *testing.T, stream uint64, pick func(*rand.Rand) Codec)
 			return false
 		}
 		in := Intro{ID: id, Seq: seq, TotalLen: int(rng.Uint64N(MaxPacketLen + 1)), Checksum: uint16(rng.Uint64()), Truth: truth}
-		buf, _, err = c.EncodeIntro(in)
+		buf, _, err = c.AppendIntro(nil, in)
 		if err != nil {
 			return false
 		}
@@ -434,9 +434,9 @@ func TestAFFInBandWidthDemux(t *testing.T) {
 	for _, w := range []int{1, 2, 5, 9, 16, 32} {
 		tx := Codec{IDBits: w, InBandWidth: true}
 		id := uint64(1)<<uint(w) - 1 // all-ones id exercises every bit
-		buf, bits, err := tx.EncodeIntro(Intro{ID: id, TotalLen: 80, Checksum: 0xBEEF})
+		buf, bits, err := tx.AppendIntro(nil, Intro{ID: id, TotalLen: 80, Checksum: 0xBEEF})
 		if err != nil {
-			t.Fatalf("width %d: EncodeIntro: %v", w, err)
+			t.Fatalf("width %d: AppendIntro: %v", w, err)
 		}
 		if bits != tx.IntroBits() {
 			t.Errorf("width %d: intro bits = %d, want %d", w, bits, tx.IntroBits())
@@ -452,9 +452,9 @@ func TestAFFInBandWidthDemux(t *testing.T) {
 			t.Errorf("width %d: decoded id=%d bits=%d, want id=%d bits=%d", w, gi.ID, gi.IDBits, id, w)
 		}
 
-		buf, _, err = tx.EncodeData(Data{ID: id, Offset: 32, Payload: []byte{0xA5}})
+		buf, _, err = tx.AppendData(nil, Data{ID: id, Offset: 32, Payload: []byte{0xA5}})
 		if err != nil {
-			t.Fatalf("width %d: EncodeData: %v", w, err)
+			t.Fatalf("width %d: AppendData: %v", w, err)
 		}
 		d, err := rx.Decode(buf)
 		if err != nil {
@@ -472,12 +472,12 @@ func TestAFFInBandWidthDemux(t *testing.T) {
 // encodeVector encodes a wire vector's introduction and data frame.
 func encodeVector(v wireVector) (intro, data wireFrame, err error) {
 	c := Codec{IDBits: v.idBits, SeqBits: v.seqBits, Instrument: v.instrument, InBandWidth: v.inBand}
-	buf, bits, err := c.EncodeIntro(Intro{ID: v.id, Seq: v.seq, TotalLen: vectorLen, Checksum: vectorSum, Truth: v.truth})
+	buf, bits, err := c.AppendIntro(nil, Intro{ID: v.id, Seq: v.seq, TotalLen: vectorLen, Checksum: vectorSum, Truth: v.truth})
 	if err != nil {
 		return intro, data, err
 	}
 	intro = newWireFrame(buf, bits)
-	buf, bits, err = c.EncodeData(Data{ID: v.id, Seq: v.seq, Offset: vectorOffset, Payload: vectorPayload, Truth: v.truth})
+	buf, bits, err = c.AppendData(nil, Data{ID: v.id, Seq: v.seq, Offset: vectorOffset, Payload: vectorPayload, Truth: v.truth})
 	return intro, newWireFrame(buf, bits), err
 }
 
@@ -498,11 +498,11 @@ func TestDecodeAllocatesNothing(t *testing.T) {
 		if c.SeqBits > 0 {
 			seq = 3
 		}
-		intro, _, err := c.EncodeIntro(Intro{ID: 5, Seq: seq, TotalLen: 80, Checksum: 0xBEEF, Truth: truth})
+		intro, _, err := c.AppendIntro(nil, Intro{ID: 5, Seq: seq, TotalLen: 80, Checksum: 0xBEEF, Truth: truth})
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, _, err := c.EncodeData(Data{ID: 5, Seq: seq, Offset: 40, Payload: payload, Truth: truth})
+		data, _, err := c.AppendData(nil, Data{ID: 5, Seq: seq, Offset: 40, Payload: payload, Truth: truth})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -518,18 +518,21 @@ func TestDecodeAllocatesNothing(t *testing.T) {
 	}
 }
 
+// BenchmarkAFFEncodeData encodes into one reused buffer, as the
+// fragmenter's arena does: it allocates nothing.
 func BenchmarkAFFEncodeData(b *testing.B) {
 	c := Codec{IDBits: 9}
 	payload := make([]byte, 20)
+	var buf []byte
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, _, _ = c.EncodeData(Data{ID: 5, Offset: 40, Payload: payload})
+		buf, _, _ = c.AppendData(buf[:0], Data{ID: 5, Offset: 40, Payload: payload})
 	}
 }
 
 func BenchmarkAFFDecodeData(b *testing.B) {
 	c := Codec{IDBits: 9}
-	buf, _, _ := c.EncodeData(Data{ID: 5, Offset: 40, Payload: make([]byte, 20)})
+	buf, _, _ := c.AppendData(nil, Data{ID: 5, Offset: 40, Payload: make([]byte, 20)})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

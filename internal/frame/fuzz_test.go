@@ -25,8 +25,8 @@ func wrap(v, n int) int { return ((v % n) + n) % n }
 // anything it does decode must re-encode to an equivalent fragment.
 func FuzzAFFDecode(f *testing.F) {
 	c := Codec{IDBits: 9}
-	seedIntro, _, _ := c.EncodeIntro(Intro{ID: 5, TotalLen: 80, Checksum: 0xAB})
-	seedData, _, _ := c.EncodeData(Data{ID: 5, Offset: 20, Payload: []byte{1, 2, 3}})
+	seedIntro, _, _ := c.AppendIntro(nil, Intro{ID: 5, TotalLen: 80, Checksum: 0xAB})
+	seedData, _, _ := c.AppendData(nil, Data{ID: 5, Offset: 20, Payload: []byte{1, 2, 3}})
 	f.Add(seedIntro, 9, false)
 	f.Add(seedData, 9, false)
 	f.Add([]byte{}, 1, true)
@@ -41,8 +41,8 @@ func FuzzAFFDecode(f *testing.F) {
 // format, a codec with a sequence field.
 func FuzzStaticDecode(f *testing.F) {
 	c := Codec{IDBits: 16, SeqBits: 16}
-	seedIntro, _, _ := c.EncodeIntro(Intro{ID: 7, Seq: 3, TotalLen: 10, Checksum: 1})
-	seedData, _, _ := c.EncodeData(Data{ID: 7, Seq: 3, Offset: 0, Payload: []byte{9}})
+	seedIntro, _, _ := c.AppendIntro(nil, Intro{ID: 7, Seq: 3, TotalLen: 10, Checksum: 1})
+	seedData, _, _ := c.AppendData(nil, Data{ID: 7, Seq: 3, Offset: 0, Payload: []byte{9}})
 	f.Add(seedIntro, 16, 16)
 	f.Add(seedData, 16, 16)
 	f.Add([]byte{0x00}, 48, 16)
@@ -87,10 +87,10 @@ func reencode(c Codec, f Fragment) ([]byte, error) {
 		truth = &f.Truth
 	}
 	if f.Intro {
-		buf, _, err := c.EncodeIntro(Intro{ID: f.ID, Seq: f.Seq, TotalLen: f.TotalLen, Checksum: f.Checksum, Truth: truth})
+		buf, _, err := c.AppendIntro(nil, Intro{ID: f.ID, Seq: f.Seq, TotalLen: f.TotalLen, Checksum: f.Checksum, Truth: truth})
 		return buf, err
 	}
-	buf, _, err := c.EncodeData(Data{ID: f.ID, Seq: f.Seq, Offset: f.Offset, Payload: f.Payload, Truth: truth})
+	buf, _, err := c.AppendData(nil, Data{ID: f.ID, Seq: f.Seq, Offset: f.Offset, Payload: f.Payload, Truth: truth})
 	return buf, err
 }
 
@@ -157,10 +157,10 @@ func checkBitFlip(t *testing.T, c Codec, id, seq uint64, totalLen int, sum uint1
 		}
 	}
 
-	if buf, _, err := c.EncodeIntro(Intro{ID: id, Seq: seq, TotalLen: totalLen, Checksum: sum}); err == nil {
+	if buf, _, err := c.AppendIntro(nil, Intro{ID: id, Seq: seq, TotalLen: totalLen, Checksum: sum}); err == nil {
 		check(buf)
 	}
-	if buf, _, err := c.EncodeData(Data{ID: id, Seq: seq, Offset: offset, Payload: payload}); err == nil {
+	if buf, _, err := c.AppendData(nil, Data{ID: id, Seq: seq, Offset: offset, Payload: payload}); err == nil {
 		check(buf)
 	}
 }

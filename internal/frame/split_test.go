@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"retri/internal/bitio"
 )
 
 // TestSplitCoversPacket splits an 80-byte packet in both formats and
@@ -15,12 +17,13 @@ func TestSplitCoversPacket(t *testing.T) {
 		packet[i] = byte(i * 7)
 	}
 	truth := &Truth{Node: 2, Seq: 9}
+	var dst Frames // one Frames for both formats: the second Split reuses it
 	for _, tt := range []struct {
 		c   Codec
 		seq uint64
 	}{{Codec{IDBits: 9, Instrument: true}, 0}, {Codec{IDBits: 16, SeqBits: 16}, 3}} {
 		c := tt.c
-		frames, err := c.Split(packet, 27, 5, tt.seq, 0xBEEF, truth)
+		frames, err := c.Split(&dst, packet, 27, 5, tt.seq, 0xBEEF, truth)
 		if err != nil {
 			t.Fatalf("%+v: Split: %v", c, err)
 		}
@@ -59,11 +62,52 @@ func TestSplitCoversPacket(t *testing.T) {
 
 func TestSplitErrors(t *testing.T) {
 	c := Codec{IDBits: 4}
-	if _, err := c.Split([]byte{1}, 2, 1, 0, 0, nil); !errors.Is(err, ErrMTUTooSmall) {
+	var dst Frames
+	if _, err := c.Split(&dst, []byte{1}, 2, 1, 0, 0, nil); !errors.Is(err, ErrMTUTooSmall) {
 		t.Errorf("tiny MTU err = %v, want ErrMTUTooSmall", err)
 	}
-	if _, err := c.Split([]byte{1}, 27, 16, 0, 0, nil); !errors.Is(err, ErrBadField) {
+	if _, err := c.Split(&dst, []byte{1}, 27, 16, 0, 0, nil); !errors.Is(err, ErrBadField) {
 		t.Errorf("oversize id err = %v, want ErrBadField", err)
+	}
+}
+
+// TestSplitReusesFrames splits into one warmed Frames again and again: it
+// allocates nothing, and each transaction's frames encode exactly what a
+// fresh Frames would hold, so no byte of the previous one survives.
+func TestSplitReusesFrames(t *testing.T) {
+	c := Codec{IDBits: 9, Instrument: true}
+	packets := [][]byte{bytes.Repeat([]byte{0xAA}, 80), bytes.Repeat([]byte{0x55}, 30)}
+	var dst Frames
+	n := 0
+	split := func() {
+		p := packets[n%len(packets)]
+		frames, err := c.Split(&dst, p, 27, uint64(n%512), 0, uint16(n), &Truth{Node: 1, Seq: uint32(n)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fresh Frames
+		want, _ := c.Split(&fresh, p, 27, uint64(n%512), 0, uint16(n), &Truth{Node: 1, Seq: uint32(n)})
+		if len(frames) != len(want) {
+			t.Fatalf("split %d: %d frames, want %d", n, len(frames), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(frames[i].Bytes, want[i].Bytes) || frames[i].Bits != want[i].Bits {
+				t.Fatalf("split %d frame %d: %x (%d bits), want %x (%d bits)",
+					n, i, frames[i].Bytes, frames[i].Bits, want[i].Bytes, want[i].Bits)
+			}
+		}
+		n++
+	}
+	for i := 0; i < 4; i++ {
+		split()
+	}
+	reuse := func() {
+		if _, err := c.Split(&dst, packets[0], 27, 5, 0, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, reuse); allocs != 0 {
+		t.Errorf("Split into a warmed Frames: %.1f allocations, want 0", allocs)
 	}
 }
 
@@ -97,19 +141,29 @@ func TestCheckMTU(t *testing.T) {
 	}
 }
 
+// TestWrapBit pins the prefixed bytes against a bit writer putting the
+// prefix bit in front of the frame, and round-trips them, appending to a
+// non-empty dst each way.
 func TestWrapBit(t *testing.T) {
-	inner := []byte{1, 2, 3, 4, 5}
+	inner := []byte{1, 2, 3, 4, 0xFF}
+	head := []byte{0xEE}
 	for _, bit := range []uint64{0, 1} {
-		wrapped, bits := WrapBit(bit, inner, 8*len(inner))
+		ref := bitio.NewWriter()
+		mustWrite(ref, bit, 1)
+		ref.WriteBytes(inner)
+		wrapped, bits := WrapBit(head, bit, inner, 8*len(inner))
+		if !bytes.Equal(wrapped[:1], head) || !bytes.Equal(wrapped[1:], ref.Bytes()) {
+			t.Errorf("bit %d: wrapped %x, want %x after %x", bit, wrapped, ref.Bytes(), head)
+		}
 		if bits != 1+8*len(inner) {
 			t.Errorf("bit %d: %d bits, want %d", bit, bits, 1+8*len(inner))
 		}
-		got, back, ok := UnwrapBit(wrapped)
-		if !ok || got != bit || !bytes.Equal(back, inner) {
+		got, back, ok := UnwrapBit(head, wrapped[1:])
+		if !ok || got != bit || !bytes.Equal(back[:1], head) || !bytes.Equal(back[1:], inner) {
 			t.Errorf("bit %d: unwrap = (%d, %x, %v)", bit, got, back, ok)
 		}
 	}
-	if _, _, ok := UnwrapBit(nil); ok {
+	if _, _, ok := UnwrapBit(nil, nil); ok {
 		t.Error("unwrap of an empty frame succeeded")
 	}
 }

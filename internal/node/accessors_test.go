@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"retri/internal/aff"
 	"retri/internal/core"
 	"retri/internal/radio"
 	"retri/internal/staticaddr"
@@ -82,6 +83,39 @@ func TestNewAFFBadConfig(t *testing.T) {
 	badSel := core.NewUniformSelector(core.MustSpace(4), xrand.NewSource(1).Stream("bad"))
 	if _, err := NewAFF(rad, cfg, badSel, AFFOptions{}); err == nil {
 		t.Error("space mismatch accepted")
+	}
+}
+
+// TestNewAFFRejectsMismatchedTruth: the ground-truth reassembler shares
+// the driver's decode of every frame, so NewAFF refuses one that speaks
+// another wire format. An uninstrumented driver is the common mistake:
+// its frames carry no trailer, and every one would count as malformed on
+// the truth side.
+func TestNewAFFRejectsMismatchedTruth(t *testing.T) {
+	r := newRig(t, radio.DefaultParams())
+	instrumented := func(bits int) aff.Config {
+		cfg := affConfig(bits)
+		cfg.Instrument = true
+		return cfg
+	}
+	adaptive := instrumented(9)
+	adaptive.AdaptiveWidth = true
+	for i, tc := range []struct {
+		name          string
+		driver, truth aff.Config
+		ok            bool
+	}{
+		{"uninstrumented driver", affConfig(9), affConfig(9), false},
+		{"other width", instrumented(9), instrumented(10), false},
+		{"other format", instrumented(9), adaptive, false},
+		{"same format", instrumented(9), instrumented(9), true},
+	} {
+		rad := r.med.MustAttach(radio.NodeID(i + 1))
+		sel := core.NewUniformSelector(tc.driver.Space, xrand.NewSource(1).Stream("truth", tc.name))
+		_, err := NewAFF(rad, tc.driver, sel, AFFOptions{Truth: aff.NewTruthReassembler(tc.truth, r.eng.Now)})
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: NewAFF err = %v, want ok=%v", tc.name, err, tc.ok)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"retri/internal/aff"
 	"retri/internal/core"
 	"retri/internal/faults"
+	"retri/internal/frame"
 	"retri/internal/oracle"
 	"retri/internal/radio"
 	"retri/internal/staticaddr"
@@ -70,6 +71,41 @@ func TestEngineSweepShedsIdleState(t *testing.T) {
 	pending, timeouts = runIdleReceiver(t, false)
 	if pending != 1 || timeouts != 0 {
 		t.Errorf("control run shed state anyway (pending=%d timeouts=%d); test is vacuous", pending, timeouts)
+	}
+}
+
+// TestSweepRearmAllocatesNothing holds the engine-driven sweep to zero
+// allocations once warm. Each round two partial transactions arrive 5 ms
+// apart; the sweep fires for the first, evicts it and re-arms for the
+// second with its callback bound once in NewAFF.
+func TestSweepRearmAllocatesNothing(t *testing.T) {
+	r := newRig(t, radio.DefaultParams())
+	cfg := affConfig(9)
+	cfg.ReassemblyTimeout = 10 * time.Millisecond
+	rx := newAFFNode(t, r, 2, cfg, AFFOptions{Engine: r.eng})
+	intro := func(id uint64) radio.Frame {
+		p, bits, err := cfg.Codec().AppendIntro(nil, frame.Intro{ID: id, TotalLen: 80})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return radio.Frame{From: 1, Payload: p, Bits: bits}
+	}
+	first, second := intro(1), intro(2)
+	hearSecond := func() { rx.onFrame(second) }
+	round := func() {
+		rx.onFrame(first)
+		r.eng.Schedule(5*time.Millisecond, hearSecond)
+		r.eng.Run()
+	}
+	for i := 0; i < 10; i++ {
+		round()
+	}
+	timeouts := rx.Reassembler().Stats().Timeouts
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Errorf("%.1f allocations per round, want 0", allocs)
+	}
+	if got := rx.Reassembler().Stats().Timeouts - timeouts; got != 2*101 {
+		t.Errorf("%d timeouts over 101 rounds, want %d: the sweep did not fire for both partials", got, 2*101)
 	}
 }
 

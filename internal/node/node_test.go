@@ -49,7 +49,7 @@ func TestAFFEndToEnd(t *testing.T) {
 	tx := newAFFNode(t, r, 1, cfg, AFFOptions{})
 	rx := newAFFNode(t, r, 2, cfg, AFFOptions{})
 	var got [][]byte
-	rx.SetPacketHandler(func(p []byte) { got = append(got, p) })
+	rx.SetPacketHandler(func(p []byte) { got = append(got, bytes.Clone(p)) })
 
 	packet := make([]byte, 80)
 	for i := range packet {
@@ -85,7 +85,7 @@ func TestStaticEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got [][]byte
-	rx.SetPacketHandler(func(p []byte) { got = append(got, p) })
+	rx.SetPacketHandler(func(p []byte) { got = append(got, bytes.Clone(p)) })
 
 	packet := []byte("static baseline packet for comparison purposes")
 	if err := tx.SendPacket(packet); err != nil {
@@ -270,7 +270,7 @@ func TestCollisionNotificationRoundTrip(t *testing.T) {
 		}
 		frames := make([][]byte, len(tx.Fragments))
 		for i, f := range tx.Fragments {
-			frames[i], _ = frame.WrapBit(discFragment, f.Bytes, f.Bits)
+			frames[i], _ = frame.WrapBit(nil, discFragment, f.Bytes, f.Bits)
 		}
 		return frames
 	}
@@ -302,7 +302,7 @@ func TestNotificationCodecRoundTrip(t *testing.T) {
 		if bits != 1+idBits {
 			t.Errorf("idBits=%d: bits = %d, want %d", idBits, bits, 1+idBits)
 		}
-		kind, inner, ok := frame.UnwrapBit(buf)
+		kind, inner, ok := frame.UnwrapBit(nil, buf)
 		if !ok || kind != discNotification {
 			t.Fatalf("idBits=%d: unwrap failed (kind=%d ok=%v)", idBits, kind, ok)
 		}
@@ -315,18 +315,18 @@ func TestNotificationCodecRoundTrip(t *testing.T) {
 
 func TestWrapUnwrapFragment(t *testing.T) {
 	payload := []byte{1, 2, 3, 4, 5}
-	wrapped, bits := frame.WrapBit(discFragment, payload, 8*len(payload))
+	wrapped, bits := frame.WrapBit(nil, discFragment, payload, 8*len(payload))
 	if bits != 1+40 {
 		t.Errorf("bits = %d, want 41", bits)
 	}
-	kind, inner, ok := frame.UnwrapBit(wrapped)
+	kind, inner, ok := frame.UnwrapBit(nil, wrapped)
 	if !ok || kind != discFragment || !bytes.Equal(inner, payload) {
 		t.Errorf("unwrap = (%d, %v, %v)", kind, inner, ok)
 	}
 }
 
 func TestUnwrapEmptyFrame(t *testing.T) {
-	if _, _, ok := frame.UnwrapBit(nil); ok {
+	if _, _, ok := frame.UnwrapBit(nil, nil); ok {
 		t.Error("unwrap of empty frame succeeded")
 	}
 }

@@ -46,11 +46,11 @@ func newTestOracle(t *testing.T, now *time.Duration) (*truth.Tracker, *Oracle) {
 func sendTx(t *testing.T, tr *truth.Tracker, from radio.NodeID, id uint64, trailer frame.Truth, payload []byte) []radio.Frame {
 	t.Helper()
 	codec := frame.Codec{IDBits: 8, Instrument: true}
-	ib, ibits, err := codec.EncodeIntro(frame.Intro{ID: id, TotalLen: len(payload), Checksum: 7, Truth: &trailer})
+	ib, ibits, err := codec.AppendIntro(nil, frame.Intro{ID: id, TotalLen: len(payload), Checksum: 7, Truth: &trailer})
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, dbits, err := codec.EncodeData(frame.Data{ID: id, Offset: 0, Payload: payload, Truth: &trailer})
+	db, dbits, err := codec.AppendData(nil, frame.Data{ID: id, Offset: 0, Payload: payload, Truth: &trailer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestOracleTransactionLifecycle(t *testing.T) {
 
 	codec := frame.Codec{IDBits: 8, Instrument: true}
 	truth := frame.Truth{Node: 1, Seq: 1}
-	ib, ibits, _ := codec.EncodeIntro(frame.Intro{ID: 5, TotalLen: 4, Checksum: 7, Truth: &truth})
+	ib, ibits, _ := codec.AppendIntro(nil, frame.Intro{ID: 5, TotalLen: 4, Checksum: 7, Truth: &truth})
 	tr.FrameSent(radio.Frame{From: 1, Payload: ib, Bits: ibits})
 	if got := o.OpenCount(); got != 1 {
 		t.Fatalf("open after intro = %d, want 1", got)
@@ -91,7 +91,7 @@ func TestOracleTransactionLifecycle(t *testing.T) {
 		t.Errorf("VisibleT(2) = %d, want 2 (own + one open)", got)
 	}
 
-	db, dbits, _ := codec.EncodeData(frame.Data{ID: 5, Offset: 0, Payload: []byte{1, 2, 3, 4}, Truth: &truth})
+	db, dbits, _ := codec.AppendData(nil, frame.Data{ID: 5, Offset: 0, Payload: []byte{1, 2, 3, 4}, Truth: &truth})
 	tr.FrameSent(radio.Frame{From: 1, Payload: db, Bits: dbits})
 	rep := o.Report()
 	if o.OpenCount() != 0 || rep.TransactionsClosed != 1 {
@@ -143,7 +143,7 @@ func TestOracleDetectsConservationViolation(t *testing.T) {
 
 	// A delivered data fragment whose bytes were never sent.
 	codec := frame.Codec{IDBits: 8, Instrument: true}
-	db, dbits, _ := codec.EncodeData(frame.Data{ID: 5, Offset: 0, Payload: []byte{9, 9}, Truth: &truth})
+	db, dbits, _ := codec.AppendData(nil, frame.Data{ID: 5, Offset: 0, Payload: []byte{9, 9}, Truth: &truth})
 	tr.FrameFate(2, radio.Frame{From: 1, Payload: db, Bits: dbits}, radio.FateDelivered)
 	if rep := o.Report(); rep.ConservationViolations != 1 {
 		t.Errorf("conservation violations = %d, want 1", rep.ConservationViolations)
@@ -164,8 +164,8 @@ func TestOracleDetectsCollisionAndFreshness(t *testing.T) {
 	// Two senders open transactions under the same identifier: a true
 	// collision, not a freshness violation.
 	t1, t2 := frame.Truth{Node: 1, Seq: 1}, frame.Truth{Node: 2, Seq: 1}
-	ib1, b1, _ := codec.EncodeIntro(frame.Intro{ID: 5, TotalLen: 2, Checksum: 7, Truth: &t1})
-	ib2, b2, _ := codec.EncodeIntro(frame.Intro{ID: 5, TotalLen: 2, Checksum: 8, Truth: &t2})
+	ib1, b1, _ := codec.AppendIntro(nil, frame.Intro{ID: 5, TotalLen: 2, Checksum: 7, Truth: &t1})
+	ib2, b2, _ := codec.AppendIntro(nil, frame.Intro{ID: 5, TotalLen: 2, Checksum: 8, Truth: &t2})
 	tr.FrameSent(radio.Frame{From: 1, Payload: ib1, Bits: b1})
 	tr.FrameSent(radio.Frame{From: 2, Payload: ib2, Bits: b2})
 	rep := o.Report()
@@ -175,7 +175,7 @@ func TestOracleDetectsCollisionAndFreshness(t *testing.T) {
 
 	// A transaction switching identifier mid-flight is a freshness
 	// violation.
-	db, bd, _ := codec.EncodeData(frame.Data{ID: 6, Offset: 0, Payload: []byte{1}, Truth: &t1})
+	db, bd, _ := codec.AppendData(nil, frame.Data{ID: 6, Offset: 0, Payload: []byte{1}, Truth: &t1})
 	tr.FrameSent(radio.Frame{From: 1, Payload: db, Bits: bd})
 	if rep := o.Report(); rep.FreshnessViolations != 1 {
 		t.Errorf("freshness violations = %d, want 1 after mid-flight change", rep.FreshnessViolations)
@@ -186,7 +186,7 @@ func TestOracleDetectsCollisionAndFreshness(t *testing.T) {
 	// legitimate), so this counts as a collision with node 2's still-open
 	// transaction, not a freshness violation.
 	t3 := frame.Truth{Node: 1, Seq: 2}
-	ib3, b3, _ := codec.EncodeIntro(frame.Intro{ID: 5, TotalLen: 2, Checksum: 9, Truth: &t3})
+	ib3, b3, _ := codec.AppendIntro(nil, frame.Intro{ID: 5, TotalLen: 2, Checksum: 9, Truth: &t3})
 	tr.FrameSent(radio.Frame{From: 1, Payload: ib3, Bits: b3})
 	rep = o.Report()
 	if rep.FreshnessViolations != 1 || rep.CollisionEvents != 2 {
@@ -202,7 +202,7 @@ func TestOracleStallPruning(t *testing.T) {
 	tr, o := newTestOracle(t, &now)
 	codec := frame.Codec{IDBits: 8, Instrument: true}
 	truth := frame.Truth{Node: 1, Seq: 1}
-	ib, bits, _ := codec.EncodeIntro(frame.Intro{ID: 5, TotalLen: 4, Checksum: 7, Truth: &truth})
+	ib, bits, _ := codec.AppendIntro(nil, frame.Intro{ID: 5, TotalLen: 4, Checksum: 7, Truth: &truth})
 	tr.FrameSent(radio.Frame{From: 1, Payload: ib, Bits: bits})
 
 	// The sender goes quiet: no more fragments. Past the stall timeout
@@ -215,12 +215,12 @@ func TestOracleStallPruning(t *testing.T) {
 	// A late fragment (a long CSMA contention gap, not a death) revives
 	// the transaction: density recovers and the transaction can still
 	// close with a clean conservation audit.
-	db, dbits, _ := codec.EncodeData(frame.Data{ID: 5, Offset: 0, Payload: []byte{1, 2}, Truth: &truth})
+	db, dbits, _ := codec.AppendData(nil, frame.Data{ID: 5, Offset: 0, Payload: []byte{1, 2}, Truth: &truth})
 	tr.FrameSent(radio.Frame{From: 1, Payload: db, Bits: dbits})
 	if got := o.VisibleT(2); got != 2 {
 		t.Errorf("VisibleT after revival = %d, want 2", got)
 	}
-	db2, d2bits, _ := codec.EncodeData(frame.Data{ID: 5, Offset: 2, Payload: []byte{3, 4}, Truth: &truth})
+	db2, d2bits, _ := codec.AppendData(nil, frame.Data{ID: 5, Offset: 2, Payload: []byte{3, 4}, Truth: &truth})
 	tr.FrameSent(radio.Frame{From: 1, Payload: db2, Bits: d2bits})
 	if err := o.Report().Check(); err != nil {
 		t.Errorf("revival flagged as violation: %v", err)
@@ -237,7 +237,7 @@ func TestOracleVisibleTRespectsTopology(t *testing.T) {
 	sendTx := func(from radio.NodeID, seq uint32, id uint64) {
 		codec := frame.Codec{IDBits: 8, Instrument: true}
 		truth := frame.Truth{Node: uint32(from), Seq: seq}
-		ib, bits, _ := codec.EncodeIntro(frame.Intro{ID: id, TotalLen: 4, Checksum: 7, Truth: &truth})
+		ib, bits, _ := codec.AppendIntro(nil, frame.Intro{ID: id, TotalLen: 4, Checksum: 7, Truth: &truth})
 		tr.FrameSent(radio.Frame{From: from, Payload: ib, Bits: bits})
 	}
 	sendTx(1, 1, 5)
@@ -268,7 +268,7 @@ func TestOracleAdaptiveWidthKeys(t *testing.T) {
 	for i, w := range []int{4, 9} {
 		codec := frame.Codec{IDBits: w, Instrument: true, InBandWidth: true}
 		truth := frame.Truth{Node: uint32(i + 1), Seq: 1}
-		ib, bits, err := codec.EncodeIntro(frame.Intro{ID: 3, TotalLen: 4, Checksum: 7, Truth: &truth})
+		ib, bits, err := codec.AppendIntro(nil, frame.Intro{ID: 3, TotalLen: 4, Checksum: 7, Truth: &truth})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,7 +316,7 @@ func TestOracleProbe(t *testing.T) {
 	// moves the instantaneous count to 2, but the EMA only goes halfway.
 	codec := frame.Codec{IDBits: 8, Instrument: true}
 	truth := frame.Truth{Node: 3, Seq: 1}
-	ib, bits, _ := codec.EncodeIntro(frame.Intro{ID: 9, TotalLen: 4, Checksum: 7, Truth: &truth})
+	ib, bits, _ := codec.AppendIntro(nil, frame.Intro{ID: 9, TotalLen: 4, Checksum: 7, Truth: &truth})
 	tr.FrameSent(radio.Frame{From: 3, Payload: ib, Bits: bits})
 	o.Probe(2, 1.5, opt, 384, 2, 16)
 	rep = o.Report()

@@ -16,9 +16,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"time"
 
 	"retri/internal/energy"
+	"retri/internal/poison"
 	"retri/internal/sim"
 	"retri/internal/trace"
 )
@@ -124,7 +126,10 @@ type Frame struct {
 	// the harness and MAC bookkeeping; protocol code under test must not
 	// read it (the AFF wire format carries no source).
 	From NodeID
-	// Payload is the frame body as produced by a wire-format encoder.
+	// Payload is the frame body as produced by a wire-format encoder. In
+	// a frame the medium hands out it is the medium's copy, valid only
+	// during the callback: the medium reuses it once the transmission
+	// completes, so a reader that keeps the bytes copies them.
 	Payload []byte
 	// Bits is the exact number of meaningful payload bits; it may be less
 	// than 8*len(Payload) when a bit-packed header leaves padding in the
@@ -205,11 +210,18 @@ type Medium struct {
 	topo  Topology
 	rng   *rand.Rand
 	nodes map[NodeID]*Radio
-	// order lists attached IDs in attachment order so delivery iteration
-	// (and therefore random-loss draw order) is deterministic.
-	order   []NodeID
+	// radios lists attached radios in attachment order so delivery
+	// iteration (and therefore random-loss draw order) is deterministic.
+	radios  []*Radio
 	onAir   []*transmission
 	waiters []*Radio
+	// maxAir is the airtime of an MTU-sized frame: no transmission lasts
+	// longer.
+	maxAir time.Duration
+	// bufs is the free list of frame buffers, each of MTU capacity. Send
+	// copies a frame into one; complete, or SetUp(false) for a dropped
+	// queue, returns it once nothing reads the frame any more.
+	bufs [][]byte
 	// free recycles transmission records. A record is recycled only by
 	// prune, which drops it only when its airtime ended strictly before a
 	// later transmission's start — so its completion event has already
@@ -224,6 +236,7 @@ type Medium struct {
 
 type transmission struct {
 	from       NodeID
+	sender     *Radio
 	frame      Frame
 	start, end time.Duration
 	// complete is the record's completion event, bound once when the
@@ -249,13 +262,15 @@ func NewMedium(eng *sim.Engine, topo Topology, p Params, rng *rand.Rand) *Medium
 	if p.SenseDelay <= 0 {
 		p.SenseDelay = 25 * time.Microsecond
 	}
-	return &Medium{
+	m := &Medium{
 		eng:   eng,
 		p:     p,
 		topo:  topo,
 		rng:   rng,
 		nodes: make(map[NodeID]*Radio),
 	}
+	m.maxAir = m.AirtimeOf(8 * p.MTU)
+	return m
 }
 
 // Params returns the medium's configuration.
@@ -315,7 +330,7 @@ func (m *Medium) Attach(id NodeID) (*Radio, error) {
 	}
 	r.attemptFn = r.attempt
 	m.nodes[id] = r
-	m.order = append(m.order, id)
+	m.radios = append(m.radios, r)
 	return r, nil
 }
 
@@ -364,6 +379,31 @@ func (m *Medium) busyAt(id NodeID) bool {
 	return false
 }
 
+// bufsPerBlock is how many frame buffers one allocation carves.
+const bufsPerBlock = 16
+
+// copyFrame returns a free frame buffer holding a copy of p, which fits
+// the MTU.
+func (m *Medium) copyFrame(p []byte) []byte {
+	if len(m.bufs) == 0 {
+		block := make([]byte, bufsPerBlock*m.p.MTU)
+		m.bufs = slices.Grow(m.bufs, bufsPerBlock)
+		for i := 0; i < bufsPerBlock; i++ {
+			m.bufs = append(m.bufs, block[i*m.p.MTU:i*m.p.MTU:(i+1)*m.p.MTU])
+		}
+	}
+	n := len(m.bufs) - 1
+	b := m.bufs[n]
+	m.bufs = m.bufs[:n]
+	return append(b, p...)
+}
+
+// release returns a frame buffer to the free list.
+func (m *Medium) release(b []byte) {
+	poison.Fill(b)
+	m.bufs = append(m.bufs, b[:0])
+}
+
 // addWaiter registers a radio to be re-kicked when a transmission
 // completes (the channel may then be idle).
 func (m *Medium) addWaiter(r *Radio) {
@@ -400,7 +440,7 @@ func (m *Medium) begin(r *Radio, f Frame) {
 		t = new(transmission)
 		t.complete = func() { m.complete(t) }
 	}
-	t.from, t.frame = r.id, f
+	t.from, t.sender, t.frame = r.id, r, f
 	t.start, t.end = now, now+m.AirtimeOf(f.Bits)
 	m.onAir = append(m.onAir, t)
 	m.ctr.Sent++
@@ -417,20 +457,20 @@ func (m *Medium) begin(r *Radio, f Frame) {
 	m.eng.ScheduleAt(t.end, t.complete)
 }
 
-// complete ends a transmission: attempts delivery at every in-range radio
-// and prunes expired transmissions.
+// complete ends a transmission: attempts delivery at every in-range
+// radio, takes back the frame's buffer and prunes expired transmissions.
 func (m *Medium) complete(t *transmission) {
-	for _, id := range m.order {
-		if id == t.from || !m.topo.Connected(t.from, id) {
+	for _, v := range m.radios {
+		if v == t.sender || !m.topo.Connected(t.from, v.id) {
 			continue
 		}
-		m.deliver(t, m.nodes[id])
+		m.deliver(t, v)
 	}
+	m.release(t.frame.Payload)
+	t.frame.Payload = nil
 	m.prune(t.start)
-	if tx := m.nodes[t.from]; tx != nil {
-		tx.inFlight = false
-		tx.pump()
-	}
+	t.sender.inFlight = false
+	t.sender.pump()
 	m.kickWaiters()
 }
 

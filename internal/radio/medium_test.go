@@ -460,3 +460,46 @@ func TestSendCycleAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestSendCopiesAndRecyclesFrames pins the frame-buffer contract: Send
+// copies its argument, so the caller may overwrite it before the frame
+// airs, and every medium buffer returns to the free list once its
+// transmission completes or its queue is dropped by SetUp(false).
+func TestSendCopiesAndRecyclesFrames(t *testing.T) {
+	eng, m := newTestMedium(t, FullMesh{}, DefaultParams())
+	a := m.MustAttach(1)
+	b := m.MustAttach(2)
+	var got []string
+	b.SetHandler(func(f Frame) { got = append(got, string(f.Payload)) })
+	p := []byte("abc")
+	for round := 0; round < 20; round++ {
+		copy(p, "abc")
+		if err := a.Send(p, 0); err != nil {
+			t.Fatal(err)
+		}
+		copy(p, "xyz") // reused at once, before the first copy airs
+		if err := a.Send(p, 0); err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+	}
+	for i := 0; i < 10; i++ {
+		if err := a.Send(p, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.SetUp(false) // drops all ten before the first contention attempt
+	a.SetUp(true)
+	eng.Run()
+	if len(got) != 40 {
+		t.Fatalf("received %d frames, want 40", len(got))
+	}
+	for i, s := range got {
+		if want := []string{"abc", "xyz"}[i%2]; s != want {
+			t.Fatalf("frame %d carried %q, want %q", i, s, want)
+		}
+	}
+	if len(m.bufs) != bufsPerBlock {
+		t.Errorf("%d frame buffers on the free list after the run, want all %d", len(m.bufs), bufsPerBlock)
+	}
+}

@@ -49,13 +49,16 @@ func (r *Radio) Now() time.Duration { return r.m.eng.Now() }
 func (r *Radio) MTU() int { return r.m.p.MTU }
 
 // SetHandler installs the receive callback. The callback runs inside the
-// simulation event that completes the frame; it may call Send.
+// simulation event that completes the frame; it may call Send. The
+// frame's payload is the medium's buffer, valid only during the call.
 func (r *Radio) SetHandler(h func(Frame)) { r.handler = h }
 
-// Send queues a frame for transmission. bits is the number of meaningful
-// payload bits (0 means 8*len(payload)). Send returns an error if the
-// payload exceeds the MTU or the radio is down; queued frames are
-// transmitted in order under the medium's MAC discipline.
+// Send queues a copy of a frame for transmission, so like an io.Writer
+// it does not keep payload: the caller may reuse it at once. bits is the
+// number of meaningful payload bits (0 means 8*len(payload)). Send
+// returns an error if the payload exceeds the MTU or the radio is down;
+// queued frames are transmitted in order under the medium's MAC
+// discipline.
 func (r *Radio) Send(payload []byte, bits int) error {
 	if !r.up {
 		return fmt.Errorf("%w: node %d", ErrRadioDown, r.id)
@@ -66,7 +69,7 @@ func (r *Radio) Send(payload []byte, bits int) error {
 	if bits <= 0 || bits > 8*len(payload) {
 		bits = 8 * len(payload)
 	}
-	r.queue = append(r.queue, Frame{From: r.id, Payload: payload, Bits: bits})
+	r.queue = append(r.queue, Frame{From: r.id, Payload: r.m.copyFrame(payload), Bits: bits})
 	r.pump()
 	return nil
 }
@@ -91,7 +94,11 @@ func (r *Radio) SetUp(up bool) {
 	}
 	if !up {
 		r.flushListen()
-		r.queue = nil
+		for i, f := range r.queue {
+			r.m.release(f.Payload)
+			r.queue[i] = Frame{}
+		}
+		r.queue = r.queue[:0]
 	} else if r.listening {
 		r.listenSince = r.m.eng.Now()
 	}
@@ -191,10 +198,12 @@ func (r *Radio) transmitHead() {
 
 // noteTx records a transmission interval for half-duplex checks.
 func (r *Radio) noteTx(start, end time.Duration) {
-	// Prune windows that ended long before any frame still on air began.
+	// Prune windows no later check can overlap. A check is for a frame
+	// ending now or later, and no frame lasts longer than maxAir, so it
+	// began no earlier than start-maxAir.
 	kept := r.txWindows[:0]
 	for _, w := range r.txWindows {
-		if w.end > start-time.Second {
+		if w.end > start-r.m.maxAir {
 			kept = append(kept, w)
 		}
 	}

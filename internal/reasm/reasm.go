@@ -10,8 +10,8 @@
 //
 // The table allocates nothing per fragment in steady state. Partial
 // packets are recycled through a free list together with their coverage,
-// their early-fragment storage and any buffer not handed to OnDeliver; a
-// delivered buffer belongs to OnDeliver and is never reused.
+// their early-fragment storage and their packet buffer. A delivered
+// buffer is lent to OnDeliver for the call and reused afterwards.
 package reasm
 
 import (
@@ -19,6 +19,7 @@ import (
 
 	"retri/internal/checksum"
 	"retri/internal/frame"
+	"retri/internal/poison"
 )
 
 // Stats counts reassembler outcomes. Conflicts and ChecksumFailures are the
@@ -77,9 +78,10 @@ const maxEarlyFragments = 1 << 12
 // called with the key concerned.
 type Table[K comparable] struct {
 	// OnDeliver receives each verified packet with the introduction's
-	// instrumentation trailer, nil when it had none. The data buffer is
-	// the callee's to keep; the trailer is table memory, valid only until
-	// OnDeliver returns.
+	// instrumentation trailer, nil when it had none. Both are table
+	// memory, lent for the call: the table reuses the data buffer for a
+	// later packet once OnDeliver returns, so a callee that keeps the
+	// bytes copies them.
 	OnDeliver func(key K, data []byte, truth *frame.Truth)
 	// OnBadSum hears each packet rejected at completion by its checksum.
 	OnBadSum func(K)
@@ -274,8 +276,7 @@ func (t *Table[K]) complete(key K, p *partial) {
 			truth = &p.truth
 		}
 		t.OnDeliver(key, p.buf, truth)
-		// The delivered buffer now belongs to OnDeliver.
-		p.buf = nil
+		poison.Fill(p.buf)
 	}
 	t.retire(p)
 }

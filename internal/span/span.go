@@ -300,9 +300,15 @@ func New(tr *truth.Tracker) *Tracer {
 // transmit queue. Called synchronously from the fragmenting send path,
 // before any fragment airs and before any ARQ attempt bookkeeping.
 func (t *Tracer) TxOpen(sender radio.NodeID, tx aff.Transaction, strategy string) {
+	var tr *frame.Truth
+	if tx.Truth != nil {
+		// The fragmenter reuses the trailer for its next transaction.
+		c := *tx.Truth
+		tr = &c
+	}
 	s := &Span{
 		Index:    len(t.spans),
-		Truth:    tx.Truth,
+		Truth:    tr,
 		Sender:   sender,
 		Key:      tx.Key,
 		Width:    tx.IDBits,
@@ -317,8 +323,8 @@ func (t *Tracer) TxOpen(sender radio.NodeID, tx aff.Transaction, strategy string
 	}
 	t.spans = append(t.spans, s)
 	t.rep.Spans++
-	if t.tr.Instrumented() && tx.Truth != nil {
-		t.queuedTruth[truth.Key{Node: tx.Truth.Node, Seq: tx.Truth.Seq}] = s
+	if t.tr.Instrumented() && tr != nil {
+		t.queuedTruth[truth.Key{Node: tr.Node, Seq: tr.Seq}] = s
 	} else {
 		t.queuedFIFO[sender] = append(t.queuedFIFO[sender], s)
 	}

@@ -46,18 +46,18 @@ func newHarness(t *testing.T, instrument bool) *harness {
 
 func (h *harness) intro(t *testing.T, from radio.NodeID, id uint64, totalLen int, truth *frame.Truth) radio.Frame {
 	t.Helper()
-	p, bits, err := h.codec.EncodeIntro(frame.Intro{ID: id, TotalLen: totalLen, Checksum: 0xBEEF, Truth: truth})
+	p, bits, err := h.codec.AppendIntro(nil, frame.Intro{ID: id, TotalLen: totalLen, Checksum: 0xBEEF, Truth: truth})
 	if err != nil {
-		t.Fatalf("EncodeIntro: %v", err)
+		t.Fatalf("AppendIntro: %v", err)
 	}
 	return radio.Frame{From: from, Payload: p, Bits: bits}
 }
 
 func (h *harness) data(t *testing.T, from radio.NodeID, id uint64, offset int, payload []byte, truth *frame.Truth) radio.Frame {
 	t.Helper()
-	p, bits, err := h.codec.EncodeData(frame.Data{ID: id, Offset: offset, Payload: payload, Truth: truth})
+	p, bits, err := h.codec.AppendData(nil, frame.Data{ID: id, Offset: offset, Payload: payload, Truth: truth})
 	if err != nil {
-		t.Fatalf("EncodeData: %v", err)
+		t.Fatalf("AppendData: %v", err)
 	}
 	return radio.Frame{From: from, Payload: p, Bits: bits}
 }
@@ -102,6 +102,26 @@ func TestLifecycleDelivered(t *testing.T) {
 	}
 	if len(s.Events) != 1 || s.Events[0].Kind != "delivered" || s.Events[0].Node != 2 {
 		t.Fatalf("events = %+v", s.Events)
+	}
+}
+
+// TestTxOpenCopiesTrailer opens two transactions through one trailer, as
+// a fragmenter that reuses its storage does: each span keeps the trailer
+// of its own draw, and the first transaction's introduction binds to the
+// first span.
+func TestTxOpenCopiesTrailer(t *testing.T) {
+	h := newHarness(t, true)
+	reused := &frame.Truth{Node: 1, Seq: 0}
+	h.open(1, 5, reused, "uniform", 0)
+	*reused = frame.Truth{Node: 1, Seq: 1}
+	h.open(1, 6, reused, "uniform", 0)
+	spans := h.tr.Spans()
+	if spans[0].Truth == nil || *spans[0].Truth != (frame.Truth{Node: 1, Seq: 0}) || *spans[1].Truth != *reused {
+		t.Fatalf("span trailers %+v and %+v, want seq 0 and seq 1", spans[0].Truth, spans[1].Truth)
+	}
+	h.trk.FrameSent(h.intro(t, 1, 5, 4, &frame.Truth{Node: 1, Seq: 0}))
+	if spans[0].tx == nil || spans[1].tx != nil {
+		t.Fatalf("seq 0's introduction bound spans %v and %v, want only the first", spans[0].tx != nil, spans[1].tx != nil)
 	}
 }
 

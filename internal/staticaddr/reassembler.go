@@ -14,8 +14,10 @@ type Stats = reasm.Stats
 
 // Packet is a reassembled, verified packet.
 type Packet struct {
-	Src  uint64
-	Seq  uint64
+	Src uint64
+	Seq uint64
+	// Data is lent for the delivery callback: the reassembler reuses the
+	// buffer afterwards, so copy it to keep it.
 	Data []byte
 }
 

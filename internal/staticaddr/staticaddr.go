@@ -65,7 +65,9 @@ func (c Config) codec() frame.Codec {
 	return frame.Codec{IDBits: c.AddrBits, SeqBits: c.SeqBits}
 }
 
-// Transaction is a fragmented packet ready for transmission.
+// Transaction is a fragmented packet ready for transmission. Its
+// Fragments point into the fragmenter's storage, which its next call
+// reuses.
 type Transaction struct {
 	// Src and Seq form the guaranteed-unique packet key.
 	Src uint64
@@ -82,6 +84,8 @@ type Fragmenter struct {
 	codec frame.Codec
 	addr  uint64
 	seq   uint64
+	// frames backs the Transaction the last call returned.
+	frames frame.Frames
 }
 
 // NewFragmenter returns a fragmenter for the node with the given static
@@ -112,7 +116,7 @@ func (f *Fragmenter) Fragment(packet []byte) (Transaction, error) {
 	}
 	seq := f.seq
 	f.seq = (f.seq + 1) % (1 << uint(f.cfg.SeqBits))
-	frames, err := f.codec.Split(packet, f.cfg.MTU, f.addr, seq, checksum.Sum(f.cfg.Checksum, packet), nil)
+	frames, err := f.codec.Split(&f.frames, packet, f.cfg.MTU, f.addr, seq, checksum.Sum(f.cfg.Checksum, packet), nil)
 	if err != nil {
 		return Transaction{}, fmt.Errorf("staticaddr: %w", err)
 	}

@@ -12,6 +12,15 @@ import (
 	"retri/internal/frame"
 )
 
+// collect returns a delivery callback keeping a copy of every packet:
+// the reassembler lends a packet's data only for the call.
+func collect(out *[]Packet) func(Packet) {
+	return func(p Packet) {
+		p.Data = bytes.Clone(p.Data)
+		*out = append(*out, p)
+	}
+}
+
 func testConfig() Config {
 	return Config{AddrBits: 16, MTU: 27}
 }
@@ -130,7 +139,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out []Packet
-	r := NewReassembler(cfg, nil, func(p Packet) { out = append(out, p) })
+	r := NewReassembler(cfg, nil, collect(&out))
 	packet := make([]byte, 200)
 	for i := range packet {
 		packet[i] = byte(i * 3)
@@ -216,7 +225,7 @@ func TestEarlyDataBuffered(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out []Packet
-	r := NewReassembler(cfg, nil, func(p Packet) { out = append(out, p) })
+	r := NewReassembler(cfg, nil, collect(&out))
 	tx, err := f.Fragment(make([]byte, 50))
 	if err != nil {
 		t.Fatal(err)
@@ -284,7 +293,7 @@ func TestRoundTripProperty(t *testing.T) {
 			packet[i] = byte(rng.Uint64())
 		}
 		var out []Packet
-		r := NewReassembler(cfg, nil, func(p Packet) { out = append(out, p) })
+		r := NewReassembler(cfg, nil, collect(&out))
 		tx, err := fr.Fragment(packet)
 		if err != nil {
 			return false

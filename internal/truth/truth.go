@@ -41,6 +41,7 @@
 package truth
 
 import (
+	"bytes"
 	"errors"
 	"time"
 
@@ -217,10 +218,15 @@ type Tracker struct {
 
 	// last memoizes the latest decode: a transmission's verdicts arrive
 	// back to back after its send, one per receiver, all for the payload
-	// the send decoded.
-	last   Frame
-	lastOK bool
-	// frag is the decode scratch behind last; last.Truth points into it.
+	// the send decoded. The memo is keyed by lastBytes, the tracker's own
+	// copy of the decoded bytes, never by the frame's address: the medium
+	// recycles frame buffers, so a later frame can arrive at the same
+	// address with different bytes.
+	last      Frame
+	lastOK    bool
+	lastBytes []byte
+	// frag is the decode scratch behind last; last.Truth points into it,
+	// and last.Payload into lastBytes.
 	frag frame.Fragment
 
 	counts Counts
@@ -277,22 +283,18 @@ func (t *Tracker) Counts() Counts { return t.counts }
 
 // decode returns rf unwrapped and decoded, or nil when it cannot be read.
 // The result is the tracker's scratch, valid until the next decode.
+// Decoding is a pure function of the bytes, so a frame whose bytes equal
+// the memo's reuses its decode.
 func (t *Tracker) decode(rf radio.Frame) *Frame {
-	if !samePayload(t.last.Raw, rf) {
-		t.lastOK = t.decodeInto(&t.last, rf.Payload)
+	if t.lastBytes == nil || !bytes.Equal(t.lastBytes, rf.Payload) {
+		t.lastBytes = append(t.lastBytes[:0], rf.Payload...)
+		t.lastOK = t.decodeInto(&t.last, t.lastBytes)
 	}
 	t.last.Raw = rf
 	if !t.lastOK {
 		return nil
 	}
 	return &t.last
-}
-
-// samePayload reports whether two frames carry the same payload slice.
-// The memo holds the slice, so its backing array cannot be reused for a
-// different frame while the comparison matters.
-func samePayload(a, b radio.Frame) bool {
-	return len(a.Payload) > 0 && len(a.Payload) == len(b.Payload) && &a.Payload[0] == &b.Payload[0]
 }
 
 // decodeInto unwraps and decodes one payload into dst.

@@ -66,7 +66,7 @@ func newRig(t *testing.T, instrument bool, retain time.Duration) *rig {
 
 func (r *rig) intro(t *testing.T, from radio.NodeID, id uint64, total int, tt *frame.Truth) radio.Frame {
 	t.Helper()
-	p, bits, err := r.codec.EncodeIntro(frame.Intro{ID: id, TotalLen: total, Checksum: 7, Truth: tt})
+	p, bits, err := r.codec.AppendIntro(nil, frame.Intro{ID: id, TotalLen: total, Checksum: 7, Truth: tt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func (r *rig) intro(t *testing.T, from radio.NodeID, id uint64, total int, tt *f
 
 func (r *rig) data(t *testing.T, from radio.NodeID, id uint64, off int, b []byte, tt *frame.Truth) radio.Frame {
 	t.Helper()
-	p, bits, err := r.codec.EncodeData(frame.Data{ID: id, Offset: off, Payload: b, Truth: tt})
+	p, bits, err := r.codec.AppendData(nil, frame.Data{ID: id, Offset: off, Payload: b, Truth: tt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestUnwrapAndAdaptiveKeys(t *testing.T) {
 	tr.Attach(rec)
 	for i, w := range []int{4, 9} {
 		codec := frame.Codec{IDBits: w, Instrument: true, InBandWidth: true}
-		p, bits, err := codec.EncodeIntro(frame.Intro{ID: 3, TotalLen: 4, Truth: &frame.Truth{Node: uint32(i + 1), Seq: 1}})
+		p, bits, err := codec.AppendIntro(nil, frame.Intro{ID: 3, TotalLen: 4, Truth: &frame.Truth{Node: uint32(i + 1), Seq: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,5 +363,30 @@ func TestUnwrapAndAdaptiveKeys(t *testing.T) {
 	}
 	if unwraps != 3 {
 		t.Fatalf("unwraps = %d, want 3 (one per transmission)", unwraps)
+	}
+}
+
+// TestDecodeMemoSurvivesBufferReuse sends two transactions' introductions
+// from one buffer, as the medium's recycled frame buffers do: the second
+// frame lands at the memoized frame's address with different bytes. The
+// memo must decode it afresh rather than replay the first frame's decode.
+func TestDecodeMemoSurvivesBufferReuse(t *testing.T) {
+	r := newRig(t, true, 0)
+	a := r.intro(t, 1, 5, 4, &frame.Truth{Node: 1, Seq: 1})
+	b := r.intro(t, 2, 6, 4, &frame.Truth{Node: 2, Seq: 1})
+	if len(a.Payload) != len(b.Payload) {
+		t.Fatalf("introductions of %d and %d bytes; the test needs equal lengths", len(a.Payload), len(b.Payload))
+	}
+	buf := append([]byte(nil), a.Payload...)
+	r.tr.FrameSent(radio.Frame{From: 1, Payload: buf, Bits: a.Bits})
+	r.tr.FrameFate(3, radio.Frame{From: 1, Payload: buf, Bits: a.Bits}, radio.FateDelivered)
+	copy(buf, b.Payload) // the buffer comes back holding the next frame
+	r.tr.FrameSent(radio.Frame{From: 2, Payload: buf, Bits: b.Bits})
+	r.tr.FrameFate(3, radio.Frame{From: 2, Payload: buf, Bits: b.Bits}, radio.FateDelivered)
+	if len(r.rec.opened) != 2 || r.rec.opened[1].Truth != (Key{2, 1}) || r.rec.opened[1].Key != 6 {
+		t.Fatalf("opened %d transactions, the second %+v; want node 2's under key 6", len(r.rec.opened), r.rec.opened[len(r.rec.opened)-1])
+	}
+	if got := r.rec.fateTx[1]; got == nil || got.Truth != (Key{2, 1}) {
+		t.Fatalf("second fate attributed to %+v, want node 2's transaction", got)
 	}
 }

@@ -14,13 +14,16 @@ package workload
 
 import (
 	"math/rand/v2"
+	"slices"
 	"time"
 
 	"retri/internal/radio"
 	"retri/internal/sim"
 )
 
-// Driver is the slice of the node stack a generator needs.
+// Driver is the slice of the node stack a generator needs. Like an
+// io.Writer, SendPacket must not keep p: each generator reuses one
+// packet buffer.
 type Driver interface {
 	SendPacket(p []byte) error
 	Radio() *radio.Radio
@@ -49,6 +52,7 @@ type Continuous struct {
 	rng   *rand.Rand
 	sizes []int
 	poll  time.Duration
+	buf   []byte // the packet buffer, as long as the largest size
 
 	until   time.Duration
 	stopped bool
@@ -76,7 +80,7 @@ func NewContinuousMixed(eng *sim.Engine, d Driver, sizes []int, poll time.Durati
 	if len(sizes) == 0 {
 		sizes = []int{80}
 	}
-	c := &Continuous{eng: eng, d: d, rng: rng, sizes: sizes, poll: poll}
+	c := &Continuous{eng: eng, d: d, rng: rng, sizes: sizes, poll: poll, buf: make([]byte, slices.Max(sizes))}
 	c.tickFn = c.tick
 	return c
 }
@@ -112,7 +116,7 @@ func (c *Continuous) tick() {
 		if len(c.sizes) > 1 {
 			size = c.sizes[c.rng.IntN(len(c.sizes))]
 		}
-		p := make([]byte, size)
+		p := c.buf[:size]
 		fillRandom(p, c.rng)
 		if err := c.d.SendPacket(p); err != nil {
 			c.stats.SendErrors++
@@ -129,7 +133,7 @@ type Periodic struct {
 	eng      *sim.Engine
 	d        Driver
 	rng      *rand.Rand
-	size     int
+	pkt      []byte // the packet buffer
 	interval time.Duration
 	jitter   time.Duration
 
@@ -146,7 +150,7 @@ func NewPeriodic(eng *sim.Engine, d Driver, size int, interval, jitter time.Dura
 	if interval <= 0 {
 		interval = time.Second
 	}
-	p := &Periodic{eng: eng, d: d, rng: rng, size: size, interval: interval, jitter: jitter}
+	p := &Periodic{eng: eng, d: d, rng: rng, pkt: make([]byte, size), interval: interval, jitter: jitter}
 	p.emitFn = p.emit
 	return p
 }
@@ -180,9 +184,8 @@ func (p *Periodic) emit() {
 	if p.stopped || p.eng.Now() >= p.until {
 		return
 	}
-	pkt := make([]byte, p.size)
-	fillRandom(pkt, p.rng)
-	if err := p.d.SendPacket(pkt); err != nil {
+	fillRandom(p.pkt, p.rng)
+	if err := p.d.SendPacket(p.pkt); err != nil {
 		p.stats.SendErrors++
 	} else {
 		p.stats.PacketsOffered++
@@ -196,7 +199,7 @@ type Poisson struct {
 	eng  *sim.Engine
 	d    Driver
 	rng  *rand.Rand
-	size int
+	pkt  []byte // the packet buffer
 	mean time.Duration
 
 	until   time.Duration
@@ -213,7 +216,7 @@ func NewPoisson(eng *sim.Engine, d Driver, size int, mean time.Duration, rng *ra
 	if mean <= 0 {
 		mean = time.Second
 	}
-	p := &Poisson{eng: eng, d: d, rng: rng, size: size, mean: mean}
+	p := &Poisson{eng: eng, d: d, rng: rng, pkt: make([]byte, size), mean: mean}
 	p.emitFn = p.emit
 	return p
 }
@@ -244,9 +247,8 @@ func (p *Poisson) emit() {
 	if p.stopped || p.eng.Now() >= p.until {
 		return
 	}
-	pkt := make([]byte, p.size)
-	fillRandom(pkt, p.rng)
-	if err := p.d.SendPacket(pkt); err != nil {
+	fillRandom(p.pkt, p.rng)
+	if err := p.d.SendPacket(p.pkt); err != nil {
 		p.stats.SendErrors++
 	} else {
 		p.stats.PacketsOffered++

@@ -1,6 +1,7 @@
 package retri
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
@@ -202,8 +203,16 @@ func (nd *Node) ID() int { return int(nd.id) }
 // RETRI identifier.
 func (nd *Node) Send(p []byte) error { return nd.driver.SendPacket(p) }
 
-// OnPacket installs the delivery callback for reassembled packets.
-func (nd *Node) OnPacket(fn func(p []byte)) { nd.driver.SetPacketHandler(fn) }
+// OnPacket installs the delivery callback for reassembled packets. Each
+// packet is the callback's to keep.
+func (nd *Node) OnPacket(fn func(p []byte)) {
+	if fn == nil {
+		nd.driver.SetPacketHandler(nil)
+		return
+	}
+	// The stack lends its delivery buffer for the call only.
+	nd.driver.SetPacketHandler(func(p []byte) { fn(bytes.Clone(p)) })
+}
 
 // Sent reports packets this node has transmitted.
 func (nd *Node) Sent() int64 { return nd.driver.PacketsSent() }
