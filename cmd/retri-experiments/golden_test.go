@@ -25,21 +25,11 @@ type quickDigest struct {
 	CSV   string `json:"csv"`
 }
 
-// quickSelections is every -figure and -ablation the CLI offers.
-var quickSelections = [][]string{
-	{"-figure", "1"}, {"-figure", "2"}, {"-figure", "3"}, {"-figure", "4"},
-	{"-figure", "scaling"}, {"-figure", "recovery"}, {"-figure", "dynamics"},
-	{"-figure", "chaos"}, {"-figure", "multihop"}, {"-figure", "strategies"},
-	{"-figure", "massive"},
-	{"-ablation", "window"}, {"-ablation", "hidden"}, {"-ablation", "mac"},
-	{"-ablation", "lengths"}, {"-ablation", "flood"}, {"-ablation", "estimator"},
-	{"-ablation", "lifetime"}, {"-ablation", "churn"},
-}
-
-// TestQuickStdoutGolden pins SHA-256 of every figure's and ablation's
-// -quick stdout, in table form at -parallel 1 and 0 and in CSV at
-// -parallel 1, against testdata/golden.json. Regenerate with
-// -update-golden only for a deliberate output change.
+// TestQuickStdoutGolden pins SHA-256 of every sweep's -quick stdout, in
+// table form at -parallel 1 and 0 and in CSV at -parallel 1, against
+// testdata/golden.json, keyed "<kind>-<name>". A sweep without a pinned
+// digest fails, and so does a pinned digest no sweep produces. Regenerate
+// with -update-golden only for a deliberate output change.
 func TestQuickStdoutGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweeps")
@@ -52,9 +42,9 @@ func TestQuickStdoutGolden(t *testing.T) {
 		return hex.EncodeToString(sum[:])
 	}
 	got := make(map[string]quickDigest)
-	for _, sel := range quickSelections {
-		name := sel[0][1:] + "-" + sel[1]
-		base := append([]string{"-quick"}, sel...)
+	for _, s := range sweeps {
+		name := s.kind + "-" + s.name
+		base := []string{"-quick", "-" + s.kind, s.name}
 		d := quickDigest{
 			Table: digest(append(base, "-parallel", "1")...),
 			CSV:   digest(append(base, "-parallel", "1", "-format", "csv")...),

@@ -22,6 +22,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"slices"
@@ -67,13 +68,11 @@ type options struct {
 	strategies string
 	// Massive-population knobs for -figure massive.
 	nodes string
-	// trialsSet/durationSet/nodesSet record whether the user set the flag
-	// (or -quick resolved it): -figure massive keeps its own scale
-	// defaults — a 2-minute million-node trial is not a default anyone
-	// wants by accident — unless overridden explicitly.
-	trialsSet   bool
-	durationSet bool
-	nodesSet    bool
+	// set holds the flags given on the command line: -figure multihop
+	// and massive keep their own trial, duration and population defaults
+	// — a 2-minute million-node trial is not a default anyone wants by
+	// accident — unless one is set explicitly.
+	set map[string]bool
 	// Chaos knobs for -figure chaos.
 	chaosProfiles string
 	soak          time.Duration
@@ -95,8 +94,8 @@ type options struct {
 // to its field of o.
 func newFlagSet(o *options) *flag.FlagSet {
 	fs := flag.NewFlagSet("retri-experiments", flag.ContinueOnError)
-	fs.StringVar(&o.figure, "figure", "", "figure to regenerate: 1, 2, 3, 4, scaling, strategies, recovery, dynamics, chaos, multihop, massive or all")
-	fs.StringVar(&o.ablation, "ablation", "", "ablation to run: window, hidden, mac, lengths, flood, estimator, lifetime, churn or all")
+	fs.StringVar(&o.figure, "figure", "", "figure to regenerate: "+sweepNames("figure")+" or all")
+	fs.StringVar(&o.ablation, "ablation", "", "ablation to run: "+sweepNames("ablation")+" or all")
 	fs.IntVar(&o.trials, "trials", 10, "trials per configuration (figures 4, recovery, dynamics, chaos, strategies, multihop and massive; ablations window, hidden, lengths and estimator)")
 	fs.DurationVar(&o.duration, "duration", 2*time.Minute, "simulated time per trial")
 	fs.Uint64Var(&o.seed, "seed", 1, "master random seed")
@@ -183,130 +182,108 @@ func parseArgs(args []string) (options, error) {
 	default:
 		return options{}, fmt.Errorf("invalid -format %q: accepted values are table, csv", o.format)
 	}
-	set := make(map[string]bool)
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if o.quick {
-		if !set["trials"] {
-			o.trials = 3
-		}
-		if !set["duration"] {
-			o.duration = 20 * time.Second
-		}
-	}
-	o.trialsSet = set["trials"]
-	o.durationSet = set["duration"]
-	o.nodesSet = set["nodes"]
-	if o.parallel <= 0 {
-		o.parallel = runtime.GOMAXPROCS(0)
-	}
 	if o.figure == "" && o.ablation == "" {
 		o.figure, o.ablation = "all", "all"
 	}
-	// A per-figure flag that no selected figure reads would be silently
+	// A per-figure flag that no selected sweep reads would be silently
 	// ignored; reject it instead. fs.Visit walks set flags in name order.
-	selected := []string{o.figure}
-	if o.figure == "all" {
-		selected = allFigures
-	}
+	o.set = make(map[string]bool)
 	var unread error
 	fs.Visit(func(f *flag.Flag) {
-		readers, ok := figureFlags[f.Name]
-		if !ok || unread != nil {
-			return
-		}
-		for _, fig := range selected {
-			if slices.Contains(readers, fig) {
-				return
+		o.set[f.Name] = true
+		var readers []string
+		for _, s := range sweeps {
+			if slices.Contains(s.flags, f.Name) {
+				if s.selected(o) {
+					return
+				}
+				readers = append(readers, s.name)
 			}
 		}
-		unread = fmt.Errorf("-%s has no effect here: it is read only by -figure %s", f.Name, strings.Join(readers, ", "))
+		if len(readers) > 0 && unread == nil {
+			unread = fmt.Errorf("-%s has no effect here: it is read only by -figure %s", f.Name, strings.Join(readers, ", "))
+		}
 	})
 	if unread != nil {
 		return options{}, unread
 	}
+	if o.quick {
+		if !o.set["trials"] {
+			o.trials = 3
+		}
+		if !o.set["duration"] {
+			o.duration = 20 * time.Second
+		}
+	}
+	if o.parallel <= 0 {
+		o.parallel = runtime.GOMAXPROCS(0)
+	}
 	return o, nil
 }
 
-// allFigures is what -figure all runs. The recovery, dynamics, chaos,
-// strategies, multihop and massive figures are harnesses beyond the
-// paper's own plots, so they run only when selected explicitly and the
-// historical outputs stay byte-identical.
-var allFigures = []string{"1", "2", "3", "4", "scaling"}
-
-// figureFlags maps each per-figure flag to the figures that read it.
-var figureFlags = map[string][]string{
-	"faults":          {"recovery"},
-	"fault-script":    {"recovery"},
-	"arq-retries":     {"recovery", "chaos"},
-	"arq-rto":         {"recovery", "chaos"},
-	"arq-max-rto":     {"recovery", "chaos"},
-	"oracle":          {"dynamics", "recovery"},
-	"span-out":        {"dynamics", "recovery", "strategies", "chaos", "multihop"},
-	"chrome-trace":    {"dynamics", "recovery", "strategies", "chaos", "multihop"},
-	"scenarios":       {"dynamics"},
-	"policies":        {"dynamics", "massive"},
-	"mobility-script": {"dynamics"},
-	"strategies":      {"strategies"},
-	"nodes":           {"massive"},
-	"chaos-profiles":  {"chaos"},
-	"soak":            {"chaos"},
-	"arms":            {"multihop"},
-	"regions":         {"multihop"},
+// sweep is one -figure or -ablation selection: everything the CLI knows
+// about it, so adding a sweep takes one entry in sweeps.
+type sweep struct {
+	kind  string // "figure" or "ablation"
+	name  string
+	title string // the banner above the table
+	// all marks the sweeps "-figure all" and "-ablation all" run. The
+	// recovery, dynamics, chaos, strategies, multihop and massive figures
+	// are harnesses beyond the paper's own plots, so they run only when
+	// selected explicitly and the historical outputs stay byte-identical.
+	all bool
+	// flags are the per-figure flags the sweep reads. A per-figure flag
+	// that no selected sweep reads is rejected.
+	flags []string
+	run   func(options, *collector) (result, error)
 }
 
-// result is anything an experiment produces: a human table and a CSV.
-// Every figure and ablation result implements both, so -format csv is
-// honored uniformly.
-type result interface {
-	Render() string
-	CSV() string
-}
-
-// emit prints a result to stdout in the selected format.
-func emit(title string, useCSV bool, r result) {
-	if useCSV {
-		fmt.Print(r.CSV())
-		return
-	}
-	fmt.Println("=== " + title + " ===")
-	fmt.Println(r.Render())
-}
-
-func run(args []string) error {
-	o, err := parseArgs(args)
-	if err != nil {
-		return err
-	}
-	col, err := newCollector(o, args)
-	if err != nil {
-		return err
-	}
-
-	base := experiment.DefaultFigure4Config()
-	base.Seed = o.seed
-	base.Trials = o.trials
-	base.Duration = o.duration
-	base.Parallelism = o.parallel
-	base.Obs = col.obs()
-	base.Hooks = col.hooks()
-
-	useCSV := o.format == "csv"
-	figures := map[string]func() error{
-		"1": func() error { return printEfficiencyFigure(1, useCSV) },
-		"2": func() error { return printEfficiencyFigure(2, useCSV) },
-		"3": func() error {
-			emit("Figure 3", useCSV, experiment.Figure3())
-			return nil
-		},
-		"4": func() error {
-			res, err := experiment.Figure4(base)
-			if err != nil {
-				return err
+// sweeps is every selection the CLI offers, in the order -h lists them
+// and "all" runs them.
+var sweeps = []sweep{
+	{kind: "figure", name: "1", title: "Figure 1", all: true,
+		run: func(options, *collector) (result, error) { return wrap(experiment.Figure1()) }},
+	{kind: "figure", name: "2", title: "Figure 2", all: true,
+		run: func(options, *collector) (result, error) { return wrap(experiment.Figure2()) }},
+	{kind: "figure", name: "3", title: "Figure 3", all: true,
+		run: func(options, *collector) (result, error) { return experiment.Figure3(), nil }},
+	{kind: "figure", name: "4", title: "Figure 4", all: true,
+		run: func(o options, col *collector) (result, error) {
+			return wrap(experiment.Figure4(figure4Config(o, col)))
+		}},
+	{kind: "figure", name: "scaling", title: "Scaling: identifier size vs network size", all: true,
+		run: func(o options, col *collector) (result, error) {
+			cfg := experiment.DefaultScalingConfig()
+			cfg.Seed = o.seed
+			cfg.Parallelism = o.parallel
+			cfg.Hooks = col.hooks()
+			if o.quick {
+				cfg.GridSizes = []int{3, 6}
+				cfg.Duration = 20 * time.Second
+				cfg.Trials = 2
 			}
-			emit("Figure 4", useCSV, res)
-			return nil
-		},
-		"recovery": func() error {
+			return wrap(experiment.RunScaling(cfg))
+		}},
+	{kind: "figure", name: "strategies", title: "Identifier strategies",
+		flags: []string{"strategies", "span-out", "chrome-trace"},
+		run: func(o options, col *collector) (result, error) {
+			cfg := experiment.DefaultStrategiesConfig()
+			cfg.Seed = o.seed
+			cfg.Trials = o.trials
+			cfg.Duration = o.duration
+			cfg.Parallelism = o.parallel
+			cfg.Obs = col.obs()
+			cfg.Hooks = col.hooks()
+			names, err := experiment.ParseStrategies(o.strategies)
+			if err != nil {
+				return nil, err
+			}
+			cfg.Strategies = names
+			return wrap(experiment.Strategies(cfg))
+		}},
+	{kind: "figure", name: "recovery", title: "Recovery under faults",
+		flags: []string{"faults", "fault-script", "arq-retries", "arq-rto", "arq-max-rto", "oracle", "span-out", "chrome-trace"},
+		run: func(o options, col *collector) (result, error) {
 			cfg := experiment.DefaultRecoveryConfig()
 			cfg.Seed = o.seed
 			cfg.Trials = o.trials
@@ -320,25 +297,22 @@ func run(args []string) error {
 			cfg.Oracle = o.oracle
 			kinds, err := experiment.ParseFaultKinds(o.faults)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			cfg.Faults = kinds
 			if o.faultScript != "" {
-				script, err := loadFaultScript(o.faultScript)
+				script, err := loadScript(o.faultScript, "fault", faults.ParseScript)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				cfg.Script = script
 				cfg.Faults = append(cfg.Faults, experiment.FaultScript)
 			}
-			res, err := experiment.Recovery(cfg)
-			if err != nil {
-				return err
-			}
-			emit("Recovery under faults", useCSV, res)
-			return nil
-		},
-		"dynamics": func() error {
+			return wrap(experiment.Recovery(cfg))
+		}},
+	{kind: "figure", name: "dynamics", title: "Dynamics: identifier sizing under mobility and churn",
+		flags: []string{"scenarios", "policies", "mobility-script", "oracle", "span-out", "chrome-trace"},
+		run: func(o options, col *collector) (result, error) {
 			cfg := experiment.DefaultDynamicsConfig()
 			cfg.Seed = o.seed
 			cfg.Trials = o.trials
@@ -348,31 +322,28 @@ func run(args []string) error {
 			cfg.Hooks = col.hooks()
 			scenarios, err := experiment.ParseDynScenarios(o.scenarios)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			cfg.Scenarios = scenarios
 			policies, err := experiment.ParseWidthPolicies(o.policies)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			cfg.Policies = policies
 			cfg.Oracle = o.oracle
 			if o.mobilityScript != "" {
-				script, err := loadMobilityScript(o.mobilityScript)
+				script, err := loadScript(o.mobilityScript, "mobility", mobility.ParseScript)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				cfg.Script = script
 				cfg.Scenarios = append(cfg.Scenarios, experiment.DynScript)
 			}
-			res, err := experiment.Dynamics(cfg)
-			if err != nil {
-				return err
-			}
-			emit("Dynamics: identifier sizing under mobility and churn", useCSV, res)
-			return nil
-		},
-		"chaos": func() error {
+			return wrap(experiment.Dynamics(cfg))
+		}},
+	{kind: "figure", name: "chaos", title: "Chaos: compound faults and graceful degradation",
+		flags: []string{"chaos-profiles", "soak", "arq-retries", "arq-rto", "arq-max-rto", "span-out", "chrome-trace"},
+		run: func(o options, col *collector) (result, error) {
 			cfg := experiment.DefaultChaosConfig()
 			cfg.Seed = o.seed
 			cfg.Trials = o.trials
@@ -385,32 +356,15 @@ func run(args []string) error {
 			cfg.ARQ.MaxRTO = o.arqMaxRTO
 			profiles, err := chaos.ParseProfiles(o.chaosProfiles)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			cfg.Profiles = profiles
 			cfg.CheckpointEvery = o.soak
-			res, err := experiment.Chaos(cfg)
-			if err != nil {
-				return err
-			}
-			emit("Chaos: compound faults and graceful degradation", useCSV, res)
-			// The always-on audit is a gate, not a column: any safety
-			// violation in any cell fails the run so CI catches it.
-			for _, r := range res.Rows {
-				if r.Oracle == nil {
-					return fmt.Errorf("chaos %s: no oracle report attached", r.Label())
-				}
-				if err := r.Oracle.Check(); err != nil {
-					return fmt.Errorf("chaos %s: %w", r.Label(), err)
-				}
-				if r.SoakViolations > 0 {
-					return fmt.Errorf("chaos %s: %d soak checkpoint violations (first: %s)",
-						r.Label(), r.SoakViolations, r.FirstViolation)
-				}
-			}
-			return nil
-		},
-		"multihop": func() error {
+			return wrap(experiment.Chaos(cfg))
+		}},
+	{kind: "figure", name: "multihop", title: "Multi-hop regional dynamics",
+		flags: []string{"arms", "regions", "span-out", "chrome-trace"},
+		run: func(o options, col *collector) (result, error) {
 			cfg := experiment.DefaultMultihopConfig()
 			cfg.Seed = o.seed
 			cfg.Parallelism = o.parallel
@@ -420,41 +374,25 @@ func run(args []string) error {
 			// Multihop keeps its own trial count (each 2-minute trial
 			// saturates a 250 kb/s channel); explicit flags still win, and
 			// -quick shrinks to a smoke-sized pass.
-			if o.trialsSet {
+			if o.set["trials"] {
 				cfg.Trials = o.trials
 			}
-			if o.durationSet || o.quick {
+			if o.set["duration"] || o.quick {
 				cfg.Duration = o.duration
 			}
-			if o.quick && !o.trialsSet {
+			if o.quick && !o.set["trials"] {
 				cfg.Trials = 1
 			}
 			arms, err := experiment.ParseMultihopArms(o.multihopArms)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			cfg.Arms = arms
-			res, err := experiment.Multihop(cfg)
-			if err != nil {
-				return err
-			}
-			emit("Multi-hop regional dynamics", useCSV, res)
-			// The oracle rides every AFF trial; any wire-format violation
-			// fails the run so CI catches it.
-			for _, r := range res.Rows {
-				if r.Arm == experiment.MultihopDynaddr {
-					continue
-				}
-				if r.Oracle == nil {
-					return fmt.Errorf("multihop %s: no oracle report attached", r.Arm)
-				}
-				if err := r.Oracle.Check(); err != nil {
-					return fmt.Errorf("multihop %s: %w", r.Arm, err)
-				}
-			}
-			return nil
-		},
-		"massive": func() error {
+			return wrap(experiment.Multihop(cfg))
+		}},
+	{kind: "figure", name: "massive", title: "Massive population: width tracks T, not N",
+		flags: []string{"nodes", "policies"},
+		run: func(o options, col *collector) (result, error) {
 			cfg := experiment.DefaultMassiveConfig()
 			cfg.Seed = o.seed
 			cfg.Parallelism = o.parallel
@@ -462,20 +400,20 @@ func run(args []string) error {
 			// Massive keeps its own scale defaults (a million-node trial
 			// at the generic 2-minute default is a footgun); explicit
 			// flags still win, and -quick shrinks to a laptop-sized pass.
-			if o.trialsSet {
+			if o.set["trials"] {
 				cfg.Trials = o.trials
 			}
-			if o.durationSet {
+			if o.set["duration"] {
 				cfg.Duration = o.duration
 			} else if o.quick {
 				cfg.Duration = 5 * time.Second
 			}
-			if o.nodesSet || o.quick {
+			if o.set["nodes"] || o.quick {
 				pops, err := experiment.ParsePopulations(o.nodes)
 				if err != nil {
-					return err
+					return nil, err
 				}
-				if o.nodesSet {
+				if o.set["nodes"] {
 					cfg.Populations = pops
 				} else {
 					cfg.Populations = []int{2_000, 20_000}
@@ -483,7 +421,7 @@ func run(args []string) error {
 			}
 			policies, err := experiment.ParseWidthPolicies(o.policies)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			// The sharded sensor model has no idle-gap estimator; the plain
 			// "adaptive" arm and the default "all" both resolve to the
@@ -491,99 +429,44 @@ func run(args []string) error {
 			cfg.Policies = massivePolicies(policies)
 			res, err := experiment.Massive(cfg)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			emit("Massive population: width tracks T, not N", useCSV, res)
 			// Wall-clock throughput is real but nondeterministic, so it
 			// goes to stderr: stdout stays byte-stable across -parallel.
 			fmt.Fprint(os.Stderr, res.PerfNote())
-			return res.Check()
-		},
-		"strategies": func() error {
-			cfg := experiment.DefaultStrategiesConfig()
-			cfg.Seed = o.seed
-			cfg.Trials = o.trials
-			cfg.Duration = o.duration
-			cfg.Parallelism = o.parallel
-			cfg.Obs = col.obs()
-			cfg.Hooks = col.hooks()
-			names, err := experiment.ParseStrategies(o.strategies)
-			if err != nil {
-				return err
-			}
-			cfg.Strategies = names
-			res, err := experiment.Strategies(cfg)
-			if err != nil {
-				return err
-			}
-			emit("Identifier strategies", useCSV, res)
-			return nil
-		},
-		"scaling": func() error {
-			cfg := experiment.DefaultScalingConfig()
-			cfg.Seed = o.seed
-			cfg.Parallelism = o.parallel
-			cfg.Hooks = col.hooks()
-			if o.quick {
-				cfg.GridSizes = []int{3, 6}
-				cfg.Duration = 20 * time.Second
-				cfg.Trials = 2
-			}
-			res, err := experiment.RunScaling(cfg)
-			if err != nil {
-				return err
-			}
-			emit("Scaling: identifier size vs network size", useCSV, res)
-			return nil
-		},
-	}
-	ablations := map[string]func() error{
-		"window": func() error {
-			res, err := experiment.AblationListeningWindow(base, 6, []int{1, 2, 5, 10, 20, 40})
-			if err != nil {
-				return err
-			}
-			emit("Ablation: listening window", useCSV, res)
-			return nil
-		},
-		"hidden": func() error {
-			res, err := experiment.AblationHiddenTerminal(base, 5,
-				[]experiment.SelectorKind{experiment.SelUniform, experiment.SelListening, experiment.SelListeningNotify})
-			if err != nil {
-				return err
-			}
-			emit("Ablation: hidden terminals", useCSV, res)
-			return nil
-		},
-		"mac": func() error {
+			return res, nil
+		}},
+	{kind: "ablation", name: "window", title: "Ablation: listening window", all: true,
+		run: func(o options, col *collector) (result, error) {
+			return wrap(experiment.AblationListeningWindow(figure4Config(o, col), 6, []int{1, 2, 5, 10, 20, 40}))
+		}},
+	{kind: "ablation", name: "hidden", title: "Ablation: hidden terminals", all: true,
+		run: func(o options, col *collector) (result, error) {
+			return wrap(experiment.AblationHiddenTerminal(figure4Config(o, col), 5,
+				[]experiment.SelectorKind{experiment.SelUniform, experiment.SelListening, experiment.SelListeningNotify}))
+		}},
+	{kind: "ablation", name: "mac", title: "Ablation: MAC framing overhead", all: true,
+		run: func(o options, col *collector) (result, error) {
 			cfg := experiment.DefaultEfficiencyConfig(experiment.Scheme{})
 			cfg.Seed = o.seed
 			cfg.Duration = o.duration
 			cfg.Parallelism = o.parallel
 			cfg.Hooks = col.hooks()
 			cfg.PacketSize = 2 // few-bit sensor messages (Section 4.4's regime)
-			res, err := experiment.AblationMACOverhead(cfg,
+			return wrap(experiment.AblationMACOverhead(cfg,
 				[]experiment.Scheme{
 					experiment.AFFScheme(9, experiment.SelUniform),
 					experiment.StaticScheme(16),
 					experiment.StaticScheme(32),
 				},
-				[]energy.MACProfile{energy.BareProfile(), energy.RPCProfile(), energy.IEEE80211Profile()})
-			if err != nil {
-				return err
-			}
-			emit("Ablation: MAC framing overhead", useCSV, res)
-			return nil
-		},
-		"lengths": func() error {
-			res, err := experiment.AblationTransactionLengths(base, 6, []int{20, 80, 200})
-			if err != nil {
-				return err
-			}
-			emit("Ablation: transaction lengths", useCSV, res)
-			return nil
-		},
-		"flood": func() error {
+				[]energy.MACProfile{energy.BareProfile(), energy.RPCProfile(), energy.IEEE80211Profile()}))
+		}},
+	{kind: "ablation", name: "lengths", title: "Ablation: transaction lengths", all: true,
+		run: func(o options, col *collector) (result, error) {
+			return wrap(experiment.AblationTransactionLengths(figure4Config(o, col), 6, []int{20, 80, 200}))
+		}},
+	{kind: "ablation", name: "flood", title: "Ablation: flood duplicate-suppression identifiers", all: true,
+		run: func(o options, col *collector) (result, error) {
 			cfg := experiment.DefaultFloodConfig()
 			cfg.Seed = o.seed
 			cfg.Parallelism = o.parallel
@@ -593,36 +476,24 @@ func run(args []string) error {
 				cfg.Duration = 20 * time.Second
 				cfg.Trials = 2
 			}
-			res, err := experiment.AblationFloodIDBits(cfg)
-			if err != nil {
-				return err
-			}
-			emit("Ablation: flood duplicate-suppression identifiers", useCSV, res)
-			return nil
-		},
-		"estimator": func() error {
-			res, err := experiment.AblationEstimator(base, 6)
-			if err != nil {
-				return err
-			}
-			emit("Ablation: density estimators", useCSV, res)
-			return nil
-		},
-		"lifetime": func() error {
+			return wrap(experiment.AblationFloodIDBits(cfg))
+		}},
+	{kind: "ablation", name: "estimator", title: "Ablation: density estimators", all: true,
+		run: func(o options, col *collector) (result, error) {
+			return wrap(experiment.AblationEstimator(figure4Config(o, col), 6))
+		}},
+	{kind: "ablation", name: "lifetime", title: "Ablation: energy per useful bit / network lifetime", all: true,
+		run: func(o options, col *collector) (result, error) {
 			cfg := experiment.DefaultLifetimeConfig(o.seed)
 			cfg.Parallelism = o.parallel
 			cfg.Hooks = col.hooks()
 			if o.quick {
 				cfg.Duration = 15 * time.Second
 			}
-			res, err := experiment.RunLifetime(cfg, experiment.DefaultLifetimeSchemes())
-			if err != nil {
-				return err
-			}
-			emit("Ablation: energy per useful bit / network lifetime", useCSV, res)
-			return nil
-		},
-		"churn": func() error {
+			return wrap(experiment.RunLifetime(cfg, experiment.DefaultLifetimeSchemes()))
+		}},
+	{kind: "ablation", name: "churn", title: "Ablation: dynamic allocation under churn", all: true,
+		run: func(o options, col *collector) (result, error) {
 			cfg := experiment.DefaultChurnConfig()
 			cfg.Seed = o.seed
 			cfg.Parallelism = o.parallel
@@ -630,42 +501,68 @@ func run(args []string) error {
 			if o.quick {
 				cfg.Duration = time.Minute
 			}
-			res, err := experiment.AblationDynAddrChurn(cfg,
-				[]time.Duration{10 * time.Second, 30 * time.Second, 2 * time.Minute})
-			if err != nil {
-				return err
-			}
-			emit("Ablation: dynamic allocation under churn", useCSV, res)
-			return nil
-		},
-	}
+			return wrap(experiment.AblationDynAddrChurn(cfg,
+				[]time.Duration{10 * time.Second, 30 * time.Second, 2 * time.Minute}))
+		}},
+}
 
-	runSet := func(sel, prefix string, m map[string]func() error, order []string) error {
-		invoke := func(k string) error {
-			col.begin(prefix + k)
-			defer col.end()
-			return m[k]()
-		}
-		if sel == "" {
-			return nil
-		}
-		if sel == "all" {
-			for _, k := range order {
-				if err := invoke(k); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		if _, ok := m[sel]; !ok {
-			return fmt.Errorf("unknown selection %q", sel)
-		}
-		return invoke(sel)
-	}
+// result is anything a sweep produces: a human table and a CSV. Every
+// sweep's result implements both, so -format csv is honored uniformly. A
+// result that also has a Check() error method is audited: the run prints
+// it, then fails when the check does.
+type result interface {
+	Render() string
+	CSV() string
+}
 
-	runErr := runSet(o.figure, "figure-", figures, allFigures)
+// wrap widens a sweep's concrete result to a result.
+func wrap[R result](res R, err error) (result, error) { return res, err }
+
+// figure4Config is the command line's Figure 4 config, which the figure
+// and the window, hidden, lengths and estimator ablations share.
+func figure4Config(o options, col *collector) experiment.Figure4Config {
+	cfg := experiment.DefaultFigure4Config()
+	cfg.Seed = o.seed
+	cfg.Trials = o.trials
+	cfg.Duration = o.duration
+	cfg.Parallelism = o.parallel
+	cfg.Obs = col.obs()
+	cfg.Hooks = col.hooks()
+	return cfg
+}
+
+// selected reports whether the -figure or -ablation selection runs s.
+func (s sweep) selected(o options) bool {
+	sel := o.figure
+	if s.kind == "ablation" {
+		sel = o.ablation
+	}
+	return sel == s.name || sel == "all" && s.all
+}
+
+// sweepNames lists the sweeps of one kind for -h, in table order.
+func sweepNames(kind string) string {
+	var names []string
+	for _, s := range sweeps {
+		if s.kind == kind {
+			names = append(names, s.name)
+		}
+	}
+	return strings.Join(names, ", ")
+}
+
+func run(args []string) error {
+	o, err := parseArgs(args)
+	if err != nil {
+		return err
+	}
+	col, err := newCollector(o, args)
+	if err != nil {
+		return err
+	}
+	runErr := runSelected("figure", o.figure, o, col)
 	if runErr == nil {
-		runErr = runSet(o.ablation, "ablation-", ablations, []string{"window", "hidden", "mac", "lengths", "flood", "estimator", "lifetime", "churn"})
+		runErr = runSelected("ablation", o.ablation, o, col)
 	}
 	if err := col.close(); err != nil && runErr == nil {
 		runErr = err
@@ -673,67 +570,72 @@ func run(args []string) error {
 	return runErr
 }
 
+// runSelected runs, in table order, each sweep of one kind that the
+// selection sel names, and fails on a non-empty sel that names none. Each
+// sweep runs inside its manifest record and prints its result in the
+// selected format; an audited result whose Check fails stops the run
+// after its table is printed.
+func runSelected(kind, sel string, o options, col *collector) error {
+	if sel == "" {
+		return nil
+	}
+	ran := false
+	for _, s := range sweeps {
+		if s.kind != kind || !s.selected(o) {
+			continue
+		}
+		ran = true
+		col.begin(kind + "-" + s.name)
+		res, err := s.run(o, col)
+		if err == nil {
+			if o.format == "csv" {
+				fmt.Print(res.CSV())
+			} else {
+				fmt.Println("=== " + s.title + " ===")
+				fmt.Println(res.Render())
+			}
+			if c, ok := res.(interface{ Check() error }); ok {
+				err = c.Check()
+			}
+		}
+		col.end()
+		if err != nil {
+			return err
+		}
+	}
+	if !ran {
+		return fmt.Errorf("unknown selection %q", sel)
+	}
+	return nil
+}
+
 // massivePolicies maps the -policies selection onto the arms the sharded
 // sensor model implements: "adaptive" folds into "adaptive-turnover" (the
 // model's only estimator), duplicates collapse, order is preserved.
 func massivePolicies(in []experiment.WidthPolicyKind) []experiment.WidthPolicyKind {
 	var out []experiment.WidthPolicyKind
-	seen := make(map[experiment.WidthPolicyKind]bool)
 	for _, p := range in {
 		if p == experiment.WidthAdaptive {
 			p = experiment.WidthAdaptiveTurnover
 		}
-		if !seen[p] {
-			seen[p] = true
+		if !slices.Contains(out, p) {
 			out = append(out, p)
 		}
 	}
 	return out
 }
 
-// loadFaultScript parses a fault schedule file, wrapping parse errors
-// (which carry line numbers) with the file name.
-func loadFaultScript(path string) (*faults.Script, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("fault script: %w", err)
-	}
-	defer f.Close()
-	s, err := faults.ParseScript(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &s, nil
-}
-
-// loadMobilityScript parses a mobility schedule file, wrapping parse
+// loadScript parses a fault or mobility schedule file, wrapping parse
 // errors (which carry line numbers) with the file name.
-func loadMobilityScript(path string) (*mobility.Script, error) {
+func loadScript[S any](path, kind string, parse func(io.Reader) (S, error)) (*S, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("mobility script: %w", err)
+		return nil, fmt.Errorf("%s script: %w", kind, err)
 	}
 	defer f.Close()
-	s, err := mobility.ParseScript(f)
+	s, err := parse(f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return &s, nil
-}
-
-func printEfficiencyFigure(n int, useCSV bool) error {
-	var (
-		fig experiment.EfficiencyFigure
-		err error
-	)
-	if n == 1 {
-		fig, err = experiment.Figure1()
-	} else {
-		fig, err = experiment.Figure2()
-	}
-	if err != nil {
-		return err
-	}
-	emit(fmt.Sprintf("Figure %d", n), useCSV, fig)
-	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -93,17 +94,41 @@ func TestParseParallel(t *testing.T) {
 }
 
 // TestUsageListsEverySelection: the -figure and -ablation help must name
-// every selection the golden table runs, so the lists cannot drift from
-// what the CLI offers.
+// every sweep in the table, so the lists cannot drift from what the CLI
+// offers.
 func TestUsageListsEverySelection(t *testing.T) {
 	fs := newFlagSet(new(options))
-	for _, sel := range quickSelections {
-		usage := fs.Lookup(sel[0][1:]).Usage
+	for _, s := range sweeps {
+		usage := fs.Lookup(s.kind).Usage
 		_, list, _ := strings.Cut(usage, ": ")
 		words := strings.FieldsFunc(list, func(r rune) bool { return r == ',' || r == ' ' })
-		if !slices.Contains(words, sel[1]) {
-			t.Errorf("%s usage %q omits %s", sel[0], usage, sel[1])
+		if !slices.Contains(words, s.name) {
+			t.Errorf("-%s usage %q omits %s", s.kind, usage, s.name)
 		}
+	}
+}
+
+// stubResult is a canned sweep result whose audit gate returns err.
+type stubResult struct{ err error }
+
+func (stubResult) Render() string { return "stub table" }
+func (stubResult) CSV() string    { return "stub,csv\n" }
+func (r stubResult) Check() error { return r.err }
+
+// TestRunFailsOnCheckAfterPrinting: a sweep whose result fails its Check
+// still prints its table, and then run returns the check's error, so an
+// audited violation is both visible and a non-zero exit.
+func TestRunFailsOnCheckAfterPrinting(t *testing.T) {
+	violation := errors.New("stub 1: oracle: 1 misdeliveries")
+	defer func(old []sweep) { sweeps = old }(sweeps)
+	sweeps = append(slices.Clip(sweeps), sweep{kind: "figure", name: "stub", title: "Stub",
+		run: func(options, *collector) (result, error) { return stubResult{violation}, nil }})
+	out, err := runCapture(t, "-figure", "stub")
+	if !errors.Is(err, violation) {
+		t.Errorf("run error = %v, want the check's %v", err, violation)
+	}
+	if out != "=== Stub ===\nstub table\n" {
+		t.Errorf("stdout = %q, want the banner and table before the failure", out)
 	}
 }
 
@@ -297,6 +322,17 @@ func TestRunMetricsAndTraceOutputs(t *testing.T) {
 // stdout bytes, failing the test on a run error.
 func captureStdout(t *testing.T, args ...string) string {
 	t.Helper()
+	out, err := runCapture(t, args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// runCapture runs the CLI with the given arguments and returns its stdout
+// bytes and run error.
+func runCapture(t *testing.T, args ...string) (string, error) {
+	t.Helper()
 	old := os.Stdout
 	r, w, err := os.Pipe()
 	if err != nil {
@@ -312,11 +348,7 @@ func captureStdout(t *testing.T, args ...string) string {
 	runErr := run(args)
 	w.Close()
 	os.Stdout = old
-	out := <-done
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
-	return out
+	return <-done, runErr
 }
 
 // TestRunStdoutIdenticalWithObservability is the CLI-level half of the

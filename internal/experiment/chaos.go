@@ -76,8 +76,6 @@ type ChaosConfig struct {
 	// of only at the end, so a long horizon cannot hide a transient
 	// violation behind later counters.
 	CheckpointEvery time.Duration
-	// Params overrides the radio parameters when non-nil.
-	Params *radio.Params
 	// Parallelism, Obs and Hooks behave exactly as in Figure4Config.
 	Parallelism int
 	Obs         *Obs
@@ -256,6 +254,21 @@ type ChaosResult struct {
 	Rows   []ChaosRow
 }
 
+// Check is the sweep's safety gate, a gate rather than a column: every
+// cell must carry an oracle report that passes, and no soak checkpoint
+// may have failed.
+func (res ChaosResult) Check() error {
+	return checkRows("chaos", res.Rows, ChaosRow.Label, func(r ChaosRow) error {
+		if err := checkReport(r.Oracle, true); err != nil {
+			return err
+		}
+		if r.SoakViolations > 0 {
+			return fmt.Errorf("%d soak checkpoint violations (first: %s)", r.SoakViolations, r.FirstViolation)
+		}
+		return nil
+	})
+}
+
 // Chaos runs the sweep: profile x policy x {arq, bare} x trials.
 func Chaos(cfg ChaosConfig) (ChaosResult, error) {
 	if err := cfg.Validate(); err != nil {
@@ -336,7 +349,7 @@ func chaosLabel(profile string, p WidthPolicyKind, reliable bool) string {
 // RunChaosTrial executes one trial of one (profile, policy, arq) cell.
 func RunChaosTrial(cfg ChaosConfig, profile chaos.Profile, policy WidthPolicyKind, reliable bool, src *xrand.Source) (ChaosOutcome, error) {
 	eng := sim.NewEngine()
-	params := radioParams(cfg.Params)
+	params := radio.DefaultParams()
 	// Channel damage must exist before the medium; the profile gates it
 	// on its own onset so the pre-onset window stays clean.
 	ch := profile.InstallChannel(&params, cfg.Duration, eng.Now, src)

@@ -142,8 +142,6 @@ type DynamicsConfig struct {
 	// Script is the schedule DynScript replays; required iff DynScript is
 	// selected. Membership ops may only target senders.
 	Script *mobility.Script
-	// Params overrides the radio parameters when non-nil.
-	Params *radio.Params
 	// ReassemblyTimeout bounds partial-packet state, as in Figure 4.
 	ReassemblyTimeout time.Duration
 	// Oracle attaches the omniscient conformance harness (internal/oracle)
@@ -319,6 +317,13 @@ type DynamicsResult struct {
 	Rows   []DynamicsRow
 }
 
+// Check fails on any safety violation in a row that carries an oracle
+// report; a sweep run without the oracle passes.
+func (res DynamicsResult) Check() error {
+	return checkRows("dynamics", res.Rows, func(r DynamicsRow) string { return fmt.Sprintf("%s %s", r.Scenario, r.Policy) },
+		func(r DynamicsRow) error { return checkReport(r.Oracle, false) })
+}
+
 // Dynamics runs the sweep: scenario x policy x trials.
 func Dynamics(cfg DynamicsConfig) (DynamicsResult, error) {
 	if err := cfg.Validate(); err != nil {
@@ -384,7 +389,7 @@ func dynamicsLabel(s DynScenario, p WidthPolicyKind) string {
 // ground-truth reassembler and an omniscient Equation 4 probe.
 func RunDynamicsTrial(cfg DynamicsConfig, scenario DynScenario, policy WidthPolicyKind, src *xrand.Source) (DynamicsOutcome, error) {
 	eng := sim.NewEngine()
-	params := radioParams(cfg.Params)
+	params := radio.DefaultParams()
 	disk := radio.NewUnitDisk(cfg.Range)
 	med := radio.NewMedium(eng, disk, params, src.Stream("medium"))
 	trialObs, tracer := newTrialObs(cfg.Obs, med)

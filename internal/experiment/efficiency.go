@@ -63,8 +63,6 @@ type EfficiencyConfig struct {
 	// MAC is the framing profile; per-frame overhead counts toward
 	// on-air totals (the Section 4.4 ablation knob).
 	MAC energy.MACProfile
-	// Params overrides radio parameters (MAC profile is applied on top).
-	Params *radio.Params
 	// Parallelism is the number of trials simulated concurrently by the
 	// sweeps built on this config (lifetime, MAC ablation); 0 or 1 runs
 	// them sequentially with identical output.
@@ -128,7 +126,7 @@ func RunEfficiencyTrial(cfg EfficiencyConfig, src *xrand.Source) (EfficiencyOutc
 		src = xrand.NewSource(cfg.Seed).Child("efficiency")
 	}
 	eng := sim.NewEngine()
-	params := radioParams(cfg.Params)
+	params := radio.DefaultParams()
 	params.MAC = cfg.MAC
 	med := radio.NewMedium(eng, radio.FullMesh{}, params, src.Stream("medium"))
 

@@ -84,8 +84,6 @@ type Figure4Config struct {
 	// ablation); it is invoked with the transmitter count and the
 	// receiver's node ID (transmitters are IDs 1..n).
 	Topology func(transmitters int, receiver radio.NodeID) radio.Topology
-	// Params overrides the radio parameters when non-zero.
-	Params *radio.Params
 	// Parallelism is the number of trials simulated concurrently; 0 or 1
 	// runs them sequentially. Each trial owns its engine and random
 	// streams and results merge by trial index, so output is identical at
@@ -229,7 +227,7 @@ func Figure4(cfg Figure4Config) (Figure4Result, error) {
 // identifier alone failed to deliver (Section 5.1).
 func RunCollisionTrial(cfg Figure4Config, selKind SelectorKind, idBits int, src *xrand.Source) (TrialOutcome, error) {
 	eng := sim.NewEngine()
-	params := radioParams(cfg.Params)
+	params := radio.DefaultParams()
 
 	const receiverID radio.NodeID = 0
 	var topo radio.Topology = radio.FullMesh{}

@@ -277,19 +277,19 @@ func RunMassiveTrial(cfg MassiveConfig, nodes int, policy WidthPolicyKind, worke
 
 // Check fails on any audited safety violation: a sampled receiver that
 // completed a reassembly stitched from two transactions, or a sender that
-// reused its previous identifier. Like the chaos sweep's oracle gate, the
-// CLI turns a non-nil Check into a non-zero exit.
+// reused its previous identifier. Like every audited sweep's Check, the
+// CLI turns a non-nil result into a non-zero exit.
 func (res MassiveResult) Check() error {
-	for _, r := range res.Rows {
+	return checkRows("massive", res.Rows, MassiveRow.Label, func(r MassiveRow) error {
 		c := r.Counters
 		if c.Misdeliveries > 0 {
-			return fmt.Errorf("massive %s: %d audited misdeliveries", r.Label(), c.Misdeliveries)
+			return fmt.Errorf("%d audited misdeliveries", c.Misdeliveries)
 		}
 		if c.FreshnessViolations > 0 {
-			return fmt.Errorf("massive %s: %d identifier-freshness violations", r.Label(), c.FreshnessViolations)
+			return fmt.Errorf("%d identifier-freshness violations", c.FreshnessViolations)
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // Render renders the sweep as a table. Wall-clock throughput is

@@ -322,6 +322,13 @@ type MultihopResult struct {
 	Rows   []MultihopRow
 }
 
+// Check fails on any wire-format violation the oracle saw on the relayed
+// wire. Every AFF arm must carry a report; the dynaddr arm carries none.
+func (res MultihopResult) Check() error {
+	return checkRows("multihop", res.Rows, func(r MultihopRow) string { return string(r.Arm) },
+		func(r MultihopRow) error { return checkReport(r.Oracle, r.Arm != MultihopDynaddr) })
+}
+
 // Multihop runs the sweep: arm x trials.
 func Multihop(cfg MultihopConfig) (MultihopResult, error) {
 	if err := cfg.Validate(); err != nil {
@@ -532,7 +539,10 @@ func (f *multihopField) relayConfig(keyer flood.Keyer) flood.RelayConfig {
 // accounting (dynaddr).
 func RunMultihopTrial(cfg MultihopConfig, arm MultihopArm, src *xrand.Source) (MultihopOutcome, error) {
 	eng := sim.NewEngine()
-	params := radioParams(cfg.Params)
+	params := radio.DefaultParams()
+	if cfg.Params != nil {
+		params = *cfg.Params
+	}
 	disk := radio.NewUnitDisk(cfg.Range)
 	med := radio.NewMedium(eng, disk, params, src.Stream("medium"))
 	trialObs, tracer := newTrialObs(cfg.Obs, med)
@@ -553,7 +563,7 @@ func runMultihopAFF(f *multihopField, arm MultihopArm, src *xrand.Source, trialO
 	cfg := f.cfg
 	eng, disk, med := f.eng, f.disk, f.med
 	policy := arm.widthPolicy()
-	affCfg := widthAFF(policy, cfg.FixedBits, cfg.MaxBits, radioParams(cfg.Params).MTU, cfg.ReassemblyTimeout)
+	affCfg := widthAFF(policy, cfg.FixedBits, cfg.MaxBits, med.Params().MTU, cfg.ReassemblyTimeout)
 	// The oracle is always on for the AFF arms: the tracker strips the
 	// relay envelope before decoding, and the oracle judges density
 	// audibility by the same hop-limited reachability the relay provides.

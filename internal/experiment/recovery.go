@@ -98,8 +98,6 @@ type RecoveryConfig struct {
 	// Script is the schedule FaultScript replays; required iff FaultScript
 	// is selected.
 	Script *faults.Script
-	// Params overrides the radio parameters when non-nil.
-	Params *radio.Params
 	// ReassemblyTimeout bounds partial-packet state, as in Figure 4.
 	ReassemblyTimeout time.Duration
 	// Oracle attaches the omniscient conformance harness to AFF-scheme
@@ -267,6 +265,13 @@ type RecoveryResult struct {
 	Rows   []RecoveryRow
 }
 
+// Check fails on any safety violation in a row that carries an oracle
+// report: the AFF rows of a sweep run with the oracle.
+func (res RecoveryResult) Check() error {
+	return checkRows("recovery", res.Rows, RecoveryRow.Label,
+		func(r RecoveryRow) error { return checkReport(r.Oracle, false) })
+}
+
 // Recovery runs the sweep: scheme x fault x {arq, bare} x trials.
 func Recovery(cfg RecoveryConfig) (RecoveryResult, error) {
 	if err := cfg.Validate(); err != nil {
@@ -335,7 +340,7 @@ func recoveryLabel(s Scheme, f FaultKind, reliable bool) string {
 // RunRecoveryTrial executes one trial of one (scheme, fault, arq) cell.
 func RunRecoveryTrial(cfg RecoveryConfig, scheme Scheme, fault FaultKind, reliable bool, src *xrand.Source) (RecoveryOutcome, error) {
 	eng := sim.NewEngine()
-	params := radioParams(cfg.Params)
+	params := radio.DefaultParams()
 
 	var ge *faults.GilbertElliott
 	var flipper *faults.BitFlipper

@@ -21,14 +21,6 @@ import (
 	"retri/internal/span"
 )
 
-// radioParams is the config's radio override, or the default radio.
-func radioParams(override *radio.Params) radio.Params {
-	if override != nil {
-		return *override
-	}
-	return radio.DefaultParams()
-}
-
 // validateWidthField checks the config shared by the width-policy sweeps
 // on a unit-disk field (dynamics, chaos, multihop): the fixed arm's width,
 // the adaptive arm's clamp, the deployment area and the radio range.

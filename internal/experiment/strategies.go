@@ -54,8 +54,6 @@ type StrategiesConfig struct {
 	// The wire format is instrumented either way, so the oracle is
 	// strictly passive here: output is byte-identical with it on or off.
 	Oracle bool
-	// Params overrides the radio parameters when non-nil.
-	Params *radio.Params
 	// ReassemblyTimeout bounds partial-packet state, as in Figure 4.
 	ReassemblyTimeout time.Duration
 	// Parallelism, Obs and Hooks behave exactly as in Figure4Config.
@@ -174,6 +172,13 @@ type StrategiesResult struct {
 	Rows   []StrategyRow
 }
 
+// Check fails on any safety violation in a row that carries an oracle
+// report.
+func (res StrategiesResult) Check() error {
+	return checkRows("strategies", res.Rows, func(r StrategyRow) string { return fmt.Sprintf("%s T=%d", r.Strategy, r.T) },
+		func(r StrategyRow) error { return checkReport(r.Oracle, false) })
+}
+
 // Strategies runs the sweep: strategy x density x trials.
 func Strategies(cfg StrategiesConfig) (StrategiesResult, error) {
 	if err := cfg.Validate(); err != nil {
@@ -237,7 +242,7 @@ func strategyLabel(strategy string, t int) string {
 // delivery against omniscient ground truth.
 func RunStrategyTrial(cfg StrategiesConfig, strategy string, t int, src *xrand.Source) (StrategyOutcome, error) {
 	eng := sim.NewEngine()
-	params := radioParams(cfg.Params)
+	params := radio.DefaultParams()
 
 	const receiverID radio.NodeID = 0
 	med := radio.NewMedium(eng, radio.FullMesh{}, params, src.Stream("medium"))

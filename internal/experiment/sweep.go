@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -207,6 +208,31 @@ func arqMode(reliable bool) string {
 		return "arq"
 	}
 	return "bare"
+}
+
+// checkRows is the audit gate every audited sweep's Check shares: the
+// first row, in row order, whose check fails fails the sweep, with an
+// error naming the sweep and the row.
+func checkRows[R any](sweep string, rows []R, label func(R) string, check func(R) error) error {
+	for _, r := range rows {
+		if err := check(r); err != nil {
+			return fmt.Errorf("%s %s: %w", sweep, label(r), err)
+		}
+	}
+	return nil
+}
+
+// checkReport is one row's oracle gate: an attached report must pass
+// oracle.Report.Check, and a missing one fails only a row that must carry
+// one.
+func checkReport(o *oracle.Report, required bool) error {
+	if o == nil {
+		if required {
+			return errors.New("no oracle report attached")
+		}
+		return nil
+	}
+	return o.Check()
 }
 
 // anyOracle reports whether any row carries an oracle report, which is

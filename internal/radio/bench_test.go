@@ -149,40 +149,6 @@ func benchDisk100k() *UnitDisk {
 	return u
 }
 
-// BenchmarkUnitDiskMoveAll100k is one mobility step over a 100k-node
-// world: every node batch-moved a small random delta. This is the
-// massive-population scale the sharded core runs at; per-op cost is one
-// full-population step.
-func BenchmarkUnitDiskMoveAll100k(b *testing.B) {
-	u := benchDisk100k()
-	side := 10.0 * math.Sqrt(100_000.0/500.0)
-	rng := xrand.NewSource(5).Stream("moves100k")
-	batch := make([]Placement, u.Len())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		for j := range batch {
-			p, _ := u.Position(NodeID(j))
-			p.X += (rng.Float64() - 0.5) * 2
-			p.Y += (rng.Float64() - 0.5) * 2
-			if p.X < 0 {
-				p.X = 0
-			} else if p.X > side {
-				p.X = side
-			}
-			if p.Y < 0 {
-				p.Y = 0
-			} else if p.Y > side {
-				p.Y = side
-			}
-			batch[j] = Placement{ID: NodeID(j), At: p}
-		}
-		b.StartTimer()
-		u.MoveAll(batch)
-	}
-}
-
 // BenchmarkUnitDiskNeighborsAppend100k is the allocation-free range query
 // on the 100k-node world, buffer reused across queries as the sharded
 // core's per-window scans do. The gate ratchets this at 0 allocs/op.

@@ -81,9 +81,6 @@ func (r *Radio) QueueLen() int { return len(r.queue) }
 // Idle reports whether the radio has nothing queued or in flight.
 func (r *Radio) Idle() bool { return len(r.queue) == 0 && !r.inFlight }
 
-// Up reports whether the radio is powered.
-func (r *Radio) Up() bool { return r.up }
-
 // SetUp powers the radio on or off. Powering off drops the transmit queue
 // (the node is gone, per the paper's node-dynamics assumption) and stops
 // listening-energy accrual; powering on resumes listening if it was
@@ -107,9 +104,6 @@ func (r *Radio) SetUp(up bool) {
 		r.pump()
 	}
 }
-
-// Listening reports whether the receiver is enabled.
-func (r *Radio) Listening() bool { return r.listening }
 
 // SetListening enables or disables reception. The paper notes some nodes
 // "minimize the time they spend listening because of the significant power

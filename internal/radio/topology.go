@@ -177,32 +177,6 @@ func (u *UnitDisk) Place(id NodeID, p Point) {
 	u.gridAdd(id, p)
 }
 
-// Placement pairs a node with a position for batch moves.
-type Placement struct {
-	ID NodeID
-	At Point
-}
-
-// MoveAll applies a batch of placements: the mobility-step fast path for
-// large populations. The grid is synchronized once up front, then every
-// entry takes Place's incremental path — a move within one cell costs two
-// map operations, a cell crossing four. Entries are applied in order, so
-// a duplicate ID ends up at its last position.
-func (u *UnitDisk) MoveAll(batch []Placement) {
-	u.syncGrid()
-	for _, m := range batch {
-		if old, ok := u.positions[m.ID]; ok {
-			if u.cellOf(old) == u.cellOf(m.At) {
-				u.positions[m.ID] = m.At
-				continue
-			}
-			u.gridRemove(m.ID, old)
-		}
-		u.positions[m.ID] = m.At
-		u.gridAdd(m.ID, m.At)
-	}
-}
-
 // Remove forgets a node's position and frees its grid slot. A node that
 // has churned out of the network keeps no topology state; Connected
 // reports false for it until the next Place.
@@ -282,33 +256,4 @@ func (u *UnitDisk) NeighborsAppend(id NodeID, out []NodeID) []NodeID {
 		}
 	}
 	return out
-}
-
-// NeighborCount reports how many placed nodes are within range of id,
-// without allocating the sorted slice Neighbors returns.
-func (u *UnitDisk) NeighborCount(id NodeID) int {
-	u.syncGrid()
-	p, ok := u.positions[id]
-	if !ok {
-		return 0
-	}
-	center := u.cellOf(p)
-	n := 0
-	for dx := int32(-1); dx <= 1; dx++ {
-		for dy := int32(-1); dy <= 1; dy++ {
-			cell, ok := u.cells[cellKey{center.x + dx, center.y + dy}]
-			if !ok {
-				continue
-			}
-			for other := range cell {
-				if other == id {
-					continue
-				}
-				if q := u.positions[other]; p.Dist(q) <= u.Range {
-					n++
-				}
-			}
-		}
-	}
-	return n
 }

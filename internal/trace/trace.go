@@ -227,15 +227,6 @@ func (c *Counter) Record(e Event) { c.counts[e.Kind]++ }
 // Count reports the tally for a kind.
 func (c *Counter) Count(k Kind) int64 { return c.counts[k] }
 
-// Total reports all events recorded.
-func (c *Counter) Total() int64 {
-	var n int64
-	for _, v := range c.counts {
-		n += v
-	}
-	return n
-}
-
 // Multi fans events out to several tracers.
 func Multi(ts ...Tracer) Tracer { return multi(ts) }
 
@@ -246,25 +237,5 @@ func (m multi) Record(e Event) {
 		if t != nil {
 			t.Record(e)
 		}
-	}
-}
-
-// Filter passes only the listed kinds through to next.
-func Filter(next Tracer, kinds ...Kind) Tracer {
-	set := make(map[Kind]bool, len(kinds))
-	for _, k := range kinds {
-		set[k] = true
-	}
-	return &filter{next: next, kinds: set}
-}
-
-type filter struct {
-	next  Tracer
-	kinds map[Kind]bool
-}
-
-func (f *filter) Record(e Event) {
-	if f.kinds[e.Kind] && f.next != nil {
-		f.next.Record(e)
 	}
 }

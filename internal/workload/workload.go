@@ -1,6 +1,6 @@
 // Package workload generates application traffic for experiments.
 //
-// Three shapes cover the paper's scenarios:
+// Two shapes cover the paper's scenarios:
 //
 //   - Continuous: "a continuous stream of random 80-byte packets"
 //     (Section 5.1's transmitters) — the sender keeps its radio queue
@@ -8,8 +8,6 @@
 //   - Periodic: the sensor-network steady state the paper motivates —
 //     "periodic messages consisting of only a few bits to describe the
 //     current state" (Section 2.3).
-//   - Poisson: memoryless arrivals, for ablations over non-uniform
-//     transaction spacing.
 package workload
 
 import (
@@ -181,69 +179,6 @@ func (p *Periodic) schedule() {
 }
 
 func (p *Periodic) emit() {
-	if p.stopped || p.eng.Now() >= p.until {
-		return
-	}
-	fillRandom(p.pkt, p.rng)
-	if err := p.d.SendPacket(p.pkt); err != nil {
-		p.stats.SendErrors++
-	} else {
-		p.stats.PacketsOffered++
-	}
-	p.schedule()
-}
-
-// Poisson sends fixed-size random packets with exponential inter-arrival
-// times of the given mean.
-type Poisson struct {
-	eng  *sim.Engine
-	d    Driver
-	rng  *rand.Rand
-	pkt  []byte // the packet buffer
-	mean time.Duration
-
-	until   time.Duration
-	stopped bool
-	stats   Stats
-	// next is the pending emission; emitFn is emit bound once.
-	next   sim.Timer
-	emitFn func()
-}
-
-// NewPoisson returns a Poisson-arrival sender with the given mean
-// inter-arrival time.
-func NewPoisson(eng *sim.Engine, d Driver, size int, mean time.Duration, rng *rand.Rand) *Poisson {
-	if mean <= 0 {
-		mean = time.Second
-	}
-	p := &Poisson{eng: eng, d: d, rng: rng, pkt: make([]byte, size), mean: mean}
-	p.emitFn = p.emit
-	return p
-}
-
-// Start begins sending until the given absolute virtual time. A restart
-// while the previous run's emission is still pending keeps that emission
-// rather than scheduling a second one.
-func (p *Poisson) Start(until time.Duration) {
-	p.until = until
-	p.stopped = false
-	if p.next.Stopped() {
-		p.schedule()
-	}
-}
-
-// Stop halts the sender before its next emission.
-func (p *Poisson) Stop() { p.stopped = true }
-
-// Stats returns the generator's counters.
-func (p *Poisson) Stats() Stats { return p.stats }
-
-func (p *Poisson) schedule() {
-	gap := time.Duration(p.rng.ExpFloat64() * float64(p.mean))
-	p.next = p.eng.Schedule(gap, p.emitFn)
-}
-
-func (p *Poisson) emit() {
 	if p.stopped || p.eng.Now() >= p.until {
 		return
 	}

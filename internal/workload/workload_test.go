@@ -113,19 +113,6 @@ func TestPeriodicJitterStaysInBounds(t *testing.T) {
 	}
 }
 
-func TestPoissonApproximatesRate(t *testing.T) {
-	r := newRig(t)
-	rng := xrand.NewSource(6).Stream("wl")
-	p := NewPoisson(r.eng, r.tx, 10, time.Second, rng)
-	p.Start(200 * time.Second)
-	r.eng.Run()
-	got := p.Stats().PacketsOffered
-	// ~200 expected; allow wide sampling slack.
-	if got < 140 || got > 270 {
-		t.Errorf("PacketsOffered = %d, want ~200", got)
-	}
-}
-
 func TestGeneratorCountsSendErrors(t *testing.T) {
 	r := newRig(t)
 	r.tx.Radio().SetUp(false)
@@ -146,9 +133,6 @@ func TestDefaultsApplied(t *testing.T) {
 	rng := xrand.NewSource(8).Stream("wl")
 	if p := NewPeriodic(r.eng, r.tx, 1, 0, 0, rng); p.interval != time.Second {
 		t.Error("periodic default interval not applied")
-	}
-	if p := NewPoisson(r.eng, r.tx, 1, 0, rng); p.mean != time.Second {
-		t.Error("poisson default mean not applied")
 	}
 	if c := NewContinuous(r.eng, r.tx, 1, 0, rng); c.poll <= 0 {
 		t.Error("continuous default poll not applied")
@@ -174,9 +158,6 @@ func TestRestartWithinIntervalKeepsOneChain(t *testing.T) {
 		{"continuous", func(r *rig) gen { return NewContinuous(r.eng, r.tx, 80, 0, xrand.NewSource(9).Stream("wl")) }},
 		{"periodic", func(r *rig) gen {
 			return NewPeriodic(r.eng, r.tx, 10, 100*time.Millisecond, 0, xrand.NewSource(9).Stream("wl"))
-		}},
-		{"poisson", func(r *rig) gen {
-			return NewPoisson(r.eng, r.tx, 10, 100*time.Millisecond, xrand.NewSource(9).Stream("wl"))
 		}},
 	}
 	const until = 2 * time.Second
