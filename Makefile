@@ -1,8 +1,8 @@
 # Standard verify loop. `make check` is what CI and pre-commit should run:
-# vet + build + the full test suite under the race detector (so the
-# parallel trial runner's no-shared-state rule is checked on every pass),
-# a short coverage-guided pass over each parser/codec fuzz target, and a
-# one-iteration benchmark smoke so the benchmarks never bit-rot.
+# a gofmt gate + vet + build + the full test suite under the race detector
+# (so the parallel trial runner's no-shared-state rule is checked on every
+# pass), a short coverage-guided pass over each parser/codec fuzz target,
+# and a one-iteration benchmark smoke so the benchmarks never bit-rot.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -31,9 +31,15 @@ COVER_PKGS := internal/density internal/adapt internal/oracle internal/truth int
 	internal/frame internal/aff internal/staticaddr
 COVER_FLOOR := 80
 
-.PHONY: check vet build test race golden poisoncheck benchtest fuzz benchsmoke benchcompare bench profile cover trace-demo chaossmoke scalesmoke multihopsmoke
+.PHONY: check fmtcheck vet build test race golden poisoncheck benchtest fuzz benchsmoke benchcompare bench profile cover trace-demo chaossmoke scalesmoke multihopsmoke loc
 
-check: vet build race golden poisoncheck benchtest fuzz benchcompare cover trace-demo chaossmoke scalesmoke multihopsmoke
+check: fmtcheck vet build race golden poisoncheck benchtest fuzz benchcompare cover trace-demo chaossmoke scalesmoke multihopsmoke
+
+# fmtcheck fails when any tracked Go file, bench/ included, is not gofmt
+# formatted, and names the files.
+fmtcheck:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "fmtcheck: not gofmt-formatted:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -206,3 +212,9 @@ multihopsmoke:
 		-parallel 0 > profiles/multihop_p0.txt
 	cmp profiles/multihop_p1.txt profiles/multihop_p0.txt
 	@echo "multihopsmoke: all arms audited, byte-stable across -parallel"
+
+# loc prints the root module's non-test Go line count: bench/ is its own
+# module and .bench_build/ its build output. Each change reports its net
+# line delta as this figure on the parent against the change.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -exec cat {} + | wc -l
