@@ -7,10 +7,35 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden.json from this build")
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden.json and testdata/usage.txt from this build")
+
+// TestUsageGolden pins -h byte for byte: the flag set's PrintDefaults text
+// against testdata/usage.txt. Regenerate with -update-golden only for a
+// deliberate change to the help.
+func TestUsageGolden(t *testing.T) {
+	var b strings.Builder
+	fs := newFlagSet(new(options))
+	fs.SetOutput(&b)
+	fs.PrintDefaults()
+	path := filepath.Join("testdata", "usage.txt")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update-golden to create it)", err)
+	}
+	if b.String() != string(want) {
+		t.Errorf("-h text differs from %s:\n--- got ---\n%s--- want ---\n%s", path, b.String(), want)
+	}
+}
 
 // raceEnabled is set under the race detector (race_test.go). Its
 // instrumentation slows the 57 -quick runs below toward the test binary's
