@@ -7,6 +7,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -52,7 +53,8 @@ type quickDigest struct {
 
 // TestQuickStdoutGolden pins SHA-256 of every sweep's -quick stdout, in
 // table form at -parallel 1 and 0 and in CSV at -parallel 1, against
-// testdata/golden.json, keyed "<kind>-<name>". A sweep without a pinned
+// testdata/golden.json, keyed "<kind>-<name>". The analytic figures
+// reject -parallel, so they run without it. A sweep without a pinned
 // digest fails, and so does a pinned digest no sweep produces. Regenerate
 // with -update-golden only for a deliberate output change.
 func TestQuickStdoutGolden(t *testing.T) {
@@ -69,12 +71,18 @@ func TestQuickStdoutGolden(t *testing.T) {
 	got := make(map[string]quickDigest)
 	for _, s := range sweeps {
 		name := s.kind + "-" + s.name
-		base := []string{"-quick", "-" + s.kind, s.name}
-		d := quickDigest{
-			Table: digest(append(base, "-parallel", "1")...),
-			CSV:   digest(append(base, "-parallel", "1", "-format", "csv")...),
+		args := func(parallel string, extra ...string) []string {
+			a := []string{"-quick", "-" + s.kind, s.name}
+			if slices.Contains(s.flags, "parallel") {
+				a = append(a, "-parallel", parallel)
+			}
+			return append(a, extra...)
 		}
-		if par := digest(append(base, "-parallel", "0")...); par != d.Table {
+		d := quickDigest{
+			Table: digest(args("1")...),
+			CSV:   digest(args("1", "-format", "csv")...),
+		}
+		if par := digest(args("0")...); par != d.Table {
 			t.Errorf("%s: -parallel 0 table differs from -parallel 1", name)
 		}
 		got[name] = d

@@ -68,10 +68,8 @@ type options struct {
 	strategies string
 	// Massive-population knobs for -figure massive.
 	nodes string
-	// set holds the flags given on the command line: -figure multihop
-	// and massive keep their own trial, duration and population defaults
-	// — a 2-minute million-node trial is not a default anyone wants by
-	// accident — unless one is set explicitly.
+	// set holds the flags given on the command line, which win over a
+	// sweep's own sizes and defaults.
 	set map[string]bool
 	// Chaos knobs for -figure chaos.
 	chaosProfiles string
@@ -79,6 +77,14 @@ type options struct {
 	// Multihop knobs for -figure multihop.
 	multihopArms string
 	regions      int
+	// The list flags above, parsed once by parseArgs.
+	faultList      []experiment.FaultKind
+	scenarioList   []experiment.DynScenario
+	policyList     []experiment.WidthPolicyKind
+	strategyList   []string
+	profileList    []chaos.Profile
+	populationList []int
+	armList        []experiment.MultihopArm
 	// Observability outputs. All of them write to side files or stderr;
 	// stdout is byte-identical with or without them.
 	traceOut    string
@@ -136,27 +142,28 @@ func parseArgs(args []string) (options, error) {
 	if err := fs.Parse(args); err != nil {
 		return options{}, err
 	}
-	// Fault flags are validated up front so a typo fails fast even when the
-	// recovery figure is not the first thing to run.
-	if _, err := experiment.ParseFaultKinds(o.faults); err != nil {
+	// List flags are parsed up front, so a typo fails fast even when the
+	// sweep that reads it is not the first to run.
+	var err error
+	if o.faultList, err = experiment.ParseFaultKinds(o.faults); err != nil {
 		return options{}, err
 	}
-	if _, err := experiment.ParseDynScenarios(o.scenarios); err != nil {
+	if o.scenarioList, err = experiment.ParseDynScenarios(o.scenarios); err != nil {
 		return options{}, err
 	}
-	if _, err := experiment.ParseWidthPolicies(o.policies); err != nil {
+	if o.policyList, err = experiment.ParseWidthPolicies(o.policies); err != nil {
 		return options{}, err
 	}
-	if _, err := experiment.ParseStrategies(o.strategies); err != nil {
+	if o.strategyList, err = experiment.ParseStrategies(o.strategies); err != nil {
 		return options{}, err
 	}
-	if _, err := chaos.ParseProfiles(o.chaosProfiles); err != nil {
+	if o.profileList, err = chaos.ParseProfiles(o.chaosProfiles); err != nil {
 		return options{}, err
 	}
-	if _, err := experiment.ParsePopulations(o.nodes); err != nil {
+	if o.populationList, err = experiment.ParsePopulations(o.nodes); err != nil {
 		return options{}, err
 	}
-	if _, err := experiment.ParseMultihopArms(o.multihopArms); err != nil {
+	if o.armList, err = experiment.ParseMultihopArms(o.multihopArms); err != nil {
 		return options{}, err
 	}
 	if o.regions < 1 || o.regions > 16 {
@@ -170,6 +177,9 @@ func parseArgs(args []string) (options, error) {
 	}
 	if o.duration <= 0 {
 		return options{}, fmt.Errorf("invalid -duration %v: must be positive", o.duration)
+	}
+	if o.parallel < 0 {
+		return options{}, fmt.Errorf("invalid -parallel %d: want 0 for every CPU or a positive count", o.parallel)
 	}
 	if o.arqRetries < 0 {
 		return options{}, fmt.Errorf("invalid -arq-retries %d: must be non-negative", o.arqRetries)
@@ -185,8 +195,8 @@ func parseArgs(args []string) (options, error) {
 	if o.figure == "" && o.ablation == "" {
 		o.figure, o.ablation = "all", "all"
 	}
-	// A per-figure flag that no selected sweep reads would be silently
-	// ignored; reject it instead. fs.Visit walks set flags in name order.
+	// A flag that no selected sweep reads would be silently ignored;
+	// reject it instead. fs.Visit walks set flags in name order.
 	o.set = make(map[string]bool)
 	var unread error
 	fs.Visit(func(f *flag.Flag) {
@@ -197,11 +207,11 @@ func parseArgs(args []string) (options, error) {
 				if s.selected(o) {
 					return
 				}
-				readers = append(readers, s.name)
+				readers = append(readers, "-"+s.kind+" "+s.name)
 			}
 		}
 		if len(readers) > 0 && unread == nil {
-			unread = fmt.Errorf("-%s has no effect here: it is read only by -figure %s", f.Name, strings.Join(readers, ", "))
+			unread = fmt.Errorf("-%s has no effect here: it is read only by %s", f.Name, strings.Join(readers, ", "))
 		}
 	})
 	if unread != nil {
@@ -215,7 +225,7 @@ func parseArgs(args []string) (options, error) {
 			o.duration = 20 * time.Second
 		}
 	}
-	if o.parallel <= 0 {
+	if o.parallel == 0 {
 		o.parallel = runtime.GOMAXPROCS(0)
 	}
 	return o, nil
@@ -232,74 +242,66 @@ type sweep struct {
 	// are harnesses beyond the paper's own plots, so they run only when
 	// selected explicitly and the historical outputs stay byte-identical.
 	all bool
-	// flags are the per-figure flags the sweep reads. A per-figure flag
-	// that no selected sweep reads is rejected.
+	// flags are the flags the sweep reads, the shared -seed, -trials,
+	// -duration and -parallel included; flags every sweep reads, such as
+	// -quick and -format, are not listed. A listed flag that no selected
+	// sweep reads is rejected.
 	flags []string
-	run   func(options, *collector) (result, error)
+	// quickTrials and quickDuration, when non-zero, give the sweep sizes
+	// of its own: it keeps its config's trials and duration unless the
+	// flag is set, and -quick shrinks them to these. At zero the sweep
+	// takes -trials and -duration, defaults and -quick's 3 x 20s included.
+	quickTrials   int
+	quickDuration time.Duration
+	// run runs the sweep; s is its own entry, for fill.
+	run func(s sweep, o options, col *collector) (result, error)
 }
 
 // sweeps is every selection the CLI offers, in the order -h lists them
 // and "all" runs them.
 var sweeps = []sweep{
 	{kind: "figure", name: "1", title: "Figure 1", all: true,
-		run: func(options, *collector) (result, error) { return wrap(experiment.Figure1()) }},
+		run: func(sweep, options, *collector) (result, error) { return wrap(experiment.Figure1()) }},
 	{kind: "figure", name: "2", title: "Figure 2", all: true,
-		run: func(options, *collector) (result, error) { return wrap(experiment.Figure2()) }},
+		run: func(sweep, options, *collector) (result, error) { return wrap(experiment.Figure2()) }},
 	{kind: "figure", name: "3", title: "Figure 3", all: true,
-		run: func(options, *collector) (result, error) { return experiment.Figure3(), nil }},
+		run: func(sweep, options, *collector) (result, error) { return experiment.Figure3(), nil }},
 	{kind: "figure", name: "4", title: "Figure 4", all: true,
-		run: func(o options, col *collector) (result, error) {
-			return wrap(experiment.Figure4(figure4Config(o, col)))
+		flags: []string{"seed", "trials", "duration", "parallel"},
+		run: func(s sweep, o options, col *collector) (result, error) {
+			return wrap(experiment.Figure4(figure4Config(s, o, col)))
 		}},
 	{kind: "figure", name: "scaling", title: "Scaling: identifier size vs network size", all: true,
-		run: func(o options, col *collector) (result, error) {
+		flags:       []string{"seed", "parallel"},
+		quickTrials: 2, quickDuration: 20 * time.Second,
+		run: func(s sweep, o options, col *collector) (result, error) {
 			cfg := experiment.DefaultScalingConfig()
-			cfg.Seed = o.seed
-			cfg.Parallelism = o.parallel
-			cfg.Hooks = col.hooks()
+			s.fill(o, col, &cfg.Run, &cfg.Trials)
 			if o.quick {
 				cfg.GridSizes = []int{3, 6}
-				cfg.Duration = 20 * time.Second
-				cfg.Trials = 2
 			}
 			return wrap(experiment.RunScaling(cfg))
 		}},
 	{kind: "figure", name: "strategies", title: "Identifier strategies",
-		flags: []string{"strategies", "span-out", "chrome-trace"},
-		run: func(o options, col *collector) (result, error) {
+		flags: []string{"seed", "trials", "duration", "parallel", "strategies", "span-out", "chrome-trace"},
+		run: func(s sweep, o options, col *collector) (result, error) {
 			cfg := experiment.DefaultStrategiesConfig()
-			cfg.Seed = o.seed
-			cfg.Trials = o.trials
-			cfg.Duration = o.duration
-			cfg.Parallelism = o.parallel
+			s.fill(o, col, &cfg.Run, &cfg.Trials)
 			cfg.Obs = col.obs()
-			cfg.Hooks = col.hooks()
-			names, err := experiment.ParseStrategies(o.strategies)
-			if err != nil {
-				return nil, err
-			}
-			cfg.Strategies = names
+			cfg.Strategies = o.strategyList
 			return wrap(experiment.Strategies(cfg))
 		}},
 	{kind: "figure", name: "recovery", title: "Recovery under faults",
-		flags: []string{"faults", "fault-script", "arq-retries", "arq-rto", "arq-max-rto", "oracle", "span-out", "chrome-trace"},
-		run: func(o options, col *collector) (result, error) {
+		flags: []string{"seed", "trials", "duration", "parallel", "faults", "fault-script", "arq-retries", "arq-rto", "arq-max-rto", "oracle", "span-out", "chrome-trace"},
+		run: func(s sweep, o options, col *collector) (result, error) {
 			cfg := experiment.DefaultRecoveryConfig()
-			cfg.Seed = o.seed
-			cfg.Trials = o.trials
-			cfg.Duration = o.duration
-			cfg.Parallelism = o.parallel
+			s.fill(o, col, &cfg.Run, &cfg.Trials)
 			cfg.Obs = col.obs()
-			cfg.Hooks = col.hooks()
 			cfg.ARQ.RetryBudget = o.arqRetries
 			cfg.ARQ.RTO = o.arqRTO
 			cfg.ARQ.MaxRTO = o.arqMaxRTO
 			cfg.Oracle = o.oracle
-			kinds, err := experiment.ParseFaultKinds(o.faults)
-			if err != nil {
-				return nil, err
-			}
-			cfg.Faults = kinds
+			cfg.Faults = o.faultList
 			if o.faultScript != "" {
 				script, err := loadScript(o.faultScript, "fault", faults.ParseScript)
 				if err != nil {
@@ -311,25 +313,13 @@ var sweeps = []sweep{
 			return wrap(experiment.Recovery(cfg))
 		}},
 	{kind: "figure", name: "dynamics", title: "Dynamics: identifier sizing under mobility and churn",
-		flags: []string{"scenarios", "policies", "mobility-script", "oracle", "span-out", "chrome-trace"},
-		run: func(o options, col *collector) (result, error) {
+		flags: []string{"seed", "trials", "duration", "parallel", "scenarios", "policies", "mobility-script", "oracle", "span-out", "chrome-trace"},
+		run: func(s sweep, o options, col *collector) (result, error) {
 			cfg := experiment.DefaultDynamicsConfig()
-			cfg.Seed = o.seed
-			cfg.Trials = o.trials
-			cfg.Duration = o.duration
-			cfg.Parallelism = o.parallel
+			s.fill(o, col, &cfg.Run, &cfg.Trials)
 			cfg.Obs = col.obs()
-			cfg.Hooks = col.hooks()
-			scenarios, err := experiment.ParseDynScenarios(o.scenarios)
-			if err != nil {
-				return nil, err
-			}
-			cfg.Scenarios = scenarios
-			policies, err := experiment.ParseWidthPolicies(o.policies)
-			if err != nil {
-				return nil, err
-			}
-			cfg.Policies = policies
+			cfg.Scenarios = o.scenarioList
+			cfg.Policies = o.policyList
 			cfg.Oracle = o.oracle
 			if o.mobilityScript != "" {
 				script, err := loadScript(o.mobilityScript, "mobility", mobility.ParseScript)
@@ -342,91 +332,49 @@ var sweeps = []sweep{
 			return wrap(experiment.Dynamics(cfg))
 		}},
 	{kind: "figure", name: "chaos", title: "Chaos: compound faults and graceful degradation",
-		flags: []string{"chaos-profiles", "soak", "arq-retries", "arq-rto", "arq-max-rto", "span-out", "chrome-trace"},
-		run: func(o options, col *collector) (result, error) {
+		flags: []string{"seed", "trials", "duration", "parallel", "chaos-profiles", "soak", "arq-retries", "arq-rto", "arq-max-rto", "span-out", "chrome-trace"},
+		run: func(s sweep, o options, col *collector) (result, error) {
 			cfg := experiment.DefaultChaosConfig()
-			cfg.Seed = o.seed
-			cfg.Trials = o.trials
-			cfg.Duration = o.duration
-			cfg.Parallelism = o.parallel
+			s.fill(o, col, &cfg.Run, &cfg.Trials)
 			cfg.Obs = col.obs()
-			cfg.Hooks = col.hooks()
 			cfg.ARQ.RetryBudget = o.arqRetries
 			cfg.ARQ.RTO = o.arqRTO
 			cfg.ARQ.MaxRTO = o.arqMaxRTO
-			profiles, err := chaos.ParseProfiles(o.chaosProfiles)
-			if err != nil {
-				return nil, err
-			}
-			cfg.Profiles = profiles
+			cfg.Profiles = o.profileList
 			cfg.CheckpointEvery = o.soak
 			return wrap(experiment.Chaos(cfg))
 		}},
 	{kind: "figure", name: "multihop", title: "Multi-hop regional dynamics",
-		flags: []string{"arms", "regions", "span-out", "chrome-trace"},
-		run: func(o options, col *collector) (result, error) {
+		flags: []string{"seed", "trials", "duration", "parallel", "arms", "regions", "span-out", "chrome-trace"},
+		// Each 2-minute multihop trial saturates a 250 kb/s channel.
+		quickTrials: 1, quickDuration: 20 * time.Second,
+		run: func(s sweep, o options, col *collector) (result, error) {
 			cfg := experiment.DefaultMultihopConfig()
-			cfg.Seed = o.seed
-			cfg.Parallelism = o.parallel
+			s.fill(o, col, &cfg.Run, &cfg.Trials)
 			cfg.Obs = col.obs()
-			cfg.Hooks = col.hooks()
 			cfg.Regions = o.regions
-			// Multihop keeps its own trial count (each 2-minute trial
-			// saturates a 250 kb/s channel); explicit flags still win, and
-			// -quick shrinks to a smoke-sized pass.
-			if o.set["trials"] {
-				cfg.Trials = o.trials
-			}
-			if o.set["duration"] || o.quick {
-				cfg.Duration = o.duration
-			}
-			if o.quick && !o.set["trials"] {
-				cfg.Trials = 1
-			}
-			arms, err := experiment.ParseMultihopArms(o.multihopArms)
-			if err != nil {
-				return nil, err
-			}
-			cfg.Arms = arms
+			cfg.Arms = o.armList
 			return wrap(experiment.Multihop(cfg))
 		}},
 	{kind: "figure", name: "massive", title: "Massive population: width tracks T, not N",
-		flags: []string{"nodes", "policies"},
-		run: func(o options, col *collector) (result, error) {
+		flags: []string{"seed", "trials", "duration", "parallel", "nodes", "policies"},
+		// A 2-minute million-node trial is no default to run by accident.
+		quickTrials: 1, quickDuration: 5 * time.Second,
+		run: func(s sweep, o options, col *collector) (result, error) {
 			cfg := experiment.DefaultMassiveConfig()
-			cfg.Seed = o.seed
-			cfg.Parallelism = o.parallel
-			cfg.Hooks = col.hooks()
-			// Massive keeps its own scale defaults (a million-node trial
-			// at the generic 2-minute default is a footgun); explicit
-			// flags still win, and -quick shrinks to a laptop-sized pass.
-			if o.set["trials"] {
-				cfg.Trials = o.trials
-			}
-			if o.set["duration"] {
-				cfg.Duration = o.duration
+			s.fill(o, col, &cfg.Run, &cfg.Trials)
+			// Massive keeps its own population defaults too (a million-node
+			// trial is a footgun); an explicit -nodes still wins, and -quick
+			// shrinks to a laptop-sized pass.
+			if o.set["nodes"] {
+				cfg.Populations = o.populationList
 			} else if o.quick {
-				cfg.Duration = 5 * time.Second
-			}
-			if o.set["nodes"] || o.quick {
-				pops, err := experiment.ParsePopulations(o.nodes)
-				if err != nil {
-					return nil, err
-				}
-				if o.set["nodes"] {
-					cfg.Populations = pops
-				} else {
-					cfg.Populations = []int{2_000, 20_000}
-				}
-			}
-			policies, err := experiment.ParseWidthPolicies(o.policies)
-			if err != nil {
-				return nil, err
+				cfg.Populations = []int{2_000, 20_000}
 			}
 			// The sharded sensor model has no idle-gap estimator; the plain
 			// "adaptive" arm and the default "all" both resolve to the
 			// turnover estimator it does implement.
-			cfg.Policies = massivePolicies(policies)
+			cfg.Policies = massivePolicies(o.policyList)
 			res, err := experiment.Massive(cfg)
 			if err != nil {
 				return nil, err
@@ -437,21 +385,21 @@ var sweeps = []sweep{
 			return res, nil
 		}},
 	{kind: "ablation", name: "window", title: "Ablation: listening window", all: true,
-		run: func(o options, col *collector) (result, error) {
-			return wrap(experiment.AblationListeningWindow(figure4Config(o, col), 6, []int{1, 2, 5, 10, 20, 40}))
+		flags: []string{"seed", "trials", "duration", "parallel"},
+		run: func(s sweep, o options, col *collector) (result, error) {
+			return wrap(experiment.AblationListeningWindow(figure4Config(s, o, col), 6, []int{1, 2, 5, 10, 20, 40}))
 		}},
 	{kind: "ablation", name: "hidden", title: "Ablation: hidden terminals", all: true,
-		run: func(o options, col *collector) (result, error) {
-			return wrap(experiment.AblationHiddenTerminal(figure4Config(o, col), 5,
+		flags: []string{"seed", "trials", "duration", "parallel"},
+		run: func(s sweep, o options, col *collector) (result, error) {
+			return wrap(experiment.AblationHiddenTerminal(figure4Config(s, o, col), 5,
 				[]experiment.SelectorKind{experiment.SelUniform, experiment.SelListening, experiment.SelListeningNotify}))
 		}},
 	{kind: "ablation", name: "mac", title: "Ablation: MAC framing overhead", all: true,
-		run: func(o options, col *collector) (result, error) {
+		flags: []string{"seed", "duration", "parallel"},
+		run: func(s sweep, o options, col *collector) (result, error) {
 			cfg := experiment.DefaultEfficiencyConfig(experiment.Scheme{})
-			cfg.Seed = o.seed
-			cfg.Duration = o.duration
-			cfg.Parallelism = o.parallel
-			cfg.Hooks = col.hooks()
+			s.fill(o, col, &cfg.Run, nil)
 			cfg.PacketSize = 2 // few-bit sensor messages (Section 4.4's regime)
 			return wrap(experiment.AblationMACOverhead(cfg,
 				[]experiment.Scheme{
@@ -462,45 +410,40 @@ var sweeps = []sweep{
 				[]energy.MACProfile{energy.BareProfile(), energy.RPCProfile(), energy.IEEE80211Profile()}))
 		}},
 	{kind: "ablation", name: "lengths", title: "Ablation: transaction lengths", all: true,
-		run: func(o options, col *collector) (result, error) {
-			return wrap(experiment.AblationTransactionLengths(figure4Config(o, col), 6, []int{20, 80, 200}))
+		flags: []string{"seed", "trials", "duration", "parallel"},
+		run: func(s sweep, o options, col *collector) (result, error) {
+			return wrap(experiment.AblationTransactionLengths(figure4Config(s, o, col), 6, []int{20, 80, 200}))
 		}},
 	{kind: "ablation", name: "flood", title: "Ablation: flood duplicate-suppression identifiers", all: true,
-		run: func(o options, col *collector) (result, error) {
+		flags:       []string{"seed", "parallel"},
+		quickTrials: 2, quickDuration: 20 * time.Second,
+		run: func(s sweep, o options, col *collector) (result, error) {
 			cfg := experiment.DefaultFloodConfig()
-			cfg.Seed = o.seed
-			cfg.Parallelism = o.parallel
-			cfg.Hooks = col.hooks()
+			s.fill(o, col, &cfg.Run, &cfg.Trials)
 			if o.quick {
 				cfg.Grid = 4
-				cfg.Duration = 20 * time.Second
-				cfg.Trials = 2
 			}
 			return wrap(experiment.AblationFloodIDBits(cfg))
 		}},
 	{kind: "ablation", name: "estimator", title: "Ablation: density estimators", all: true,
-		run: func(o options, col *collector) (result, error) {
-			return wrap(experiment.AblationEstimator(figure4Config(o, col), 6))
+		flags: []string{"seed", "trials", "duration", "parallel"},
+		run: func(s sweep, o options, col *collector) (result, error) {
+			return wrap(experiment.AblationEstimator(figure4Config(s, o, col), 6))
 		}},
 	{kind: "ablation", name: "lifetime", title: "Ablation: energy per useful bit / network lifetime", all: true,
-		run: func(o options, col *collector) (result, error) {
-			cfg := experiment.DefaultLifetimeConfig(o.seed)
-			cfg.Parallelism = o.parallel
-			cfg.Hooks = col.hooks()
-			if o.quick {
-				cfg.Duration = 15 * time.Second
-			}
+		flags:         []string{"seed", "parallel"},
+		quickDuration: 15 * time.Second,
+		run: func(s sweep, o options, col *collector) (result, error) {
+			cfg := experiment.DefaultEfficiencyConfig(experiment.Scheme{})
+			s.fill(o, col, &cfg.Run, nil)
 			return wrap(experiment.RunLifetime(cfg, experiment.DefaultLifetimeSchemes()))
 		}},
 	{kind: "ablation", name: "churn", title: "Ablation: dynamic allocation under churn", all: true,
-		run: func(o options, col *collector) (result, error) {
+		flags:         []string{"seed", "parallel"},
+		quickDuration: time.Minute,
+		run: func(s sweep, o options, col *collector) (result, error) {
 			cfg := experiment.DefaultChurnConfig()
-			cfg.Seed = o.seed
-			cfg.Parallelism = o.parallel
-			cfg.Hooks = col.hooks()
-			if o.quick {
-				cfg.Duration = time.Minute
-			}
+			s.fill(o, col, &cfg.Run, nil)
 			return wrap(experiment.AblationDynAddrChurn(cfg,
 				[]time.Duration{10 * time.Second, 30 * time.Second, 2 * time.Minute}))
 		}},
@@ -520,15 +463,46 @@ func wrap[R result](res R, err error) (result, error) { return res, err }
 
 // figure4Config is the command line's Figure 4 config, which the figure
 // and the window, hidden, lengths and estimator ablations share.
-func figure4Config(o options, col *collector) experiment.Figure4Config {
+func figure4Config(s sweep, o options, col *collector) experiment.Figure4Config {
 	cfg := experiment.DefaultFigure4Config()
-	cfg.Seed = o.seed
-	cfg.Trials = o.trials
-	cfg.Duration = o.duration
-	cfg.Parallelism = o.parallel
+	s.fill(o, col, &cfg.Run, &cfg.Trials)
 	cfg.Obs = col.obs()
-	cfg.Hooks = col.hooks()
 	return cfg
+}
+
+// fill is the one place a sweep config takes the shared flags. r and
+// *trials (nil for a config without trials) come in holding the config's
+// own defaults. Seed and Parallelism take the flags the sweep reads.
+// Duration and trials take the flag when the sweep reads it and either
+// it was set or the sweep has no size of its own; otherwise the sweep's
+// own size under -quick, or else the config's. Every sweep gets the
+// collector's hooks.
+func (s sweep) fill(o options, col *collector, r *experiment.Run, trials *int) {
+	if slices.Contains(s.flags, "seed") {
+		r.Seed = o.seed
+	}
+	if slices.Contains(s.flags, "parallel") {
+		r.Parallelism = o.parallel
+	}
+	r.Duration = pick(s, o, "duration", o.duration, s.quickDuration, r.Duration)
+	if trials != nil {
+		*trials = pick(s, o, "trials", o.trials, s.quickTrials, *trials)
+	}
+	r.Hooks = col.hooks()
+}
+
+// pick resolves a duration or trial count as fill describes: v is the
+// flag's value, quick the sweep's own -quick size (zero for none) and
+// def the config's default.
+func pick[T comparable](s sweep, o options, flag string, v, quick, def T) T {
+	var zero T
+	switch {
+	case slices.Contains(s.flags, flag) && (o.set[flag] || quick == zero):
+		return v
+	case o.quick && quick != zero:
+		return quick
+	}
+	return def
 }
 
 // selected reports whether the -figure or -ablation selection runs s.
@@ -586,7 +560,7 @@ func runSelected(kind, sel string, o options, col *collector) error {
 		}
 		ran = true
 		col.begin(kind + "-" + s.name)
-		res, err := s.run(o, col)
+		res, err := s.run(s, o, col)
 		if err == nil {
 			if o.format == "csv" {
 				fmt.Print(res.CSV())

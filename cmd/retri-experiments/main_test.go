@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"retri/internal/experiment"
 	"retri/internal/span"
 )
 
@@ -91,6 +92,12 @@ func TestParseParallel(t *testing.T) {
 	if o.parallel != 4 {
 		t.Errorf("-parallel 4 resolved to %d", o.parallel)
 	}
+	// A negative count is not "all CPUs": it is rejected.
+	for _, args := range [][]string{{"-parallel", "-1"}, {"-figure", "4", "-parallel", "-3"}} {
+		if _, err := parseArgs(args); err == nil || !strings.Contains(err.Error(), "-parallel") {
+			t.Errorf("%v: err = %v, want a -parallel rejection", args, err)
+		}
+	}
 }
 
 // TestUsageListsEverySelection: the -figure and -ablation help must name
@@ -104,6 +111,95 @@ func TestUsageListsEverySelection(t *testing.T) {
 		words := strings.FieldsFunc(list, func(r rune) bool { return r == ',' || r == ' ' })
 		if !slices.Contains(words, s.name) {
 			t.Errorf("-%s usage %q omits %s", s.kind, usage, s.name)
+		}
+	}
+	// The -trials help names, per kind, exactly the sweeps that read it:
+	// "(figures 4, ... and massive; ablations window, ... and estimator)".
+	usage := fs.Lookup("trials").Usage
+	_, list, _ := strings.Cut(usage, "(")
+	named := make(map[string]bool)
+	for _, part := range strings.Split(strings.TrimSuffix(list, ")"), ";") {
+		words := strings.FieldsFunc(part, func(r rune) bool { return r == ',' || r == ' ' })
+		if len(words) == 0 {
+			t.Fatalf("-trials usage %q has an empty list", usage)
+		}
+		kind := strings.TrimSuffix(words[0], "s")
+		for _, w := range words[1:] {
+			if w != "and" {
+				named[kind+" "+w] = true
+			}
+		}
+	}
+	for _, s := range sweeps {
+		key := s.kind + " " + s.name
+		if named[key] != slices.Contains(s.flags, "trials") {
+			t.Errorf("-trials usage %q: names %s = %v, but the sweep reads -trials = %v", usage, key, named[key], slices.Contains(s.flags, "trials"))
+		}
+		delete(named, key)
+	}
+	for key := range named {
+		t.Errorf("-trials usage names %s, which is no sweep", key)
+	}
+}
+
+// TestFillKeepsEachSweepsTrialsAndDuration pins the trial count and
+// duration fill gives each sweep, with no flag, under -quick and with both
+// flags set. Figure 4 and the sweeps built like it take the flag values
+// (10 x 2m, or 3 x 20s under -quick). The others have sizes of their own:
+// their config's (99 x 1h here) until a flag they read is set, and their
+// entry's under -quick.
+func TestFillKeepsEachSweepsTrialsAndDuration(t *testing.T) {
+	const ownTrials, ownDuration = 99, time.Hour
+	type got struct {
+		trials   int
+		duration time.Duration
+	}
+	flagged, own := got{10, 2 * time.Minute}, got{ownTrials, ownDuration}
+	quickFlagged, set := got{3, 20 * time.Second}, got{7, 45 * time.Second}
+	want := map[string][3]got{ // no flag, -quick, -trials 7 -duration 45s
+		"figure-4":           {flagged, quickFlagged, set},
+		"figure-scaling":     {own, {2, 20 * time.Second}, {}},
+		"figure-strategies":  {flagged, quickFlagged, set},
+		"figure-recovery":    {flagged, quickFlagged, set},
+		"figure-dynamics":    {flagged, quickFlagged, set},
+		"figure-chaos":       {flagged, quickFlagged, set},
+		"figure-multihop":    {own, {1, 20 * time.Second}, set},
+		"figure-massive":     {own, {1, 5 * time.Second}, set},
+		"ablation-window":    {flagged, quickFlagged, set},
+		"ablation-hidden":    {flagged, quickFlagged, set},
+		"ablation-mac":       {{ownTrials, 2 * time.Minute}, {ownTrials, 20 * time.Second}, {}},
+		"ablation-lengths":   {flagged, quickFlagged, set},
+		"ablation-flood":     {own, {2, 20 * time.Second}, {}},
+		"ablation-estimator": {flagged, quickFlagged, set},
+		"ablation-lifetime":  {own, {ownTrials, 15 * time.Second}, {}},
+		"ablation-churn":     {own, {ownTrials, time.Minute}, {}},
+	}
+	for _, s := range sweeps {
+		name := s.kind + "-" + s.name
+		if len(s.flags) == 0 {
+			continue // the analytic figures run no trials
+		}
+		w, ok := want[name]
+		if !ok {
+			t.Errorf("%s: no expectation", name)
+			continue
+		}
+		for i, extra := range [][]string{nil, {"-quick"}, {"-trials", "7", "-duration", "45s"}} {
+			if i == 2 && !slices.Contains(s.flags, "trials") {
+				continue
+			}
+			o, err := parseArgs(append([]string{"-" + s.kind, s.name, "-seed", "5", "-parallel", "3"}, extra...))
+			if err != nil {
+				t.Fatalf("%s %v: %v", name, extra, err)
+			}
+			r, trials := experiment.Run{Seed: 1, Duration: ownDuration}, ownTrials
+			s.fill(o, new(collector), &r, &trials)
+			if g := (got{trials, r.Duration}); g != w[i] {
+				t.Errorf("%s %v: trials x duration = %d x %v, want %d x %v", name, extra, g.trials, g.duration, w[i].trials, w[i].duration)
+			}
+			if r.Seed != 5 || r.Parallelism != 3 {
+				t.Errorf("%s %v: seed, parallelism = %d, %d, want the flags' 5, 3", name, extra, r.Seed, r.Parallelism)
+			}
 		}
 	}
 }
@@ -122,7 +218,7 @@ func TestRunFailsOnCheckAfterPrinting(t *testing.T) {
 	violation := errors.New("stub 1: oracle: 1 misdeliveries")
 	defer func(old []sweep) { sweeps = old }(sweeps)
 	sweeps = append(slices.Clip(sweeps), sweep{kind: "figure", name: "stub", title: "Stub",
-		run: func(options, *collector) (result, error) { return stubResult{violation}, nil }})
+		run: func(sweep, options, *collector) (result, error) { return stubResult{violation}, nil }})
 	out, err := runCapture(t, "-figure", "stub")
 	if !errors.Is(err, violation) {
 		t.Errorf("run error = %v, want the check's %v", err, violation)
@@ -632,6 +728,17 @@ func TestParseRejectsFlagsNoSelectedFigureReads(t *testing.T) {
 		{[]string{"-figure", "strategies", "-oracle"}, false},
 		{[]string{"-figure", "multihop", "-soak", "5s"}, false},
 		{[]string{"-ablation", "churn", "-nodes", "2000"}, false},
+		{[]string{"-figure", "scaling", "-quick", "-duration", "5s"}, false},
+		{[]string{"-ablation", "flood", "-quick", "-trials", "7"}, false},
+		{[]string{"-ablation", "mac", "-quick", "-trials", "7"}, false},
+		{[]string{"-figure", "1", "-trials", "5"}, false},
+		{[]string{"-figure", "1", "-seed", "7", "-parallel", "2"}, false},
+		{[]string{"-figure", "2", "-duration", "1m"}, false},
+		{[]string{"-figure", "scaling", "-ablation", "mac", "-trials", "3"}, false},
+		{[]string{"-ablation", "mac", "-quick", "-duration", "5s", "-seed", "2"}, true},
+		{[]string{"-figure", "scaling", "-seed", "2", "-parallel", "2"}, true},
+		{[]string{"-figure", "1", "-ablation", "window", "-trials", "2", "-duration", "5s"}, true},
+		{[]string{"-quick", "-trials", "2", "-duration", "5s", "-seed", "3", "-parallel", "2"}, true},
 		{[]string{"-figure", "recovery", "-faults", "ge", "-arq-retries", "3"}, true},
 		{[]string{"-figure", "chaos", "-arq-rto", "100ms", "-chaos-profiles", "storm", "-soak", "5s"}, true},
 		{[]string{"-figure", "massive", "-policies", "fixed", "-nodes", "2000"}, true},
@@ -646,6 +753,16 @@ func TestParseRejectsFlagsNoSelectedFigureReads(t *testing.T) {
 		}
 		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "has no effect")) {
 			t.Errorf("%v: err = %v, want a no-effect rejection", tc.args, err)
+		}
+	}
+	// The rejection names every reader with its kind.
+	_, err := parseArgs([]string{"-ablation", "mac", "-trials", "7"})
+	if err == nil {
+		t.Fatal("-ablation mac -trials 7 accepted")
+	}
+	for _, want := range []string{"-figure 4, ", "-figure massive, ", "-ablation window, ", "-ablation estimator"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
 		}
 	}
 }

@@ -47,8 +47,12 @@ func run(args []string) error {
 	cfg.Transmitters = *transmitters
 	cfg.PacketSize = *packet
 	cfg.Duration = *duration
+	cfg.IDBits = []int{*bits}
 	if *hidden {
 		cfg.Topology = experiment.HiddenStarTopology
+	}
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
 
 	out, err := experiment.RunCollisionTrial(cfg, experiment.SelectorKind(*selector), *bits,

@@ -26,6 +26,23 @@ func TestRunUnknownSelector(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadScenario: a width outside [1, 32] used to panic, and a
+// scenario with no simulated time, no transmitters or empty packets used
+// to report a 0 collision rate; each is an error before the trial runs.
+func TestRunRejectsBadScenario(t *testing.T) {
+	for _, args := range [][]string{
+		{"-bits", "0"},
+		{"-bits", "40"},
+		{"-duration", "0"},
+		{"-transmitters", "0"},
+		{"-packet", "0"},
+	} {
+		if err := run(args); err == nil {
+			t.Errorf("%v accepted", args)
+		}
+	}
+}
+
 func TestRunBadFlag(t *testing.T) {
 	if err := run([]string{"-wat"}); err == nil {
 		t.Error("bad flag accepted")

@@ -31,6 +31,9 @@ type WindowAblationResult struct {
 // off against collision rate at a fixed identifier width. Window 0 in
 // Windows is replaced by the adaptive 2T rule.
 func AblationListeningWindow(cfg Figure4Config, idBits int, windows []int) (WindowAblationResult, error) {
+	if err := cfg.Validate(); err != nil {
+		return WindowAblationResult{}, err
+	}
 	res := WindowAblationResult{Config: cfg, Windows: windows, Series: stats.NewSeries("window")}
 	type cell struct {
 		window   int
@@ -41,8 +44,7 @@ func AblationListeningWindow(cfg Figure4Config, idBits int, windows []int) (Wind
 		cells = append(cells, cell{window: w})
 	}
 	cells = append(cells, cell{adaptive: true})
-	groups, err := runCells(fanout{cfg.Parallelism, cfg.Hooks, cfg.Obs}, xrand.NewSource(cfg.Seed).Child("ablation-window"),
-		cells, cfg.Trials,
+	groups, err := runCells(cfg.Run, cfg.Obs, "ablation-window", cells, cfg.Trials,
 		func(c cell) []string {
 			if c.adaptive {
 				return []string{"adaptive"}
@@ -161,6 +163,9 @@ func ShadowedClusterTopology(transmitters int, receiver radio.NodeID) radio.Topo
 // collisions. Moderate duty cycle lets transactions overlap in time while
 // most frames interleave cleanly.
 func AblationHiddenTerminal(cfg Figure4Config, idBits int, kinds []SelectorKind) (HiddenTerminalResult, error) {
+	if err := cfg.Validate(); err != nil {
+		return HiddenTerminalResult{}, err
+	}
 	res := HiddenTerminalResult{
 		Config:   cfg,
 		IDBits:   idBits,
@@ -190,8 +195,7 @@ func AblationHiddenTerminal(cfg Figure4Config, idBits int, kinds []SelectorKind)
 			cells = append(cells, cell{kind, ti})
 		}
 	}
-	groups, err := runCells(fanout{cfg.Parallelism, cfg.Hooks, cfg.Obs}, xrand.NewSource(cfg.Seed).Child("ablation-hidden"),
-		cells, cfg.Trials,
+	groups, err := runCells(cfg.Run, cfg.Obs, "ablation-hidden", cells, cfg.Trials,
 		func(c cell) []string { return []string{topologies[c.topo].name, string(c.kind)} },
 		func(c cell, src *xrand.Source) (TrialOutcome, error) {
 			run := cfg
@@ -252,18 +256,20 @@ type MACAblationResult struct {
 // multi-fragment packets AFF's shorter headers also reduce the frame count,
 // a separate effect that heavier framing amplifies rather than washes out.
 func AblationMACOverhead(base EfficiencyConfig, schemes []Scheme, profiles []energy.MACProfile) (MACAblationResult, error) {
+	if err := base.Run.Validate(); err != nil {
+		return MACAblationResult{}, err
+	}
 	res := MACAblationResult{
 		Profiles: profiles,
 		Schemes:  schemes,
 		E:        make(map[string]map[string]float64, len(profiles)),
 	}
-	src := xrand.NewSource(base.Seed).Child("ablation-mac")
 	for _, p := range profiles {
 		res.E[p.Name] = make(map[string]float64, len(schemes))
 	}
 	// One trial per (profile, scheme) cell, profile-major.
-	outs, err := runTrials(fanout{parallelism: base.Parallelism, hooks: base.Hooks}, len(profiles)*len(schemes),
-		func(i int) (EfficiencyOutcome, error) {
+	outs, err := runTrials(base.Run, nil, "ablation-mac", len(profiles)*len(schemes),
+		func(i int, src *xrand.Source) (EfficiencyOutcome, error) {
 			cfg := base
 			cfg.MAC, cfg.Scheme = profiles[i/len(schemes)], schemes[i%len(schemes)]
 			return RunEfficiencyTrial(cfg, src.Child(cfg.MAC.Name, cfg.Scheme.Label()))
@@ -318,13 +324,15 @@ type LengthAblationResult struct {
 // the same identifier width and offered density, with packet sizes drawn
 // from lengths instead of the fixed default.
 func AblationTransactionLengths(cfg Figure4Config, idBits int, lengths []int) (LengthAblationResult, error) {
+	if err := cfg.Validate(); err != nil {
+		return LengthAblationResult{}, err
+	}
 	res := LengthAblationResult{Config: cfg, IDBits: idBits, Lengths: lengths}
-	src := xrand.NewSource(cfg.Seed).Child("ablation-length")
 	mixCfg := cfg
 	mixCfg.PacketSizes = lengths
 	// Fixed and mixed trials interleave: job 2t is fixed trial t, 2t+1
 	// the mixed one.
-	outs, err := runTrials(fanout{cfg.Parallelism, cfg.Hooks, cfg.Obs}, 2*cfg.Trials, func(i int) (TrialOutcome, error) {
+	outs, err := runTrials(cfg.Run, cfg.Obs, "ablation-length", 2*cfg.Trials, func(i int, src *xrand.Source) (TrialOutcome, error) {
 		if i%2 == 1 {
 			return RunCollisionTrial(mixCfg, SelUniform, idBits, src.Child("mixed", strconv.Itoa(i/2)))
 		}

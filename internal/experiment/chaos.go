@@ -31,17 +31,15 @@ import (
 // compound fault may ever produce a misdelivery, a conservation breach
 // or a stale identifier, only honest loss.
 type ChaosConfig struct {
-	// Seed roots all randomness; trials use derived streams.
-	Seed uint64
+	// Run's Duration bounds each trial; the profile's onset fraction
+	// resolves against it.
+	Run
 	// Senders stream packets at the sink (node 0); they are nodes 1..N.
 	Senders int
 	// PacketSize is the application payload in bytes.
 	PacketSize int
 	// Interval separates one sender's packets (plus deterministic jitter).
 	Interval time.Duration
-	// Duration bounds each trial; the profile's onset fraction resolves
-	// against it.
-	Duration time.Duration
 	// Trials per (profile, policy, arq) row.
 	Trials int
 	// Profiles are the chaos intensity levels swept.
@@ -76,10 +74,8 @@ type ChaosConfig struct {
 	// of only at the end, so a long horizon cannot hide a transient
 	// violation behind later counters.
 	CheckpointEvery time.Duration
-	// Parallelism, Obs and Hooks behave exactly as in Figure4Config.
-	Parallelism int
-	Obs         *Obs
-	Hooks       RunHooks
+	// Obs behaves exactly as in Figure4Config.
+	Obs *Obs
 }
 
 // DefaultChaosConfig is an 8-sender deployment with every degradation
@@ -87,14 +83,13 @@ type ChaosConfig struct {
 // the overload clamp at four times the sender population.
 func DefaultChaosConfig() ChaosConfig {
 	return ChaosConfig{
-		Seed:       1,
+		Run:        Run{Seed: 1, Duration: 2 * time.Minute},
 		Senders:    8,
 		PacketSize: 48,
 		// ~35 ms of airtime per instrumented 48-byte packet at 40 kbit/s:
 		// a 2 s interval keeps the 8-sender offered load near 15% of the
 		// channel, so losses come from the fault profiles, not saturation.
 		Interval: 2 * time.Second,
-		Duration: 2 * time.Minute,
 		Trials:   5,
 		Profiles: chaos.Profiles(),
 		Policies: []WidthPolicyKind{WidthFixed, WidthAdaptiveTurnover},
@@ -123,12 +118,15 @@ func DefaultChaosConfig() ChaosConfig {
 
 // Validate rejects configurations the trial loop cannot honor.
 func (cfg ChaosConfig) Validate() error {
+	if err := cfg.Run.Validate(); err != nil {
+		return err
+	}
 	if cfg.Senders < 1 || cfg.Trials < 1 || len(cfg.Profiles) == 0 || len(cfg.Policies) == 0 {
 		return fmt.Errorf("experiment: degenerate chaos config (senders=%d trials=%d profiles=%d policies=%d)",
 			cfg.Senders, cfg.Trials, len(cfg.Profiles), len(cfg.Policies))
 	}
-	if cfg.Interval <= 0 || cfg.Duration <= 0 {
-		return fmt.Errorf("experiment: chaos needs positive interval and duration, got %v/%v", cfg.Interval, cfg.Duration)
+	if cfg.Interval <= 0 {
+		return fmt.Errorf("experiment: chaos needs a positive interval, got %v", cfg.Interval)
 	}
 	if cfg.PacketSize < 1 {
 		return fmt.Errorf("experiment: chaos packet size %d must be positive", cfg.PacketSize)
@@ -291,7 +289,7 @@ func Chaos(cfg ChaosConfig) (ChaosResult, error) {
 			}
 		}
 	}
-	groups, err := runCells(fanout{cfg.Parallelism, cfg.Hooks, cfg.Obs}, xrand.NewSource(cfg.Seed).Child("chaos"), cells, cfg.Trials,
+	groups, err := runCells(cfg.Run, cfg.Obs, "chaos", cells, cfg.Trials,
 		func(c cell) []string {
 			return []string{c.profile.Name, string(c.policy), strconv.FormatBool(c.reliable)}
 		},

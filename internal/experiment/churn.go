@@ -20,11 +20,9 @@ import (
 // overhead and unavailability on every join, while AFF nodes simply start
 // talking.
 type ChurnConfig struct {
-	Seed uint64
+	Run
 	// Nodes is the population of churning senders.
 	Nodes int
-	// Duration is the simulated observation window.
-	Duration time.Duration
 	// Lifetime is the mean exponential up-time before a node is replaced
 	// by a fresh one needing configuration.
 	Lifetime time.Duration
@@ -36,19 +34,13 @@ type ChurnConfig struct {
 	// AddrBits sizes the dynamic allocator's address space and the AFF
 	// pool alike, so the data-plane header cost is comparable.
 	AddrBits int
-	// Parallelism is the number of trials simulated concurrently in the
-	// churn ablation; 0 or 1 runs them sequentially with identical output.
-	Parallelism int
-	// Hooks carries progress and timing callbacks to the runner.
-	Hooks RunHooks
 }
 
 // DefaultChurnConfig returns a sensible churn scenario.
 func DefaultChurnConfig() ChurnConfig {
 	return ChurnConfig{
-		Seed:         1,
+		Run:          Run{Seed: 1, Duration: 5 * time.Minute},
 		Nodes:        8,
-		Duration:     5 * time.Minute,
 		Lifetime:     time.Minute,
 		DataInterval: 2 * time.Second,
 		PacketSize:   4,
@@ -215,16 +207,18 @@ type ChurnAblationResult struct {
 // node lifetimes: the shorter the lifetime, the more the allocator's
 // control traffic and configuration latency cost.
 func AblationDynAddrChurn(cfg ChurnConfig, lifetimes []time.Duration) (ChurnAblationResult, error) {
+	if err := cfg.Run.Validate(); err != nil {
+		return ChurnAblationResult{}, err
+	}
 	res := ChurnAblationResult{
 		Config:    cfg,
 		Lifetimes: lifetimes,
 		Outcomes:  map[string][]ChurnOutcome{"aff": nil, "dynaddr": nil},
 	}
-	src := xrand.NewSource(cfg.Seed).Child("ablation-churn")
 	schemes := []string{"aff", "dynaddr"}
 	// One trial per (lifetime, scheme) cell, lifetime-major.
-	outs, err := runTrials(fanout{parallelism: cfg.Parallelism, hooks: cfg.Hooks}, len(lifetimes)*len(schemes),
-		func(i int) (ChurnOutcome, error) {
+	outs, err := runTrials(cfg.Run, nil, "ablation-churn", len(lifetimes)*len(schemes),
+		func(i int, src *xrand.Source) (ChurnOutcome, error) {
 			run := cfg
 			run.Lifetime = lifetimes[i/len(schemes)]
 			scheme := schemes[i%len(schemes)]

@@ -103,15 +103,12 @@ func (p WidthPolicyKind) estimatorPolicy() density.Policy {
 // goodput efficiency, collision rate and achieved-vs-optimal identifier
 // width over time.
 type DynamicsConfig struct {
-	// Seed roots all randomness; trials use derived streams.
-	Seed uint64
+	Run
 	// Senders stream packets at the sink (node 0); they are nodes 1..N.
 	Senders int
 	// PacketSize is the application payload in bytes. Its bit size is the
 	// D the adaptive controller optimizes against.
 	PacketSize int
-	// Duration is simulated time per trial.
-	Duration time.Duration
 	// Trials per (scenario, policy) row.
 	Trials int
 	// Scenarios are the dynamics swept.
@@ -150,10 +147,8 @@ type DynamicsConfig struct {
 	// audited, and each row carries a merged oracle.Report. The oracle is
 	// strictly passive — enabling it leaves the simulation byte-identical.
 	Oracle bool
-	// Parallelism, Obs and Hooks behave exactly as in Figure4Config.
-	Parallelism int
-	Obs         *Obs
-	Hooks       RunHooks
+	// Obs behaves exactly as in Figure4Config.
+	Obs *Obs
 }
 
 // DefaultDynamicsConfig is an 8-sender deployment on a 60x60 area with a
@@ -162,10 +157,9 @@ type DynamicsConfig struct {
 // each node observes.
 func DefaultDynamicsConfig() DynamicsConfig {
 	return DynamicsConfig{
-		Seed:              1,
+		Run:               Run{Seed: 1, Duration: 2 * time.Minute},
 		Senders:           8,
 		PacketSize:        48,
-		Duration:          2 * time.Minute,
 		Trials:            5,
 		Scenarios:         AllDynScenarios(),
 		Policies:          AllWidthPolicies(),
@@ -186,11 +180,14 @@ func DefaultDynamicsConfig() DynamicsConfig {
 
 // Validate rejects configurations the trial loop cannot honor.
 func (cfg DynamicsConfig) Validate() error {
+	if err := cfg.Run.Validate(); err != nil {
+		return err
+	}
 	if cfg.Senders < 1 || cfg.Trials < 1 || len(cfg.Scenarios) == 0 || len(cfg.Policies) == 0 {
 		return fmt.Errorf("experiment: degenerate dynamics config (senders=%d trials=%d scenarios=%d policies=%d)",
 			cfg.Senders, cfg.Trials, len(cfg.Scenarios), len(cfg.Policies))
 	}
-	if cfg.Duration <= 0 || cfg.SampleInterval <= 0 || cfg.SampleInterval > cfg.Duration {
+	if cfg.SampleInterval <= 0 || cfg.SampleInterval > cfg.Duration {
 		return fmt.Errorf("experiment: dynamics needs 0 < sample interval <= duration, got %v/%v", cfg.SampleInterval, cfg.Duration)
 	}
 	if cfg.PacketSize < 1 {
@@ -339,7 +336,7 @@ func Dynamics(cfg DynamicsConfig) (DynamicsResult, error) {
 			cells = append(cells, cell{scenario, policy})
 		}
 	}
-	groups, err := runCells(fanout{cfg.Parallelism, cfg.Hooks, cfg.Obs}, xrand.NewSource(cfg.Seed).Child("dynamics"), cells, cfg.Trials,
+	groups, err := runCells(cfg.Run, cfg.Obs, "dynamics", cells, cfg.Trials,
 		func(c cell) []string { return []string{string(c.scenario), string(c.policy)} },
 		func(c cell, src *xrand.Source) (DynamicsOutcome, error) {
 			return RunDynamicsTrial(cfg, c.scenario, c.policy, src)

@@ -55,30 +55,21 @@ func (s Scheme) Label() string {
 // from the actual meters — useful bits delivered at the sink over total
 // bits put on the air.
 type EfficiencyConfig struct {
-	Seed         uint64
+	Run
 	Transmitters int
 	PacketSize   int
-	Duration     time.Duration
 	Scheme       Scheme
 	// MAC is the framing profile; per-frame overhead counts toward
 	// on-air totals (the Section 4.4 ablation knob).
 	MAC energy.MACProfile
-	// Parallelism is the number of trials simulated concurrently by the
-	// sweeps built on this config (lifetime, MAC ablation); 0 or 1 runs
-	// them sequentially with identical output.
-	Parallelism int
-	// Hooks carries progress and timing callbacks to the runner in sweeps
-	// built on this config.
-	Hooks RunHooks
 }
 
 // DefaultEfficiencyConfig mirrors the Figure 4 workload with RPC framing.
 func DefaultEfficiencyConfig(scheme Scheme) EfficiencyConfig {
 	return EfficiencyConfig{
-		Seed:         1,
+		Run:          Run{Seed: 1, Duration: time.Minute},
 		Transmitters: 5,
 		PacketSize:   80,
-		Duration:     time.Minute,
 		Scheme:       scheme,
 		MAC:          energy.RPCProfile(),
 	}

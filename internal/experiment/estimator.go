@@ -30,6 +30,9 @@ type EstimatorAblationResult struct {
 // (periodic senders at low duty cycle) the true time-averaged density is
 // far lower, which is where fragment-sampled estimation overshoots.
 func AblationEstimator(cfg Figure4Config, idBits int) (EstimatorAblationResult, error) {
+	if err := cfg.Validate(); err != nil {
+		return EstimatorAblationResult{}, err
+	}
 	res := EstimatorAblationResult{
 		Config:     cfg,
 		IDBits:     idBits,
@@ -49,8 +52,7 @@ func AblationEstimator(cfg Figure4Config, idBits int) (EstimatorAblationResult, 
 			cells = append(cells, cell{workload, est})
 		}
 	}
-	groups, err := runCells(fanout{cfg.Parallelism, cfg.Hooks, cfg.Obs}, xrand.NewSource(cfg.Seed).Child("ablation-estimator"),
-		cells, cfg.Trials,
+	groups, err := runCells(cfg.Run, cfg.Obs, "ablation-estimator", cells, cfg.Trials,
 		func(c cell) []string { return []string{c.workload, string(c.est)} },
 		func(c cell, src *xrand.Source) (TrialOutcome, error) {
 			run := cfg

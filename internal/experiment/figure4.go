@@ -51,8 +51,7 @@ const (
 
 // Figure4Config parameterizes the Section 5.1 validation experiment.
 type Figure4Config struct {
-	// Seed roots all randomness; trials use derived streams.
-	Seed uint64
+	Run
 	// Transmitters stream packets at one receiver (paper: 5).
 	Transmitters int
 	// PacketSize is the application packet in bytes (paper: 80).
@@ -72,8 +71,6 @@ type Figure4Config struct {
 	// Estimator selects the density estimator driving adaptive windows:
 	// EstEMA (default) or EstInterval (the Section 8 refinement).
 	Estimator EstimatorKind
-	// Duration is simulated time per trial (paper: 2 minutes).
-	Duration time.Duration
 	// Trials per identifier size (paper: 10).
 	Trials int
 	// IDBits is the identifier sizes swept.
@@ -84,17 +81,10 @@ type Figure4Config struct {
 	// ablation); it is invoked with the transmitter count and the
 	// receiver's node ID (transmitters are IDs 1..n).
 	Topology func(transmitters int, receiver radio.NodeID) radio.Topology
-	// Parallelism is the number of trials simulated concurrently; 0 or 1
-	// runs them sequentially. Each trial owns its engine and random
-	// streams and results merge by trial index, so output is identical at
-	// any setting (DESIGN.md, "Parallelism").
-	Parallelism int
 	// Obs, when non-nil, opts the run into observability: per-trial
 	// metrics and trace capture folded deterministically after the run
 	// (see Obs). Results are byte-identical with or without it.
 	Obs *Obs
-	// Hooks carries progress and timing callbacks to the runner.
-	Hooks RunHooks
 	// ReassemblyTimeout bounds how long partial-packet state lives. It
 	// approximates the model's interference window: Equation 4 counts
 	// only transactions that *overlap*, so state left by a finished or
@@ -111,10 +101,9 @@ type Figure4Config struct {
 // 10 bits collisions are too rare to measure in two simulated minutes.
 func DefaultFigure4Config() Figure4Config {
 	return Figure4Config{
-		Seed:              1,
+		Run:               Run{Seed: 1, Duration: 2 * time.Minute},
 		Transmitters:      5,
 		PacketSize:        80,
-		Duration:          2 * time.Minute,
 		Trials:            10,
 		IDBits:            []int{2, 3, 4, 5, 6, 7, 8, 9, 10},
 		Selectors:         []SelectorKind{SelUniform, SelListening},
@@ -155,10 +144,28 @@ type TrialOutcome struct {
 // capture hands runCells the trial's observability capture to fold.
 func (o TrialOutcome) capture() *TrialObs { return o.Obs }
 
+// Validate rejects configurations the trial loop cannot honor. Figure 4
+// and its four ablations share it.
+func (cfg Figure4Config) Validate() error {
+	if err := cfg.Run.Validate(); err != nil {
+		return err
+	}
+	if cfg.Transmitters < 1 || cfg.Trials < 1 || cfg.PacketSize < 1 || len(cfg.IDBits) == 0 {
+		return fmt.Errorf("experiment: degenerate figure-4 config (transmitters=%d trials=%d packet=%d widths=%d)",
+			cfg.Transmitters, cfg.Trials, cfg.PacketSize, len(cfg.IDBits))
+	}
+	for _, bits := range cfg.IDBits {
+		if bits < 1 || bits > core.MaxBits {
+			return fmt.Errorf("experiment: identifier width %d outside [1, %d]", bits, core.MaxBits)
+		}
+	}
+	return nil
+}
+
 // Figure4 runs the full sweep.
 func Figure4(cfg Figure4Config) (Figure4Result, error) {
-	if cfg.Transmitters < 1 || cfg.Trials < 1 || cfg.Duration <= 0 || len(cfg.IDBits) == 0 {
-		return Figure4Result{}, fmt.Errorf("experiment: degenerate figure-4 config %+v", cfg)
+	if err := cfg.Validate(); err != nil {
+		return Figure4Result{}, err
 	}
 	res := Figure4Result{
 		Config:   cfg,
@@ -174,7 +181,7 @@ func Figure4(cfg Figure4Config) (Figure4Result, error) {
 			cells = append(cells, cell{sel, bits})
 		}
 	}
-	groups, err := runCells(fanout{cfg.Parallelism, cfg.Hooks, cfg.Obs}, xrand.NewSource(cfg.Seed).Child("figure4"), cells, cfg.Trials,
+	groups, err := runCells(cfg.Run, cfg.Obs, "figure4", cells, cfg.Trials,
 		func(c cell) []string { return []string{string(c.sel), strconv.Itoa(c.bits)} },
 		func(c cell, src *xrand.Source) (TrialOutcome, error) {
 			return RunCollisionTrial(cfg, c.sel, c.bits, src)

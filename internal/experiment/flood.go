@@ -21,7 +21,7 @@ import (
 // messages suppress one another; enough bits and the flood delivers like
 // one keyed by (source, sequence).
 type FloodConfig struct {
-	Seed uint64
+	Run
 	// Grid is the n of the n×n deployment.
 	Grid int
 	// Spacing and Range define the unit-disk layout.
@@ -35,20 +35,14 @@ type FloodConfig struct {
 	PayloadSize int
 	// IDBits sweeps the dedup-identifier width.
 	IDBits []int
-	// Duration and Trials shape the measurement.
-	Duration time.Duration
-	Trials   int
-	// Parallelism is the number of trials simulated concurrently; 0 or 1
-	// runs them sequentially with identical output.
-	Parallelism int
-	// Hooks carries progress and timing callbacks to the runner.
-	Hooks RunHooks
+	// Trials is the repetition count per identifier width.
+	Trials int
 }
 
 // DefaultFloodConfig floods 6-byte events across a 6×6 grid.
 func DefaultFloodConfig() FloodConfig {
 	return FloodConfig{
-		Seed:        1,
+		Run:         Run{Seed: 1, Duration: time.Minute},
 		Grid:        6,
 		Spacing:     5,
 		Range:       7.5,
@@ -56,7 +50,6 @@ func DefaultFloodConfig() FloodConfig {
 		Interval:    4 * time.Second,
 		PayloadSize: 6,
 		IDBits:      []int{3, 4, 5, 6, 8, 10},
-		Duration:    time.Minute,
 		Trials:      3,
 	}
 }
@@ -74,12 +67,14 @@ type FloodResult struct {
 // and vanish once the pool comfortably exceeds the neighbourhood's
 // concurrent flood count.
 func AblationFloodIDBits(cfg FloodConfig) (FloodResult, error) {
+	if err := cfg.Run.Validate(); err != nil {
+		return FloodResult{}, err
+	}
 	if cfg.Grid < 2 || len(cfg.IDBits) == 0 || cfg.Trials < 1 {
-		return FloodResult{}, fmt.Errorf("experiment: degenerate flood config %+v", cfg)
+		return FloodResult{}, fmt.Errorf("experiment: degenerate flood config (grid=%d widths=%d trials=%d)", cfg.Grid, len(cfg.IDBits), cfg.Trials)
 	}
 	res := FloodResult{Config: cfg, Reach: stats.NewSeries("reach")}
-	groups, err := runCells(fanout{parallelism: cfg.Parallelism, hooks: cfg.Hooks}, xrand.NewSource(cfg.Seed).Child("ablation-flood"),
-		cfg.IDBits, cfg.Trials,
+	groups, err := runCells(cfg.Run, nil, "ablation-flood", cfg.IDBits, cfg.Trials,
 		func(bits int) []string { return []string{strconv.Itoa(bits)} },
 		func(bits int, src *xrand.Source) (float64, error) { return runFloodTrial(cfg, bits, src) },
 		nil, nil)

@@ -3,9 +3,7 @@ package experiment
 import (
 	"fmt"
 	"strings"
-	"time"
 
-	"retri/internal/energy"
 	"retri/internal/xrand"
 )
 
@@ -40,13 +38,15 @@ type LifetimeRow struct {
 // same workload, normalizing lifetimes against the last scheme in the
 // list (conventionally the widest static baseline).
 func RunLifetime(base EfficiencyConfig, schemes []Scheme) (LifetimeResult, error) {
+	if err := base.Run.Validate(); err != nil {
+		return LifetimeResult{}, err
+	}
 	if len(schemes) < 2 {
 		return LifetimeResult{}, fmt.Errorf("experiment: lifetime comparison needs >= 2 schemes")
 	}
 	res := LifetimeResult{Config: base, Baseline: len(schemes) - 1}
-	src := xrand.NewSource(base.Seed).Child("lifetime")
 	costs := make([]float64, len(schemes))
-	outs, err := runTrials(fanout{parallelism: base.Parallelism, hooks: base.Hooks}, len(schemes), func(i int) (EfficiencyOutcome, error) {
+	outs, err := runTrials(base.Run, nil, "lifetime", len(schemes), func(i int, src *xrand.Source) (EfficiencyOutcome, error) {
 		cfg := base
 		cfg.Scheme = schemes[i]
 		return RunEfficiencyTrial(cfg, src.Child(schemes[i].Label()))
@@ -98,18 +98,4 @@ func (r LifetimeResult) Render() string {
 			row.Scheme.Label(), row.JoulesPerUsefulKbit, row.LifetimeFactor, row.E, mark)
 	}
 	return b.String()
-}
-
-// quickLifetimeConfig builds the standard workload for the comparison.
-func quickLifetimeConfig(seed uint64, d time.Duration) EfficiencyConfig {
-	cfg := DefaultEfficiencyConfig(Scheme{})
-	cfg.Seed = seed
-	cfg.Duration = d
-	cfg.MAC = energy.RPCProfile()
-	return cfg
-}
-
-// DefaultLifetimeConfig is the full-size run used by the harness.
-func DefaultLifetimeConfig(seed uint64) EfficiencyConfig {
-	return quickLifetimeConfig(seed, time.Minute)
 }

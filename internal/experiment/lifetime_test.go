@@ -10,7 +10,8 @@ func TestRunLifetimeShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
 	}
-	cfg := quickLifetimeConfig(1, 15*time.Second)
+	cfg := DefaultEfficiencyConfig(Scheme{})
+	cfg.Duration = 15 * time.Second
 	res, err := RunLifetime(cfg, DefaultLifetimeSchemes())
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +43,8 @@ func TestRunLifetimeShape(t *testing.T) {
 }
 
 func TestRunLifetimeValidation(t *testing.T) {
-	cfg := quickLifetimeConfig(1, 5*time.Second)
+	cfg := DefaultEfficiencyConfig(Scheme{})
+	cfg.Duration = 5 * time.Second
 	if _, err := RunLifetime(cfg, []Scheme{AFFScheme(9, SelUniform)}); err == nil {
 		t.Error("single-scheme comparison accepted")
 	}

@@ -22,15 +22,14 @@ import (
 // the paper's thesis stated as an experiment: identifier width must track
 // T, not N.
 type MassiveConfig struct {
-	// Seed roots all randomness; each (population, policy, trial) cell
-	// derives its own labelled source.
-	Seed uint64
+	// Run's Parallelism is the shard worker count inside each trial:
+	// trials run one at a time, and results are byte-identical at every
+	// setting.
+	Run
 	// Populations are the node counts swept, in row order.
 	Populations []int
 	// Trials per (population, policy) cell; counters merge across trials.
 	Trials int
-	// Duration is simulated time per trial.
-	Duration time.Duration
 	// Policies are the width arms compared. The sharded sensor model
 	// supports WidthFixed (every transaction at FixedBits) and
 	// WidthAdaptiveTurnover (width from Eq. 4 against the node's live
@@ -63,13 +62,6 @@ type MassiveConfig struct {
 	// samples every k-th node for never-misdeliver and freshness audits.
 	ProbeEvery time.Duration
 	AuditEvery int
-	// Parallelism is the per-trial shard worker count (the -parallel
-	// flag). Results are byte-identical at every setting; trials
-	// themselves run sequentially — the parallelism lives inside a trial,
-	// which is the point of the sharded core.
-	Parallelism int
-	// Hooks reports per-trial wall time to the observability layer.
-	Hooks RunHooks
 }
 
 // DefaultMassiveConfig is the machine-type random-access regime: a 2%
@@ -78,10 +70,9 @@ type MassiveConfig struct {
 // receiver — constant across populations from 10^4 to 10^6.
 func DefaultMassiveConfig() MassiveConfig {
 	return MassiveConfig{
-		Seed:         1,
+		Run:          Run{Seed: 1, Duration: 10 * time.Second},
 		Populations:  []int{10_000, 100_000, 1_000_000},
 		Trials:       1,
-		Duration:     10 * time.Second,
 		Policies:     []WidthPolicyKind{WidthFixed, WidthAdaptiveTurnover},
 		NodesPerTile: 500,
 		Range:        10,
@@ -123,12 +114,12 @@ func ParsePopulations(s string) ([]int, error) {
 
 // Validate rejects configurations the sharded sensor model cannot run.
 func (cfg MassiveConfig) Validate() error {
+	if err := cfg.Run.Validate(); err != nil {
+		return err
+	}
 	if len(cfg.Populations) == 0 || cfg.Trials < 1 || len(cfg.Policies) == 0 {
 		return fmt.Errorf("experiment: degenerate massive config (populations=%d trials=%d policies=%d)",
 			len(cfg.Populations), cfg.Trials, len(cfg.Policies))
-	}
-	if cfg.Duration <= 0 {
-		return fmt.Errorf("experiment: massive duration %v must be positive", cfg.Duration)
 	}
 	if cfg.PacketSize < 1 {
 		return fmt.Errorf("experiment: massive packet size %d must be positive", cfg.PacketSize)
@@ -220,6 +211,8 @@ func Massive(cfg MassiveConfig) (MassiveResult, error) {
 		return MassiveResult{}, err
 	}
 	workers := max(cfg.Parallelism, 1)
+	seq := cfg.Run
+	seq.Parallelism = 1
 	var cells []MassiveRow
 	for _, n := range cfg.Populations {
 		for _, policy := range cfg.Policies {
@@ -232,7 +225,7 @@ func Massive(cfg MassiveConfig) (MassiveResult, error) {
 		tiles int
 		wall  time.Duration
 	}
-	groups, err := runCells(fanout{parallelism: 1, hooks: cfg.Hooks}, xrand.NewSource(cfg.Seed).Child("massive"), cells, cfg.Trials,
+	groups, err := runCells(seq, nil, "massive", cells, cfg.Trials,
 		func(c MassiveRow) []string { return []string{strconv.Itoa(c.Population), string(c.Policy)} },
 		func(c MassiveRow, src *xrand.Source) (trial, error) {
 			start := time.Now()

@@ -68,8 +68,7 @@ func (a MultihopArm) widthPolicy() WidthPolicyKind {
 // delivery, goodput, per-region width tracking and (for dynaddr) the
 // explicit re-allocation traffic churn forces.
 type MultihopConfig struct {
-	// Seed roots all randomness; trials use derived streams.
-	Seed uint64
+	Run
 	// Senders stream packets at the sink (node 0); they are nodes 1..N.
 	Senders int
 	// CoreSenders of them roam as one dense cluster confined to the
@@ -78,8 +77,6 @@ type MultihopConfig struct {
 	CoreSenders int
 	// PacketSize is the application payload in bytes.
 	PacketSize int
-	// Duration is simulated time per trial.
-	Duration time.Duration
 	// Trials per arm.
 	Trials int
 	// Arms are the protocol arms compared.
@@ -124,10 +121,8 @@ type MultihopConfig struct {
 	OracleRetain time.Duration
 	// Params overrides the radio parameters when non-nil.
 	Params *radio.Params
-	// Parallelism, Obs and Hooks behave exactly as in DynamicsConfig.
-	Parallelism int
-	Obs         *Obs
-	Hooks       RunHooks
+	// Obs behaves exactly as in Figure4Config.
+	Obs *Obs
 }
 
 // DefaultMultihopConfig is a 12-sender deployment on a 90x90 field with an
@@ -144,11 +139,10 @@ func DefaultMultihopConfig() MultihopConfig {
 	params := radio.DefaultParams()
 	params.BitRate = 250e3
 	return MultihopConfig{
-		Seed:              1,
+		Run:               Run{Seed: 1, Duration: 2 * time.Minute},
 		Senders:           12,
 		CoreSenders:       6,
 		PacketSize:        48,
-		Duration:          2 * time.Minute,
 		Trials:            3,
 		Arms:              AllMultihopArms(),
 		Regions:           3,
@@ -175,6 +169,9 @@ func DefaultMultihopConfig() MultihopConfig {
 
 // Validate rejects configurations the trial loop cannot honor.
 func (cfg MultihopConfig) Validate() error {
+	if err := cfg.Run.Validate(); err != nil {
+		return err
+	}
 	if cfg.Senders < 1 || cfg.Trials < 1 || len(cfg.Arms) == 0 {
 		return fmt.Errorf("experiment: degenerate multihop config (senders=%d trials=%d arms=%d)",
 			cfg.Senders, cfg.Trials, len(cfg.Arms))
@@ -182,7 +179,7 @@ func (cfg MultihopConfig) Validate() error {
 	if cfg.CoreSenders < 0 || cfg.CoreSenders > cfg.Senders {
 		return fmt.Errorf("experiment: multihop core senders %d outside [0, %d]", cfg.CoreSenders, cfg.Senders)
 	}
-	if cfg.Duration <= 0 || cfg.SampleInterval <= 0 || cfg.SampleInterval > cfg.Duration {
+	if cfg.SampleInterval <= 0 || cfg.SampleInterval > cfg.Duration {
 		return fmt.Errorf("experiment: multihop needs 0 < sample interval <= duration, got %v/%v", cfg.SampleInterval, cfg.Duration)
 	}
 	if cfg.PacketSize < 1 {
@@ -334,7 +331,7 @@ func Multihop(cfg MultihopConfig) (MultihopResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return MultihopResult{}, err
 	}
-	groups, err := runCells(fanout{cfg.Parallelism, cfg.Hooks, cfg.Obs}, xrand.NewSource(cfg.Seed).Child("multihop"), cfg.Arms, cfg.Trials,
+	groups, err := runCells(cfg.Run, cfg.Obs, "multihop", cfg.Arms, cfg.Trials,
 		func(arm MultihopArm) []string { return []string{string(arm)} },
 		func(arm MultihopArm, src *xrand.Source) (MultihopOutcome, error) {
 			return RunMultihopTrial(cfg, arm, src)

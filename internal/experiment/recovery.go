@@ -62,17 +62,15 @@ func ParseFaultKinds(s string) ([]FaultKind, error) {
 // machinery — every retransmission is simply a new transaction under a
 // fresh identifier.
 type RecoveryConfig struct {
-	// Seed roots all randomness; trials use derived streams.
-	Seed uint64
+	// Run's Duration bounds the sending window and the fault horizon;
+	// retries in flight at the end still resolve before the trial reports.
+	Run
 	// Senders deliver packets at the sink (node 0); they are nodes 1..N.
 	Senders int
 	// PacketSize is the application payload in bytes.
 	PacketSize int
 	// Interval separates one sender's packets (plus deterministic jitter).
 	Interval time.Duration
-	// Duration bounds the sending window and the fault horizon; retries
-	// in flight at the end still resolve before the trial reports.
-	Duration time.Duration
 	// Trials per (scheme, fault, arq) row.
 	Trials int
 	// Schemes are the stacks compared (default AFF vs static).
@@ -109,20 +107,17 @@ type RecoveryConfig struct {
 	// delivery and energy numbers shift accordingly. Output without the
 	// flag is unchanged.
 	Oracle bool
-	// Parallelism, Obs and Hooks behave exactly as in Figure4Config.
-	Parallelism int
-	Obs         *Obs
-	Hooks       RunHooks
+	// Obs behaves exactly as in Figure4Config.
+	Obs *Obs
 }
 
 // DefaultRecoveryConfig is a 4-sender star over two simulated minutes.
 func DefaultRecoveryConfig() RecoveryConfig {
 	return RecoveryConfig{
-		Seed:              1,
+		Run:               Run{Seed: 1, Duration: time.Minute},
 		Senders:           4,
 		PacketSize:        48,
 		Interval:          500 * time.Millisecond,
-		Duration:          time.Minute,
 		Trials:            5,
 		Schemes:           []Scheme{AFFScheme(8, SelListening), StaticScheme(16)},
 		Faults:            AllFaultKinds(),
@@ -138,12 +133,15 @@ func DefaultRecoveryConfig() RecoveryConfig {
 
 // Validate rejects configurations the trial loop cannot honor.
 func (cfg RecoveryConfig) Validate() error {
+	if err := cfg.Run.Validate(); err != nil {
+		return err
+	}
 	if cfg.Senders < 1 || cfg.Trials < 1 || len(cfg.Schemes) == 0 || len(cfg.Faults) == 0 {
 		return fmt.Errorf("experiment: degenerate recovery config (senders=%d trials=%d schemes=%d faults=%d)",
 			cfg.Senders, cfg.Trials, len(cfg.Schemes), len(cfg.Faults))
 	}
-	if cfg.Interval <= 0 || cfg.Duration <= 0 {
-		return fmt.Errorf("experiment: recovery needs positive interval and duration, got %v/%v", cfg.Interval, cfg.Duration)
+	if cfg.Interval <= 0 {
+		return fmt.Errorf("experiment: recovery needs a positive interval, got %v", cfg.Interval)
 	}
 	if err := cfg.ARQ.Validate(); err != nil {
 		return err
@@ -294,7 +292,7 @@ func Recovery(cfg RecoveryConfig) (RecoveryResult, error) {
 			}
 		}
 	}
-	groups, err := runCells(fanout{cfg.Parallelism, cfg.Hooks, cfg.Obs}, xrand.NewSource(cfg.Seed).Child("recovery"), cells, cfg.Trials,
+	groups, err := runCells(cfg.Run, cfg.Obs, "recovery", cells, cfg.Trials,
 		func(c cell) []string {
 			return []string{c.scheme.Kind, strconv.Itoa(c.scheme.Bits), string(c.fault), strconv.FormatBool(c.reliable)}
 		},

@@ -26,7 +26,7 @@ import (
 // periodic traffic, so the transaction density any node sees is set by
 // its neighbourhood and stays constant as the grid grows.
 type ScalingConfig struct {
-	Seed uint64
+	Run
 	// GridSizes lists the n of each n×n deployment.
 	GridSizes []int
 	// Spacing is the grid pitch; Range is the radio range. The defaults
@@ -38,14 +38,8 @@ type ScalingConfig struct {
 	// PacketSize and Interval shape each node's periodic traffic.
 	PacketSize int
 	Interval   time.Duration
-	// Duration is simulated time per trial; Trials the repetition count.
-	Duration time.Duration
-	Trials   int
-	// Parallelism is the number of trials simulated concurrently; 0 or 1
-	// runs them sequentially with identical output.
-	Parallelism int
-	// Hooks carries progress and timing callbacks to the runner.
-	Hooks RunHooks
+	// Trials is the repetition count per grid size.
+	Trials int
 }
 
 // DefaultScalingConfig fixes a 5-bit pool: far too small to *name* the
@@ -53,14 +47,13 @@ type ScalingConfig struct {
 // yet ample for the local transaction density, which is the claim.
 func DefaultScalingConfig() ScalingConfig {
 	return ScalingConfig{
-		Seed:       1,
+		Run:        Run{Seed: 1, Duration: time.Minute},
 		GridSizes:  []int{4, 8, 12},
 		Spacing:    5,
 		Range:      7.5,
 		IDBits:     5,
 		PacketSize: 32,
 		Interval:   time.Second,
-		Duration:   time.Minute,
 		Trials:     3,
 	}
 }
@@ -98,13 +91,15 @@ type ScalingResult struct {
 
 // RunScaling executes the sweep.
 func RunScaling(cfg ScalingConfig) (ScalingResult, error) {
+	if err := cfg.Run.Validate(); err != nil {
+		return ScalingResult{}, err
+	}
 	if len(cfg.GridSizes) == 0 || cfg.Trials < 1 {
-		return ScalingResult{}, fmt.Errorf("experiment: degenerate scaling config %+v", cfg)
+		return ScalingResult{}, fmt.Errorf("experiment: degenerate scaling config (grids=%d trials=%d)", len(cfg.GridSizes), cfg.Trials)
 	}
 	res := ScalingResult{Config: cfg}
 	type outcome struct{ coll, dens float64 }
-	groups, err := runCells(fanout{parallelism: cfg.Parallelism, hooks: cfg.Hooks}, xrand.NewSource(cfg.Seed).Child("scaling"),
-		cfg.GridSizes, cfg.Trials,
+	groups, err := runCells(cfg.Run, nil, "scaling", cfg.GridSizes, cfg.Trials,
 		func(n int) []string { return []string{strconv.Itoa(n)} },
 		func(n int, src *xrand.Source) (outcome, error) {
 			c, d, err := runScalingTrial(cfg, n, src)

@@ -34,8 +34,7 @@ func ParseStrategies(s string) ([]string, error) {
 // auditing each strategy's never-misdeliver and identifier-freshness
 // invariants.
 type StrategiesConfig struct {
-	// Seed roots all randomness; trials use derived streams.
-	Seed uint64
+	Run
 	// Strategies are the registered identifier-selection strategies
 	// compared (core.Strategies lists them).
 	Strategies []string
@@ -46,8 +45,6 @@ type StrategiesConfig struct {
 	IDBits int
 	// PacketSize is the application payload in bytes.
 	PacketSize int
-	// Duration is simulated time per trial.
-	Duration time.Duration
 	// Trials per (strategy, density) cell.
 	Trials int
 	// Oracle attaches the omniscient conformance harness to every trial.
@@ -56,10 +53,8 @@ type StrategiesConfig struct {
 	Oracle bool
 	// ReassemblyTimeout bounds partial-packet state, as in Figure 4.
 	ReassemblyTimeout time.Duration
-	// Parallelism, Obs and Hooks behave exactly as in Figure4Config.
-	Parallelism int
-	Obs         *Obs
-	Hooks       RunHooks
+	// Obs behaves exactly as in Figure4Config.
+	Obs *Obs
 }
 
 // DefaultStrategiesConfig compares every registered strategy at the
@@ -68,12 +63,11 @@ type StrategiesConfig struct {
 // differences, not pool exhaustion, dominate).
 func DefaultStrategiesConfig() StrategiesConfig {
 	return StrategiesConfig{
-		Seed:              1,
+		Run:               Run{Seed: 1, Duration: 2 * time.Minute},
 		Strategies:        core.Strategies(),
 		Densities:         []int{2, 5, 10},
 		IDBits:            8,
 		PacketSize:        80,
-		Duration:          2 * time.Minute,
 		Trials:            5,
 		Oracle:            true,
 		ReassemblyTimeout: 250 * time.Millisecond,
@@ -82,6 +76,9 @@ func DefaultStrategiesConfig() StrategiesConfig {
 
 // Validate rejects configurations the trial loop cannot honor.
 func (cfg StrategiesConfig) Validate() error {
+	if err := cfg.Run.Validate(); err != nil {
+		return err
+	}
 	if len(cfg.Strategies) == 0 || len(cfg.Densities) == 0 || cfg.Trials < 1 {
 		return fmt.Errorf("experiment: degenerate strategies config (strategies=%d densities=%d trials=%d)",
 			len(cfg.Strategies), len(cfg.Densities), cfg.Trials)
@@ -105,9 +102,6 @@ func (cfg StrategiesConfig) Validate() error {
 	}
 	if cfg.PacketSize < 1 {
 		return fmt.Errorf("experiment: strategies packet size %d must be positive", cfg.PacketSize)
-	}
-	if cfg.Duration <= 0 {
-		return fmt.Errorf("experiment: strategies duration %v must be positive", cfg.Duration)
 	}
 	return nil
 }
@@ -194,7 +188,7 @@ func Strategies(cfg StrategiesConfig) (StrategiesResult, error) {
 			cells = append(cells, cell{strategy, t})
 		}
 	}
-	groups, err := runCells(fanout{cfg.Parallelism, cfg.Hooks, cfg.Obs}, xrand.NewSource(cfg.Seed).Child("strategies"), cells, cfg.Trials,
+	groups, err := runCells(cfg.Run, cfg.Obs, "strategies", cells, cfg.Trials,
 		func(c cell) []string { return []string{c.strategy, strconv.Itoa(c.t)} },
 		func(c cell, src *xrand.Source) (StrategyOutcome, error) {
 			return RunStrategyTrial(cfg, c.strategy, c.t, src)

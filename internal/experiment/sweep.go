@@ -16,42 +16,66 @@ import (
 	"retri/internal/xrand"
 )
 
-// fanout is the trial plumbing a sweep config carries: how many trials run
-// at once, the runner hooks, and the Obs its trial captures fold into.
-type fanout struct {
-	parallelism int
-	hooks       RunHooks
-	obs         *Obs
+// Run is the trial protocol every sweep config embeds.
+type Run struct {
+	// Seed roots all randomness; trials use derived streams.
+	Seed uint64
+	// Duration is simulated time per trial (paper: 2 minutes).
+	Duration time.Duration
+	// Parallelism is the number of trials simulated concurrently; 0 or 1
+	// runs them sequentially. Each trial owns its engine and random
+	// streams and results merge by trial index, so output is identical at
+	// any setting (DESIGN.md, "Parallelism"). See MassiveConfig for its
+	// one other meaning.
+	Parallelism int
+	// Hooks carries progress and timing callbacks to the runner.
+	Hooks RunHooks
+}
+
+// Validate rejects a run no sweep can honor: a trial with no simulated
+// time delivers nothing, so its rates read 0 instead of failing, and a
+// negative fan-out is not a worker count.
+func (r Run) Validate() error {
+	if r.Duration <= 0 {
+		return fmt.Errorf("experiment: trial duration %v must be positive", r.Duration)
+	}
+	if r.Parallelism < 0 {
+		return fmt.Errorf("experiment: parallelism %d must be non-negative", r.Parallelism)
+	}
+	return nil
 }
 
 // runTrials is the one place a sweep's trials meet runner.Map: trial i of
-// n runs with f's parallelism and hooks, and, when capture is set, each
-// outcome's observability capture folds into f.obs in job order under
-// note(i). Outcomes come back in job order, so folds over them are
-// identical at any parallelism.
-func runTrials[T any](f fanout, n int, trial func(i int) (T, error), capture func(T) *TrialObs, note func(i int) string) ([]T, error) {
+// n runs with r's parallelism and hooks, handed the sweep's random source,
+// the one r.Seed derives under label, to derive its own streams from.
+// When capture is set, each outcome's observability capture folds into
+// obs in job order under note(i). Outcomes come back in job order, so
+// folds over them are identical at any parallelism.
+func runTrials[T any](r Run, obs *Obs, label string, n int, trial func(i int, src *xrand.Source) (T, error),
+	capture func(T) *TrialObs, note func(i int) string) ([]T, error) {
+	src := xrand.NewSource(r.Seed).Child(label)
 	outs, err := runner.Map(n, runner.Options{
-		Parallelism: f.parallelism,
-		OnProgress:  f.hooks.OnProgress,
-		OnTrialTime: f.hooks.OnTrialTime,
-	}, trial)
-	if err != nil || capture == nil || f.obs == nil {
+		Parallelism: r.Parallelism,
+		OnProgress:  r.Hooks.OnProgress,
+		OnTrialTime: r.Hooks.OnTrialTime,
+	}, func(i int) (T, error) { return trial(i, src) })
+	if err != nil || capture == nil || obs == nil {
 		return outs, err
 	}
 	caps := make([]*TrialObs, len(outs))
 	for i, out := range outs {
 		caps[i] = capture(out)
 	}
-	return outs, foldTrialObs(f.obs, caps, note)
+	return outs, foldTrialObs(obs, caps, note)
 }
 
 // runCells runs cells x trials through runTrials, cell-major with trials
-// innermost: trial t of a cell draws from src.Child(path(cell)..., t) and
-// its capture folds under note(cell). The outcomes come back grouped per
-// cell, in cell order.
-func runCells[C, T any](f fanout, src *xrand.Source, cells []C, trials int, path func(C) []string,
+// innermost: trial t of a cell draws from the sweep's source's child
+// path(cell)..., t, and its capture folds under note(cell). The outcomes
+// come back grouped per cell, in cell order.
+func runCells[C, T any](r Run, obs *Obs, label string, cells []C, trials int, path func(C) []string,
 	trial func(C, *xrand.Source) (T, error), capture func(T) *TrialObs, note func(C) string) ([][]T, error) {
-	outs, err := runTrials(f, len(cells)*trials, func(i int) (T, error) {
+	outs, err := runTrials(r, obs, label, len(cells)*trials, func(i int, src *xrand.Source) (T, error) {
 		c := cells[i/trials]
 		return trial(c, src.Child(append(path(c), strconv.Itoa(i%trials))...))
 	}, capture, func(i int) string { return note(cells[i/trials]) })

@@ -131,14 +131,12 @@ func TestNilSpanPathOverhead(t *testing.T) {
 	// Per-fragment cost of a real flagless run.
 	const density = 5
 	cfg := experiment.StrategiesConfig{
-		Seed:              1,
+		Run:               experiment.Run{Seed: 1, Duration: 2 * time.Second, Parallelism: 1},
 		Strategies:        []string{"uniform"},
 		Densities:         []int{density},
 		IDBits:            8,
 		PacketSize:        80,
-		Duration:          2 * time.Second,
 		Trials:            1,
-		Parallelism:       1,
 		ReassemblyTimeout: 250 * time.Millisecond,
 	}
 	counting := cfg

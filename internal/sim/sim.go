@@ -113,7 +113,6 @@ func (e *Engine) Stats() Stats {
 // event is inert: it reports Stopped and its Cancel does nothing.
 type Timer struct {
 	eng  *Engine
-	at   time.Duration
 	slot int32
 	gen  uint64
 }
@@ -149,9 +148,6 @@ func (t Timer) Cancel() bool {
 // Stopped reports whether the timer has fired or been cancelled.
 func (t Timer) Stopped() bool { return t.live() == nil }
 
-// When returns the virtual time the event is (or was) scheduled for.
-func (t Timer) When() time.Duration { return t.at }
-
 // Schedule runs fn after delay d of virtual time. A non-positive delay
 // schedules fn at the current time, after all events already scheduled for
 // that instant. The returned Timer may be used to cancel.
@@ -184,7 +180,7 @@ func (e *Engine) ScheduleAt(t time.Duration, fn func()) Timer {
 	if len(e.heap) > e.heapHighWater {
 		e.heapHighWater = len(e.heap)
 	}
-	return Timer{eng: e, at: t, slot: i, gen: s.gen}
+	return Timer{eng: e, slot: i, gen: s.gen}
 }
 
 // release returns slot i to the free list, invalidating every handle on it.

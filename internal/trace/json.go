@@ -16,8 +16,8 @@ type jsonEvent struct {
 	Note string `json:"note,omitempty"`
 }
 
-// JSONWriter streams events to w as JSON Lines, one object per event —
-// the machine-readable sibling of LineWriter for -trace-out exports.
+// JSONWriter streams events to w as JSON Lines, one object per event, as
+// they happen: the -trace-out export.
 type JSONWriter struct {
 	enc *json.Encoder
 }
@@ -30,8 +30,8 @@ func NewJSONWriter(w io.Writer) *JSONWriter {
 	return &JSONWriter{enc: json.NewEncoder(w)}
 }
 
-// Record encodes the event. Write errors are deliberately swallowed, as in
-// LineWriter: tracing must never perturb a simulation.
+// Record encodes the event. Write errors are deliberately swallowed:
+// tracing must never perturb a simulation.
 func (jw *JSONWriter) Record(e Event) {
 	_ = jw.enc.Encode(jsonEvent{
 		AtNS: int64(e.At),

@@ -195,22 +195,6 @@ func (r *Ring) Dump(w io.Writer) error {
 	return nil
 }
 
-// LineWriter streams events to an io.Writer as they happen.
-type LineWriter struct {
-	w io.Writer
-}
-
-var _ Tracer = (*LineWriter)(nil)
-
-// NewLineWriter returns a tracer printing one line per event to w.
-func NewLineWriter(w io.Writer) *LineWriter { return &LineWriter{w: w} }
-
-// Record writes the event. Write errors are deliberately swallowed:
-// tracing must never perturb a simulation.
-func (lw *LineWriter) Record(e Event) {
-	_, _ = fmt.Fprintln(lw.w, e)
-}
-
 // Counter tallies events by kind.
 type Counter struct {
 	counts map[Kind]int64

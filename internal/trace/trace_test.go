@@ -93,23 +93,14 @@ func TestRingMinimumCapacity(t *testing.T) {
 func TestRingDump(t *testing.T) {
 	r := NewRing(4)
 	r.Record(ev(FrameSent, 1))
-	r.Record(ev(FrameDelivered, 2))
+	r.Record(ev(FrameCollided, 2))
 	var sb strings.Builder
 	if err := r.Dump(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	if strings.Count(out, "\n") != 2 {
+	if strings.Count(out, "\n") != 2 || !strings.Contains(out, "collided") {
 		t.Errorf("Dump produced %q", out)
-	}
-}
-
-func TestLineWriter(t *testing.T) {
-	var sb strings.Builder
-	lw := NewLineWriter(&sb)
-	lw.Record(ev(FrameCollided, 5))
-	if !strings.Contains(sb.String(), "collided") {
-		t.Errorf("LineWriter output %q", sb.String())
 	}
 }
 
