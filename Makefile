@@ -1,8 +1,21 @@
-# Standard verify loop. `make check` is what CI and pre-commit should run:
-# a gofmt gate + vet + build + the full test suite under the race detector
-# (so the parallel trial runner's no-shared-state rule is checked on every
-# pass), a short coverage-guided pass over each parser/codec fuzz target,
-# and a one-iteration benchmark smoke so the benchmarks never bit-rot.
+# Standard verify loop. `make check` is what CI and pre-commit should run.
+# In order, it runs:
+#   fmtcheck       a gofmt gate over every tracked Go file, bench/ included
+#   vet, build     go vet ./... and go build ./...
+#   race           the full test suite under the race detector, so the
+#                  parallel trial runner's no-shared-state rule is checked
+#                  on every pass
+#   golden         every figure's and ablation's -quick stdout digest
+#   poisoncheck    the tests and both goldens under -tags retri_poison
+#   benchtest      the bench/ module's tests
+#   fuzz           a short coverage-guided pass over each FUZZ_TARGETS entry
+#   benchcompare   the benchmark smoke, so the benchmarks never bit-rot,
+#                  gated against the newest committed BENCH_*.json
+#   cover          the statement-coverage floor on each COVER_PKGS package
+#   trace-demo     the span-tracing path end to end
+#   chaossmoke     every chaos cell with soak audits
+#   scalesmoke     a 10^5-node massive trial, byte-stable across -parallel
+#   multihopsmoke  every multihop arm, audited, byte-stable across -parallel
 
 GO ?= go
 FUZZTIME ?= 10s

@@ -25,8 +25,8 @@ type Run struct {
 	// Parallelism is the number of trials simulated concurrently; 0 or 1
 	// runs them sequentially. Each trial owns its engine and random
 	// streams and results merge by trial index, so output is identical at
-	// any setting (DESIGN.md, "Parallelism"). See MassiveConfig for its
-	// one other meaning.
+	// any setting (DESIGN.md, "Parallelism"). Massive reads it as the
+	// shard worker count inside each trial instead.
 	Parallelism int
 	// Hooks carries progress and timing callbacks to the runner.
 	Hooks RunHooks
