@@ -144,8 +144,8 @@ type TrialOutcome struct {
 // capture hands runCells the trial's observability capture to fold.
 func (o TrialOutcome) capture() *TrialObs { return o.Obs }
 
-// Validate rejects configurations the trial loop cannot honor. Figure 4
-// and its four ablations share it.
+// Validate rejects configurations Figure 4 cannot honor. Its four
+// ablations and retri-sim run the same checks.
 func (cfg Figure4Config) Validate() error {
 	if err := cfg.Run.Validate(); err != nil {
 		return err
