@@ -22,6 +22,7 @@ package core
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 )
 
 // MaxBits bounds identifier width; the paper never considers identifiers
@@ -175,6 +176,9 @@ type ListeningSelector struct {
 	// distinct count against that width's own pool size — never against
 	// composite-key totals, which could exceed it.
 	perWidth map[int]int
+	// taken is NextWidth's scratch for a window larger than its stack
+	// array: grown once, it survives Reset.
+	taken []uint64
 }
 
 var _ Selector = (*ListeningSelector)(nil)
@@ -217,19 +221,30 @@ func (l *ListeningSelector) NextWidth(bits int) uint64 {
 		return l.rng.Uint64N(size)
 	}
 	if size <= 4096 {
-		// Small pool: enumerate the complement for an exactly uniform
-		// draw even when most identifiers are excluded.
-		k := l.rng.Uint64N(size - distinct)
-		for id := uint64(0); id < size; id++ {
-			if l.counts[WidthKey(bits, id)] > 0 {
-				continue
-			}
-			if k == 0 {
-				return id
-			}
-			k--
+		// Small pool: an exactly uniform draw even when most identifiers
+		// are excluded. The k-th free identifier is k plus the number of
+		// window identifiers at or below it, found by stepping k past the
+		// window's sorted distinct identifiers: O(window), not O(pool).
+		id := l.rng.Uint64N(size - distinct)
+		var stack [64]uint64
+		var taken []uint64
+		if len(l.recent) <= len(stack) {
+			taken = l.heard(stack[:0], bits)
+		} else {
+			l.taken = l.heard(l.taken[:0], bits)
+			taken = l.taken
 		}
-		// Unreachable: distinct < size guarantees a return above.
+		slices.Sort(taken)
+		for i, t := range taken {
+			if i > 0 && t == taken[i-1] {
+				continue // a repeat in the window excludes nothing more
+			}
+			if t > id {
+				break
+			}
+			id++
+		}
+		return id
 	}
 	// Large pool: rejection sampling terminates almost immediately since
 	// the window is tiny relative to the pool.
@@ -240,6 +255,16 @@ func (l *ListeningSelector) NextWidth(bits int) uint64 {
 		}
 	}
 	return l.rng.Uint64N(size)
+}
+
+// heard appends the window's identifiers at width bits to dst.
+func (l *ListeningSelector) heard(dst []uint64, bits int) []uint64 {
+	for _, key := range l.recent {
+		if w, raw := SplitWidthKey(key); w == bits {
+			dst = append(dst, raw)
+		}
+	}
+	return dst
 }
 
 // Observe records an identifier heard at the full space width and evicts
@@ -270,9 +295,9 @@ func (l *ListeningSelector) Recent() int { return len(l.recent) }
 // window lives in RAM, so a restarted node selects as if freshly booted
 // until it has listened again.
 func (l *ListeningSelector) Reset() {
-	l.recent = nil
-	l.counts = make(map[uint64]int)
-	l.perWidth = make(map[int]int)
+	l.recent = l.recent[:0]
+	clear(l.counts)
+	clear(l.perWidth)
 }
 
 // RecentDistinct reports the number of distinct identifiers in the window.

@@ -274,6 +274,112 @@ func TestListeningUniformOverComplement(t *testing.T) {
 	}
 }
 
+// enumerateFree is the reference small-pool listening draw: the k-th
+// identifier, in ascending order, that the window does not hold at width
+// bits.
+func enumerateFree(l *ListeningSelector, bits int, k uint64) uint64 {
+	for id := uint64(0); ; id++ {
+		if l.counts[WidthKey(bits, id)] > 0 {
+			continue
+		}
+		if k == 0 {
+			return id
+		}
+		k--
+	}
+}
+
+// TestListeningDrawMatchesEnumeration: the small-pool draw returns the
+// identifier the enumeration of the pool's complement returns for the same
+// random draw, at widths 1–12 over windows holding repeated identifiers
+// and entries at other widths, on both sides of the draw's 64-entry stack
+// scratch. A twin stream replays the selector's draws for the reference.
+func TestListeningDrawMatchesEnumeration(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		for bits := 1; bits <= 12; bits++ {
+			src := xrand.NewSource(seed)
+			window := 1 + int(seed*7)%100
+			sel := NewListeningSelector(MustSpace(12), src.Stream("draw"), FixedWindow(window))
+			twin, obs := src.Stream("draw"), src.Stream("obs")
+			size := widthSize(bits)
+			for step := 0; step < 120; step++ {
+				w := bits
+				if obs.IntN(3) == 0 {
+					w = 1 + obs.IntN(12) // a neighbour at another width
+				}
+				id := obs.Uint64N(widthSize(w))
+				if obs.IntN(2) == 0 {
+					id %= 4 // repeats
+				}
+				sel.ObserveWidth(w, id)
+				distinct := uint64(sel.perWidth[bits])
+				if distinct >= size {
+					twin.Uint64N(size) // the exhausted-pool fallback's draw
+					sel.NextWidth(bits)
+					continue
+				}
+				want := enumerateFree(sel, bits, twin.Uint64N(size-distinct))
+				if got := sel.NextWidth(bits); got != want {
+					t.Fatalf("seed %d, width %d, step %d: drew %d, enumeration gives %d (window %v)",
+						seed, bits, step, got, want, sel.recent)
+				}
+			}
+		}
+	}
+}
+
+// TestListeningDrawFindsTheOneFreeIdentifier fills the window with every
+// identifier but one at each width 1–12: every draw must return it.
+func TestListeningDrawFindsTheOneFreeIdentifier(t *testing.T) {
+	obs := xrand.NewSource(11).Stream("free")
+	for bits := 1; bits <= 12; bits++ {
+		size := widthSize(bits)
+		sel := NewListeningSelector(MustSpace(12), xrand.NewSource(12).Stream("draw"), FixedWindow(int(size)+8))
+		free := obs.Uint64N(size)
+		for id := size; id > 0; id-- {
+			if id-1 != free {
+				sel.ObserveWidth(bits, id-1)
+			}
+		}
+		sel.ObserveWidth(bits, (free+1)%size) // a repeat changes nothing
+		sel.ObserveWidth(bits%12+1, free)     // nor does the id at another width
+		for i := 0; i < 8; i++ {
+			if got := sel.NextWidth(bits); got != free {
+				t.Fatalf("width %d: drew %d, the one free identifier is %d", bits, got, free)
+			}
+		}
+	}
+}
+
+// TestListeningDrawAllocatesNothing: a selector's small-pool draw over a
+// window of up to 64 never allocates, even the first; over a larger one
+// it reuses its grown scratch, across a Reset too.
+func TestListeningDrawAllocatesNothing(t *testing.T) {
+	fresh := NewListeningSelector(MustSpace(10), xrand.NewSource(13).Stream("fresh"), FixedWindow(64))
+	for i := uint64(0); i < 64; i++ {
+		fresh.Observe(i * 7 % 1024)
+	}
+	// AllocsPerRun(1, f) counts both of its calls, the first draw included.
+	if allocs := testing.AllocsPerRun(1, func() { fresh.Next() }); allocs != 0 {
+		t.Errorf("a fresh selector's draws allocated %.1f times, want 0", allocs)
+	}
+	sel := NewListeningSelector(MustSpace(10), xrand.NewSource(13).Stream("warm"), FixedWindow(100))
+	for i := uint64(0); i < 100; i++ {
+		sel.Observe(i * 7 % 1024)
+	}
+	sel.Next()
+	if allocs := testing.AllocsPerRun(1000, func() { sel.Next() }); allocs != 0 {
+		t.Errorf("NextWidth allocated %.1f times once warm, want 0", allocs)
+	}
+	sel.Reset()
+	if allocs := testing.AllocsPerRun(100, func() {
+		sel.Observe(3)
+		sel.Next()
+	}); allocs != 0 {
+		t.Errorf("Observe+Next allocated %.1f times after Reset, want 0", allocs)
+	}
+}
+
 func TestSequentialSelectorCycles(t *testing.T) {
 	s := MustSpace(2)
 	sel := NewSequentialSelector(s, 2)
@@ -336,6 +442,20 @@ func BenchmarkListeningNextSmallSpace(b *testing.B) {
 	for i := 0; i < 10; i++ {
 		sel.Observe(uint64(i))
 	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sel.Next()
+	}
+}
+
+// BenchmarkListeningNext10Bit is the chaos sweep's width: a 1024-id pool
+// under a 20-transaction window.
+func BenchmarkListeningNext10Bit(b *testing.B) {
+	sel := NewListeningSelector(MustSpace(10), xrand.NewSource(1).Stream("b"), FixedWindow(20))
+	for i := uint64(0); i < 20; i++ {
+		sel.Observe(i * 37 % 1024)
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sel.Next()
