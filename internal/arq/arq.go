@@ -24,9 +24,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"time"
 
 	"retri/internal/node"
+	"retri/internal/poison"
 	"retri/internal/radio"
 	"retri/internal/sim"
 )
@@ -250,22 +252,92 @@ type AbandonObserver interface {
 	ARQAbandon(sender radio.NodeID, seq uint32, attempts int, hasKey bool, lastKey uint64)
 }
 
-// txState is one outstanding (unacknowledged) packet.
+// txState is one outstanding (unacknowledged) packet. The endpoint
+// recycles it once the packet is acknowledged or abandoned, or, on an
+// unreliable endpoint, sent.
 type txState struct {
-	seq      uint32
-	payload  []byte
+	seq uint32
+	// pkt is the encoded data packet every attempt sends. Send fills it
+	// with a copy of the caller's payload; it lives until the state is
+	// recycled, when poison.Fill overwrites it.
+	pkt      []byte
 	lastID   uint64
 	haveID   bool
 	attempts int // retransmissions so far
 	rto      time.Duration
 	timer    sim.Timer
+	// fire is the retry timer's callback, bound to this state once.
+	fire func()
 }
 
-// rxState is the receiver's view of one sender token.
+// rxState is the receiver's view of one sender token. Every sequence
+// below next was delivered; the sets forget whole words below it, since
+// the NACK scan starts at next, so a sender heard without gaps costs a
+// word or two.
 type rxState struct {
-	delivered map[uint32]bool
-	nacked    map[uint32]bool
 	next      uint32 // lowest sequence not yet delivered
+	delivered seqSet
+	nacked    seqSet
+}
+
+func (r *rxState) isDelivered(seq uint32) bool { return seq < r.next || r.delivered.has(seq) }
+
+// deliver records seq and moves next past the delivered run.
+func (r *rxState) deliver(seq uint32) {
+	r.delivered.add(seq)
+	for r.delivered.has(r.next) {
+		r.next++
+	}
+	r.delivered.forget(r.next)
+	r.nacked.forget(r.next)
+}
+
+// seqSpan bounds how far past its base a seqSet holds bits: 1,024 words.
+const seqSpan = 1 << 16
+
+// seqSet is a set of sequence numbers: one bit each from base, a multiple
+// of 64, up to seqSpan past it, and any further out (only a damaged
+// header names one) in far, made on first use.
+type seqSet struct {
+	base  uint32
+	words []uint64
+	far   map[uint32]bool
+}
+
+func (s *seqSet) has(seq uint32) bool {
+	if i := seq - s.base; seq >= s.base && i < uint32(64*len(s.words)) && s.words[i/64]&(1<<(i%64)) != 0 {
+		return true
+	}
+	return s.far[seq]
+}
+
+func (s *seqSet) add(seq uint32) {
+	i := seq - s.base
+	if seq < s.base || i >= seqSpan {
+		if s.far == nil {
+			s.far = make(map[uint32]bool)
+		}
+		s.far[seq] = true
+		return
+	}
+	for int(i/64) >= len(s.words) {
+		s.words = append(s.words, 0)
+	}
+	s.words[i/64] |= 1 << (i % 64)
+}
+
+// forget drops the whole words below floor, which is at least base.
+func (s *seqSet) forget(floor uint32) {
+	n := int(floor-s.base) / 64
+	if n == 0 {
+		return
+	}
+	if n >= len(s.words) {
+		s.words = s.words[:0]
+	} else {
+		s.words = s.words[:copy(s.words, s.words[n:])]
+	}
+	s.base += uint32(n) * 64
 }
 
 // Endpoint is one node's ARQ half. A node runs exactly one endpoint; it
@@ -279,6 +351,11 @@ type Endpoint struct {
 
 	nextSeq uint32
 	out     map[uint32]*txState
+	// spare holds recycled packet states for the next Send.
+	spare []*txState
+	// ctl is the ACK/NACK packet buffer, lent to the driver for one
+	// SendPacket call and overwritten by poison.Fill after it.
+	ctl     []byte
 	rx      map[uint32]*rxState
 	deliver DeliverFunc
 	attObs  AttemptObserver
@@ -340,30 +417,54 @@ func (e *Endpoint) Outstanding() int { return len(e.out) }
 // Send transmits payload once and, when Reliable, keeps retransmitting —
 // each retry under a fresh identifier — until acknowledgement or budget
 // exhaustion. It returns the sequence number assigned, which deliveries
-// report on the far side.
+// report on the far side. Send copies payload, so the caller may reuse
+// it once Send returns.
 func (e *Endpoint) Send(payload []byte) (uint32, error) {
 	if len(payload) == 0 {
 		return 0, errors.New("arq: empty payload")
 	}
 	seq := e.nextSeq
 	e.nextSeq++
-	st := &txState{seq: seq, payload: payload, rto: e.cfg.RTO}
+	st := e.newTx()
+	st.seq, st.rto = seq, e.cfg.RTO
+	st.pkt = encode(st.pkt[:0], kindData, e.token, seq, payload)
 	e.transmit(st)
 	e.ctr.DataSent++
 	if e.cfg.Reliable {
 		e.out[seq] = st
 		e.arm(st)
+	} else {
+		e.recycle(st)
 	}
 	return seq, nil
+}
+
+// newTx returns a cleared packet state, recycled when one is spare.
+func (e *Endpoint) newTx() *txState {
+	if n := len(e.spare); n > 0 {
+		st := e.spare[n-1]
+		e.spare = e.spare[:n-1]
+		return st
+	}
+	st := &txState{}
+	st.fire = func() { e.onTimeout(st) }
+	return st
+}
+
+// recycle returns a packet state that left the outstanding set. Its
+// timer has fired or been cancelled, so fire cannot run for it again.
+func (e *Endpoint) recycle(st *txState) {
+	poison.Fill(st.pkt)
+	*st = txState{pkt: st.pkt[:0], fire: st.fire}
+	e.spare = append(e.spare, st)
 }
 
 // transmit sends one attempt of st, drawing a fresh identifier distinct
 // from the previous attempt's when the transport can.
 func (e *Endpoint) transmit(st *txState) {
-	pkt := encode(kindData, e.token, st.seq, st.payload)
 	fs, ok := e.drv.(freshSender)
 	if !ok {
-		if err := e.drv.SendPacket(pkt); err != nil {
+		if err := e.drv.SendPacket(st.pkt); err != nil {
 			e.ctr.SendErrors++
 		}
 		return
@@ -372,7 +473,7 @@ func (e *Endpoint) transmit(st *txState) {
 	if st.haveID {
 		avoid = st.lastID
 	}
-	id, err := fs.SendPacketAvoiding(pkt, avoid)
+	id, err := fs.SendPacketAvoiding(st.pkt, avoid)
 	if err != nil {
 		e.ctr.SendErrors++
 		return
@@ -406,7 +507,7 @@ func (e *Endpoint) arm(st *txState) {
 		spread := 1 + e.cfg.Jitter*(2*e.rng.Float64()-1)
 		d = time.Duration(float64(d) * spread)
 	}
-	st.timer = e.eng.Schedule(d, func() { e.onTimeout(st) })
+	st.timer = e.eng.Schedule(d, st.fire)
 }
 
 // observeLoss folds one attempt outcome into the loss EWMA.
@@ -452,6 +553,7 @@ func (e *Endpoint) abandonTx(st *txState) {
 			ab.ARQAbandon(e.drv.Radio().ID(), st.seq, st.attempts, st.haveID, st.lastID)
 		}
 	}
+	e.recycle(st)
 }
 
 // onTimeout retries or abandons an outstanding packet.
@@ -500,13 +602,13 @@ func (e *Endpoint) onData(token, seq uint32, payload []byte) {
 	// broadcast can still hand it up — but only the Ack role confirms.
 	r := e.rx[token]
 	if r == nil {
-		r = &rxState{delivered: make(map[uint32]bool), nacked: make(map[uint32]bool)}
+		r = &rxState{}
 		e.rx[token] = r
 	}
-	if r.delivered[seq] {
+	if r.isDelivered(seq) {
 		e.ctr.Duplicates++
 	} else {
-		r.delivered[seq] = true
+		r.deliver(seq)
 		e.ctr.Delivered++
 		if e.deliver != nil {
 			e.deliver(token, seq, payload)
@@ -518,16 +620,13 @@ func (e *Endpoint) onData(token, seq uint32, payload []byte) {
 	// Re-acknowledge duplicates too: the first ACK may have been lost.
 	e.sendControl(kindAck, token, seq)
 	e.ctr.AcksSent++
-	for r.delivered[r.next] {
-		r.next++
-	}
 	// One NACK ever per missing sequence below the newest arrival; the
 	// sender's retry timer is the backstop if the NACK itself is lost.
 	for miss := r.next; miss < seq; miss++ {
-		if r.delivered[miss] || r.nacked[miss] {
+		if r.delivered.has(miss) || r.nacked.has(miss) {
 			continue
 		}
-		r.nacked[miss] = true
+		r.nacked.add(miss)
 		e.sendControl(kindNack, token, miss)
 		e.ctr.NacksSent++
 	}
@@ -544,6 +643,7 @@ func (e *Endpoint) onAck(token, seq uint32) {
 	}
 	st.timer.Cancel()
 	delete(e.out, seq)
+	e.recycle(st)
 	e.ctr.Acked++
 	e.observeLoss(false)
 }
@@ -573,19 +673,21 @@ func (e *Endpoint) onNack(token, seq uint32) {
 // sendControl transmits an ACK or NACK. Best effort: a control packet
 // the radio refuses (node crashed) is simply lost.
 func (e *Endpoint) sendControl(kind byte, token, seq uint32) {
-	if err := e.drv.SendPacket(encode(kind, token, seq, nil)); err != nil {
+	e.ctl = encode(e.ctl[:0], kind, token, seq, nil)
+	err := e.drv.SendPacket(e.ctl)
+	poison.Fill(e.ctl)
+	if err != nil {
 		e.ctr.SendErrors++
 	}
 }
 
-// encode builds the wire packet: kind, token, sequence, payload.
-func encode(kind byte, token, seq uint32, payload []byte) []byte {
-	b := make([]byte, headerLen+len(payload))
-	b[0] = kind
-	binary.BigEndian.PutUint32(b[1:5], token)
-	binary.BigEndian.PutUint32(b[5:9], seq)
-	copy(b[headerLen:], payload)
-	return b
+// encode appends the wire packet to dst: kind, token, sequence, payload.
+func encode(dst []byte, kind byte, token, seq uint32, payload []byte) []byte {
+	dst = slices.Grow(dst, headerLen+len(payload))
+	dst = append(dst, kind)
+	dst = binary.BigEndian.AppendUint32(dst, token)
+	dst = binary.BigEndian.AppendUint32(dst, seq)
+	return append(dst, payload...)
 }
 
 // decode splits a wire packet; control packets carry no payload.

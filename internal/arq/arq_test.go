@@ -20,14 +20,14 @@ type rig struct {
 	med *radio.Medium
 }
 
-func newRig(t *testing.T, p radio.Params) *rig {
+func newRig(t testing.TB, p radio.Params) *rig {
 	t.Helper()
 	eng := sim.NewEngine()
 	rng := xrand.NewSource(17).Stream("arq-test", t.Name())
 	return &rig{eng: eng, med: radio.NewMedium(eng, radio.FullMesh{}, p, rng)}
 }
 
-func (r *rig) affNode(t *testing.T, id radio.NodeID, bits int) *node.AFFDriver {
+func (r *rig) affNode(t testing.TB, id radio.NodeID, bits int) *node.AFFDriver {
 	t.Helper()
 	cfg := aff.Config{Space: core.MustSpace(bits), MTU: 27, ReassemblyTimeout: time.Second}
 	rad := r.med.MustAttach(id)
@@ -39,7 +39,7 @@ func (r *rig) affNode(t *testing.T, id radio.NodeID, bits int) *node.AFFDriver {
 	return d
 }
 
-func (r *rig) endpoint(t *testing.T, d node.Driver, token uint32, cfg Config) *Endpoint {
+func (r *rig) endpoint(t testing.TB, d node.Driver, token uint32, cfg Config) *Endpoint {
 	t.Helper()
 	rng := xrand.NewSource(uint64(token)).Stream("jitter", t.Name())
 	e, err := NewEndpoint(r.eng, d, token, cfg, rng)
@@ -258,7 +258,7 @@ func TestMalformedPacketsCounted(t *testing.T) {
 	if err := peer.SendPacket([]byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if err := peer.SendPacket(encode(9, 7, 7, []byte("?"))); err != nil {
+	if err := peer.SendPacket(encode(nil, 9, 7, 7, []byte("?"))); err != nil {
 		t.Fatal(err)
 	}
 	r.eng.Run()
@@ -407,7 +407,7 @@ func TestNewEndpointErrors(t *testing.T) {
 func TestDecodeRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 40} {
 		pl := bytes.Repeat([]byte{0xC3}, n)
-		kind, token, seq, got, ok := decode(encode(kindData, 7, 9, pl))
+		kind, token, seq, got, ok := decode(encode(nil, kindData, 7, 9, pl))
 		if !ok || kind != kindData || token != 7 || seq != 9 || !bytes.Equal(got, pl) {
 			t.Errorf("round trip failed for %d-byte payload", n)
 		}
@@ -421,4 +421,139 @@ func TestDecodeRoundTrip(t *testing.T) {
 
 func staticConfig() staticaddr.Config {
 	return staticaddr.Config{AddrBits: 16, MTU: 27, ReassemblyTimeout: time.Second}
+}
+
+// gate drops node 1's frames while shut.
+type gate struct{ shut bool }
+
+func (g *gate) Drop(from, _ radio.NodeID, _ time.Duration) bool { return g.shut && from == 1 }
+
+// roundTrip is a reliable sender and an acknowledging sink. Each call of
+// cycle sends one 40-byte packet and runs until its ACK returns; with
+// retry, its first attempt is lost, so a timer-driven retransmission
+// delivers it.
+func roundTrip(tb testing.TB, retry bool) (cycle func(), sender, sink *Endpoint) {
+	p := radio.DefaultParams()
+	g := &gate{}
+	p.Loss = g
+	r := newRig(tb, p)
+	sender = r.endpoint(tb, r.affNode(tb, 1, 16), 1, Config{Reliable: true})
+	sink = r.endpoint(tb, r.affNode(tb, 2, 16), 0, Config{Ack: true})
+	pl := payload(1, 40)
+	cycle = func() {
+		g.shut = retry
+		if _, err := sender.Send(pl); err != nil {
+			tb.Fatal(err)
+		}
+		if retry {
+			r.eng.RunFor(100 * time.Millisecond) // the first attempt airs and is lost
+			g.shut = false
+		}
+		r.eng.Run()
+	}
+	return cycle, sender, sink
+}
+
+// TestWarmRoundTripAllocatesNothing: once warm, a send, a timer-driven
+// retransmission of its lost first attempt and the ACK that confirms it
+// reuse the endpoint's packet state, buffers and timer callback, and the
+// sink's dedupe state.
+func TestWarmRoundTripAllocatesNothing(t *testing.T) {
+	cycle, sender, sink := roundTrip(t, true)
+	for i := 0; i < 4; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+		t.Errorf("a warm lost-then-retried round trip allocated %.1f times, want 0", allocs)
+	}
+	// AllocsPerRun makes one extra warm-up call: 4 + 51 cycles.
+	const cycles = 55
+	if c := sender.Counters(); c.Acked != cycles || c.Retransmits != cycles || sender.Outstanding() != 0 {
+		t.Fatalf("after %d cycles: sender %+v, %d outstanding", cycles, c, sender.Outstanding())
+	}
+	if c := sink.Counters(); c.Delivered != cycles || c.AcksSent != cycles {
+		t.Fatalf("after %d cycles: sink %+v", cycles, c)
+	}
+}
+
+// BenchmarkARQRoundTrip is one reliable packet through the ARQ layer and
+// the AFF stack below it: send, reassembly at the sink, and the ACK back.
+func BenchmarkARQRoundTrip(b *testing.B) {
+	cycle, sender, _ := roundTrip(b, false)
+	cycle()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
+	}
+	if c := sender.Counters(); c.Acked != int64(b.N)+1 || c.Retransmits != 0 {
+		b.Fatalf("%d round trips: sender %+v", b.N+1, c)
+	}
+}
+
+// TestSendCopiesPayload: the caller may reuse its buffer once Send
+// returns; retransmissions still carry what was sent.
+func TestSendCopiesPayload(t *testing.T) {
+	p := radio.DefaultParams()
+	p.Loss = windowLoss{from: 1, until: 100 * time.Millisecond}
+	r := newRig(t, p)
+	sender := r.endpoint(t, r.affNode(t, 1, 16), 1, Config{Reliable: true})
+	sink := r.endpoint(t, r.affNode(t, 2, 16), 0, Config{Ack: true})
+	var got []byte
+	sink.SetDeliver(func(_, _ uint32, pl []byte) { got = append([]byte(nil), pl...) })
+	buf := payload(7, 20)
+	want := append([]byte(nil), buf...)
+	if _, err := sender.Send(buf); err != nil {
+		t.Fatal(err)
+	}
+	clear(buf)
+	r.eng.Run()
+	if sender.Counters().Retransmits == 0 || !bytes.Equal(got, want) {
+		t.Fatalf("after %d retransmits delivered %x, want %x", sender.Counters().Retransmits, got, want)
+	}
+}
+
+// TestRxStateMatchesSets drives the receiver's dedupe state with arrivals
+// that run mostly in order, leave gaps that never fill, repeat old
+// sequences and, as a damaged header can, name sequences far out; it
+// must answer as plain sets of every delivered and NACKed sequence do.
+func TestRxStateMatchesSets(t *testing.T) {
+	rng := xrand.NewSource(3).Stream("rx")
+	var r rxState
+	delivered, nacked := map[uint32]bool{}, map[uint32]bool{}
+	top := uint32(0)
+	for step := 0; step < 100_000; step++ {
+		var seq uint32
+		switch k := rng.IntN(100); {
+		case k < 2:
+			seq = rng.Uint32()
+		case k < 10 && top > 0:
+			seq = rng.Uint32N(top)
+		default:
+			seq = top + rng.Uint32N(3)
+			top = seq + 1
+		}
+		if got := r.isDelivered(seq); got != delivered[seq] {
+			t.Fatalf("step %d: delivered(%d) = %v, want %v", step, seq, got, delivered[seq])
+		}
+		if !delivered[seq] {
+			delivered[seq] = true
+			r.deliver(seq)
+		}
+		if miss := r.next + rng.Uint32N(8); !delivered[miss] {
+			if got := r.nacked.has(miss); got != nacked[miss] {
+				t.Fatalf("step %d: nacked(%d) = %v, want %v", step, miss, got, nacked[miss])
+			}
+			nacked[miss] = true
+			r.nacked.add(miss)
+		}
+	}
+	for seq := range delivered {
+		if !r.isDelivered(seq) {
+			t.Fatalf("delivered sequence %d forgotten", seq)
+		}
+	}
+	if top < seqSpan || len(r.delivered.far) == 0 {
+		t.Fatalf("top %d, %d far entries: the run never left the bit window", top, len(r.delivered.far))
+	}
 }

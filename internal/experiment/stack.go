@@ -193,18 +193,20 @@ func (s *arqStar) attachSender(d node.Driver, token uint32, rng, wl *rand.Rand, 
 		return err
 	}
 	s.senders = append(s.senders, ep)
+	// One callback and one payload buffer serve every packet: Send
+	// copies the payload.
+	payload := make([]byte, size)
+	send := func() {
+		for b := range payload {
+			payload[b] = byte(wl.Uint32())
+		}
+		s.offered++
+		if seq, err := ep.Send(payload); err == nil {
+			s.sendAt[arqKey{token, seq}] = s.eng.Now()
+		}
+	}
 	for t := interval; t <= horizon; t += interval {
-		at := t + time.Duration(wl.Int64N(int64(interval/4)))
-		s.eng.ScheduleAt(at, func() {
-			payload := make([]byte, size)
-			for b := range payload {
-				payload[b] = byte(wl.Uint32())
-			}
-			s.offered++
-			if seq, err := ep.Send(payload); err == nil {
-				s.sendAt[arqKey{token, seq}] = s.eng.Now()
-			}
-		})
+		s.eng.ScheduleAt(t+time.Duration(wl.Int64N(int64(interval/4))), send)
 	}
 	return nil
 }

@@ -246,6 +246,12 @@ func newWindow[K comparable](span time.Duration) window[K] {
 	return window[K]{span: span, seen: make(map[K]time.Duration)}
 }
 
+// reset forgets every key, keeping the table's storage.
+func (w *window[K]) reset() {
+	clear(w.seen)
+	w.swept = 0
+}
+
 // has reports whether k was marked within the span before now.
 func (w *window[K]) has(k K, now time.Duration) bool {
 	at, ok := w.seen[k]

@@ -25,6 +25,7 @@ import (
 
 	"retri/internal/aff"
 	"retri/internal/bitio"
+	"retri/internal/poison"
 	"retri/internal/radio"
 	"retri/internal/sim"
 )
@@ -159,6 +160,20 @@ type Relay struct {
 	stats RelayStats
 	// wrapped holds the frame the last WrapOutgoing returned.
 	wrapped []byte
+	// spare holds forward records whose callback has run.
+	spare []*forward
+}
+
+// forward is one rebroadcast waiting out its jitter. Its frame is the
+// relay's from UnwrapIncoming until the callback runs; the record then
+// goes back to the relay, its frame overwritten by poison.Fill, and the
+// next forward reuses both, with the callback bound once.
+type forward struct {
+	rl    *Relay
+	gen   int
+	frame []byte
+	bits  int
+	fire  func()
 }
 
 // NewRelay builds a relay on r. Unlike Router it does not take over the
@@ -189,7 +204,7 @@ func (rl *Relay) Stats() RelayStats { return rl.stats }
 // Reset wipes the dedup table and orphans pending forwards — the crash
 // semantics every other RAM-resident protocol state follows.
 func (rl *Relay) Reset() {
-	rl.seen = newWindow[RelayKey](rl.cfg.DedupWindow)
+	rl.seen.reset()
 	rl.gen++
 }
 
@@ -239,24 +254,43 @@ func (rl *Relay) UnwrapIncoming(f radio.Frame) (inner []byte, deliver bool) {
 		ib = len(inner) * 8
 	}
 	// The copy waits out its jitter, so it needs storage of its own.
-	fwd := appendEnvelope(make([]byte, 0, 1+len(inner)), ttl-1, inner)
-	bits := envelopeBits + ib
+	fw := rl.newForward()
+	fw.frame = appendEnvelope(fw.frame[:0], ttl-1, inner)
+	fw.bits = envelopeBits + ib
+	fw.gen = rl.gen
 	delay := time.Duration(rl.rng.Int64N(int64(rl.cfg.ForwardJitter)))
-	gen := rl.gen
-	rl.eng.Schedule(delay, func() {
-		if rl.gen != gen {
-			return // the node crashed in between: the copy died with its RAM
-		}
-		if rl.cfg.MaxQueue > 0 && rl.r.QueueLen() >= rl.cfg.MaxQueue {
-			rl.stats.Congested++
-			return
-		}
-		if rl.r.Send(fwd, bits) == nil {
-			rl.stats.Forwarded++
-			rl.stats.ForwardedBits += int64(bits)
-		}
-	})
+	rl.eng.Schedule(delay, fw.fire)
 	return inner, true
+}
+
+// newForward returns a spare forward record, or a new one with its
+// callback bound.
+func (rl *Relay) newForward() *forward {
+	if n := len(rl.spare); n > 0 {
+		fw := rl.spare[n-1]
+		rl.spare = rl.spare[:n-1]
+		return fw
+	}
+	fw := &forward{rl: rl}
+	fw.fire = fw.run
+	return fw
+}
+
+// run rebroadcasts the copy unless the node crashed since, or its queue
+// is congested, then hands the record back.
+func (fw *forward) run() {
+	rl := fw.rl
+	switch {
+	case rl.gen != fw.gen:
+		// The node crashed in between: the copy died with its RAM.
+	case rl.cfg.MaxQueue > 0 && rl.r.QueueLen() >= rl.cfg.MaxQueue:
+		rl.stats.Congested++
+	case rl.r.Send(fw.frame, fw.bits) == nil:
+		rl.stats.Forwarded++
+		rl.stats.ForwardedBits += int64(fw.bits)
+	}
+	poison.Fill(fw.frame)
+	rl.spare = append(rl.spare, fw)
 }
 
 // appendEnvelope appends inner behind the one-byte hop-scope header: the

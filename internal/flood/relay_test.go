@@ -126,6 +126,49 @@ func TestRelayResetOrphansPendingForwards(t *testing.T) {
 	if got := len(rigs[2].delivered); got != 0 {
 		t.Errorf("node 2 heard %d copies through a crashed relay", got)
 	}
+	// The reset forgot the key, and the orphaned record serves the next
+	// forward.
+	rigs[0].originate(t, []byte("doomed"))
+	eng.Run()
+	if fwd := rigs[1].relay.Stats().Forwarded; fwd != 1 || len(rigs[2].delivered) != 1 {
+		t.Errorf("after the reset node 1 forwarded %d copies and node 2 heard %d, want 1 and 1", fwd, len(rigs[2].delivered))
+	}
+}
+
+// TestWarmForwardAllocatesNothing: once warm, a rebroadcast reuses a
+// forward record, its frame and its bound callback.
+func TestWarmForwardAllocatesNothing(t *testing.T) {
+	cfg := RelayConfig{TTL: 1, DedupWindow: 50 * time.Millisecond, Keyer: DigestKeyer()}
+	eng, rigs := relayLine(t, 3, cfg, 6)
+	delivered := 0
+	for _, rig := range rigs {
+		rl := rig.relay
+		rig.radio.SetHandler(func(f radio.Frame) {
+			if _, ok := rl.UnwrapIncoming(f); ok {
+				delivered++
+			}
+		})
+	}
+	payload := make([]byte, 20)
+	cycles := 0
+	cycle := func() {
+		payload[0]++ // a fresh key; the old ones leave the dedup window
+		fwd, bits := rigs[0].relay.WrapOutgoing(payload, 8*len(payload))
+		if err := rigs[0].radio.Send(fwd, bits); err != nil {
+			t.Fatal(err)
+		}
+		eng.RunFor(100 * time.Millisecond)
+		cycles++
+	}
+	for i := 0; i < 4; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("a warm forward allocated %.1f times, want 0", allocs)
+	}
+	if fwd := rigs[1].relay.Stats().Forwarded; fwd != int64(cycles) || delivered != 2*cycles {
+		t.Fatalf("after %d cycles: %d forwards, %d deliveries", cycles, fwd, delivered)
+	}
 }
 
 func TestRelayCongestionGuard(t *testing.T) {

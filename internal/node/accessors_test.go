@@ -49,10 +49,17 @@ func TestAFFSendPacketErrors(t *testing.T) {
 	if err := d.SendPacket(nil); err == nil {
 		t.Error("empty packet accepted")
 	}
-	// Radio-level failure: radio down.
+	// Radio-level failure: radio down. Every refusal reads the same, and
+	// once the error is built a refused send allocates nothing.
 	d.Radio().SetUp(false)
-	if err := d.SendPacket([]byte("x")); !errors.Is(err, radio.ErrRadioDown) {
-		t.Errorf("down radio err = %v, want ErrRadioDown", err)
+	packet := []byte("x")
+	for i := 0; i < 2; i++ {
+		if err := d.SendPacket(packet); !errors.Is(err, radio.ErrRadioDown) || err.Error() != "node: send fragment: radio: radio is down: node 1" {
+			t.Errorf("down radio err %d = %v, want ErrRadioDown for node 1", i, err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = d.SendPacket(packet) }); allocs != 0 {
+		t.Errorf("a refused SendPacket allocated %.1f times, want 0", allocs)
 	}
 	if d.PacketsSent() != 0 {
 		t.Errorf("PacketsSent = %d after failures, want 0", d.PacketsSent())
@@ -70,8 +77,10 @@ func TestStaticSendPacketErrors(t *testing.T) {
 		t.Error("empty packet accepted")
 	}
 	d.Radio().SetUp(false)
-	if err := d.SendPacket([]byte("x")); !errors.Is(err, radio.ErrRadioDown) {
-		t.Errorf("down radio err = %v, want ErrRadioDown", err)
+	for i := 0; i < 2; i++ {
+		if err := d.SendPacket([]byte("x")); !errors.Is(err, radio.ErrRadioDown) || err.Error() != "node: send fragment: radio: radio is down: node 1" {
+			t.Errorf("down radio err %d = %v, want ErrRadioDown for node 1", i, err)
+		}
 	}
 }
 

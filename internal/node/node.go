@@ -42,7 +42,8 @@ type WidthPolicy interface {
 
 // Driver is the packet-level service both stacks provide.
 type Driver interface {
-	// SendPacket fragments and queues a packet for broadcast.
+	// SendPacket fragments and queues a packet for broadcast. It copies
+	// p, so the caller may reuse it once SendPacket returns.
 	SendPacket(p []byte) error
 	// SetPacketHandler installs the delivery callback.
 	SetPacketHandler(h PacketHandler)
@@ -56,6 +57,18 @@ type Driver interface {
 }
 
 var errNilRadio = errors.New("node: nil radio")
+
+// sendErrs wraps a radio's refusal of a fragment, formatting once per
+// distinct radio error: a radio returns one value for every refusal while
+// it is down, so a crashed node's sends build no new error.
+type sendErrs struct{ of, wrapped error }
+
+func (m *sendErrs) wrap(err error) error {
+	if err != m.of {
+		m.of, m.wrapped = err, fmt.Errorf("node: send fragment: %w", err)
+	}
+	return m.wrapped
+}
 
 // SpanSink receives the sender- and receiver-side lifecycle signals the
 // span tracer assembles into causal chains (span.Tracer satisfies it).
@@ -160,6 +173,7 @@ type AFFDriver struct {
 
 	handler PacketHandler
 	sent    int64
+	sendErr sendErrs
 
 	// lastOwnKey is the most recent own-transaction key observed into the
 	// estimator (ObserveOwn). A node never hears its own frames, so a
@@ -414,7 +428,7 @@ func (d *AFFDriver) sendTx(tx aff.Transaction) error {
 			payload, bits = d.opts.Relay.WrapOutgoing(payload, bits)
 		}
 		if err := d.r.Send(payload, bits); err != nil {
-			return fmt.Errorf("node: send fragment: %w", err)
+			return d.sendErr.wrap(err)
 		}
 	}
 	d.sent++

@@ -1,8 +1,6 @@
 package node
 
 import (
-	"fmt"
-
 	"retri/internal/radio"
 	"retri/internal/staticaddr"
 )
@@ -15,6 +13,7 @@ type StaticDriver struct {
 
 	handler PacketHandler
 	sent    int64
+	sendErr sendErrs
 }
 
 var _ Driver = (*StaticDriver)(nil)
@@ -66,7 +65,7 @@ func (d *StaticDriver) SendPacket(p []byte) error {
 	}
 	for _, fr := range tx.Fragments {
 		if err := d.r.Send(fr.Bytes, fr.Bits); err != nil {
-			return fmt.Errorf("node: send fragment: %w", err)
+			return d.sendErr.wrap(err)
 		}
 	}
 	d.sent++

@@ -104,8 +104,15 @@ func TestSendWhileDown(t *testing.T) {
 	_, m := newTestMedium(t, FullMesh{}, DefaultParams())
 	a := m.MustAttach(1)
 	a.SetUp(false)
-	if err := a.Send([]byte{1}, 0); !errors.Is(err, ErrRadioDown) {
-		t.Errorf("Send while down err = %v, want ErrRadioDown", err)
+	frame := []byte{1}
+	for i := 0; i < 2; i++ {
+		if err := a.Send(frame, 0); !errors.Is(err, ErrRadioDown) || err.Error() != "radio: radio is down: node 1" {
+			t.Errorf("Send %d while down err = %v, want ErrRadioDown for node 1", i, err)
+		}
+	}
+	// The refusal is built once per radio, not once per send.
+	if allocs := testing.AllocsPerRun(100, func() { _ = a.Send(frame, 0) }); allocs != 0 {
+		t.Errorf("a refused Send allocated %.1f times, want 0", allocs)
 	}
 }
 

@@ -25,6 +25,9 @@ type Radio struct {
 	up          bool
 	listening   bool
 	listenSince time.Duration
+	// downErr is Send's error while the radio is down, built on the
+	// first refusal: a crashed node's every send returns the same value.
+	downErr error
 
 	// txWindows records recent transmission intervals for half-duplex
 	// reception checks.
@@ -61,7 +64,10 @@ func (r *Radio) SetHandler(h func(Frame)) { r.handler = h }
 // discipline.
 func (r *Radio) Send(payload []byte, bits int) error {
 	if !r.up {
-		return fmt.Errorf("%w: node %d", ErrRadioDown, r.id)
+		if r.downErr == nil {
+			r.downErr = fmt.Errorf("%w: node %d", ErrRadioDown, r.id)
+		}
+		return r.downErr
 	}
 	if len(payload) > r.m.p.MTU {
 		return fmt.Errorf("%w: %d > %d bytes", ErrFrameTooLarge, len(payload), r.m.p.MTU)

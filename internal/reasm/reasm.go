@@ -416,9 +416,13 @@ func (t *Table[K]) NextExpiry() (time.Duration, bool) {
 }
 
 // Reset discards all partial state, modelling a node crash: RAM is gone,
-// the counters (which belong to the measurement harness) survive.
+// the counters (which belong to the measurement harness) survive. The
+// partial packets go to the free list and the table keeps its storage.
 func (t *Table[K]) Reset() {
-	t.pending = make(map[K]*partial)
-	t.expq = nil
+	for _, p := range t.pending {
+		t.retire(p)
+	}
+	clear(t.pending)
+	t.expq = t.expq[:0]
 	t.expqHead = 0
 }

@@ -443,10 +443,14 @@ func TestResetKeepsStats(t *testing.T) {
 	tb.Sweep()
 	partialTx(tb, "k")
 	before := *tb.Stats()
+	free := len(tb.free)
 
 	tb.Reset()
 	if tb.Len() != 0 || len(tb.expq) != 0 {
 		t.Errorf("Len %d, queue %d after Reset; want empty", tb.Len(), len(tb.expq))
+	}
+	if len(tb.free) != free+1 {
+		t.Errorf("free list %d after Reset, want the pending partial retired to it (%d)", len(tb.free), free+1)
 	}
 	if _, ok := tb.NextExpiry(); ok {
 		t.Error("NextExpiry outstanding after Reset")
@@ -460,6 +464,13 @@ func TestResetKeepsStats(t *testing.T) {
 	tb.Sweep()
 	if tb.Stats().Timeouts != 2 {
 		t.Errorf("Timeouts = %d after post-Reset expiry, want 2", tb.Stats().Timeouts)
+	}
+	// A crash clears the table in place: a partial and a reset reuse it.
+	if allocs := testing.AllocsPerRun(100, func() {
+		partialTx(tb, "k")
+		tb.Reset()
+	}); allocs != 0 {
+		t.Errorf("a partial and a Reset allocated %.1f times, want 0", allocs)
 	}
 }
 

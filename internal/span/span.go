@@ -275,8 +275,10 @@ type Tracer struct {
 
 var _ truth.Observer = (*Tracer)(nil)
 
-// New attaches a span tracer to a tracker. On an uninstrumented wire
-// format it resolves identities by per-sender FIFO order.
+// New attaches a span tracer to a tracker. Each span holds its
+// transaction's record for the whole run, so the tracer attaches as a
+// keeper. On an uninstrumented wire format it resolves identities by
+// per-sender FIFO order.
 func New(tr *truth.Tracker) *Tracer {
 	t := &Tracer{
 		tr:          tr,
@@ -290,7 +292,7 @@ func New(tr *truth.Tracker) *Tracer {
 	if !tr.Instrumented() {
 		tr.SetResolver(t.resolveFIFO)
 	}
-	tr.Attach(t)
+	tr.AttachKeeper(t)
 	return t
 }
 

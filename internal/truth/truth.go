@@ -47,6 +47,7 @@ import (
 
 	"retri/internal/aff"
 	"retri/internal/frame"
+	"retri/internal/poison"
 	"retri/internal/radio"
 )
 
@@ -96,23 +97,34 @@ type Tx struct {
 	Tag any
 
 	lastSent time.Duration
-	buf      []byte
-	covered  []bool
+	// mem holds the payload the sender has aired, then one coverage flag
+	// per payload byte (nonzero once a fragment covered it). It comes
+	// from the tracker's pool when the introduction airs and goes back,
+	// overwritten by poison.Fill, when the record leaves the retention
+	// window: Find stops returning the record then.
+	mem []byte
 }
 
 // Payload returns the bytes the sender has put on air so far; positions
-// no fragment covered yet read zero.
-func (tx *Tx) Payload() []byte { return tx.buf }
+// no fragment covered yet read zero. The slice is the tracker's: it is
+// valid while Find returns the record.
+func (tx *Tx) Payload() []byte {
+	if tx.mem == nil {
+		return nil
+	}
+	return tx.mem[:tx.TotalLen:tx.TotalLen]
+}
 
 // Covers reports whether b at offset is exactly what the sender put on
 // air: every byte covered by a sent fragment, and equal to it.
 func (tx *Tx) Covers(offset int, b []byte) bool {
-	if !tx.HaveLen || offset+len(b) > tx.TotalLen {
+	if !tx.HaveLen || tx.mem == nil || offset+len(b) > tx.TotalLen {
 		return false
 	}
+	covered := tx.mem[tx.TotalLen:]
 	for i, c := range b {
 		at := offset + i
-		if !tx.covered[at] || tx.buf[at] != c {
+		if covered[at] == 0 || tx.mem[at] != c {
 			return false
 		}
 	}
@@ -136,7 +148,10 @@ type Frame struct {
 }
 
 // Observer consumes the tracker's attributed feed. Every call is
-// synchronous with the medium event that caused it.
+// synchronous with the medium event that caused it. An observer added
+// with Attach reads a *Tx only during a callback or while Find returns
+// it: the tracker reuses a record once it leaves the retention window.
+// One that keeps records longer is added with AttachKeeper.
 type Observer interface {
 	// Opened fires when a transaction's first fragment (f) airs, after
 	// FIFO abandonment of the sender's previous transaction and collision
@@ -216,6 +231,16 @@ type Tracker struct {
 	// live lists open, non-dormant transactions per reassembly key.
 	live map[uint64][]*Tx
 
+	// keep is set once an observer keeps records; from then on a record
+	// leaving the retention window is never reused, only its mem.
+	keep bool
+	// spareTx, spareMem and spareLive recycle retired records, their
+	// payload storage and live's emptied per-key lists, so a warm tracker
+	// opens, closes and expires a transaction without allocating.
+	spareTx   []*Tx
+	spareMem  [][]byte
+	spareLive [][]*Tx
+
 	// last memoizes the latest decode: a transmission's verdicts arrive
 	// back to back after its send, one per receiver, all for the payload
 	// the send decoded. The memo is keyed by lastBytes, the tracker's own
@@ -263,8 +288,18 @@ func New(cfg Config) (*Tracker, error) {
 	}, nil
 }
 
-// Attach adds a consumer of the attributed feed.
+// Attach adds a consumer of the attributed feed that holds no *Tx past
+// its callbacks (see Observer).
 func (t *Tracker) Attach(o Observer) { t.observers = append(t.observers, o) }
+
+// AttachKeeper adds a consumer that keeps *Tx records for the rest of
+// the run, as the span tracer does with each span's record. The tracker
+// then never reuses a record, so a kept one keeps its lifecycle fields;
+// its Payload still ends with the retention window.
+func (t *Tracker) AttachKeeper(o Observer) {
+	t.keep = true
+	t.Attach(o)
+}
 
 // SetResolver supplies identities for frames without a trailer: resolve
 // returns the key of the transaction f belongs to (its Node must be the
@@ -370,8 +405,7 @@ func (t *Tracker) attribute(k Key, f *Frame, now time.Duration) (*Tx, bool) {
 			tx.HaveLen = true
 			tx.TotalLen = f.TotalLen
 			tx.Checksum = f.Checksum
-			tx.buf = make([]byte, f.TotalLen)
-			tx.covered = make([]bool, f.TotalLen)
+			tx.mem = t.takeMem(2 * f.TotalLen)
 		}
 		return tx, false
 	}
@@ -381,9 +415,10 @@ func (t *Tracker) attribute(k Key, f *Frame, now time.Duration) (*Tx, bool) {
 		// overruns it: either is a protocol bug.
 		return tx, true
 	}
-	for i, b := range f.Payload {
-		tx.covered[f.Offset+i] = true
-		tx.buf[f.Offset+i] = b
+	copy(tx.mem[f.Offset:], f.Payload)
+	covered := tx.mem[tx.TotalLen+f.Offset : tx.TotalLen+end]
+	for i := range covered {
+		covered[i] = 1
 	}
 	if end == tx.TotalLen {
 		t.retire(tx, Closed, now)
@@ -422,7 +457,8 @@ func (t *Tracker) lookup(k Key, f *Frame, now time.Duration) *Tx {
 		}
 	}
 	t.current[sender] = k
-	tx := &Tx{Truth: k, Sender: sender, Key: f.Key, State: Open, OpenedAt: now, lastSent: now}
+	tx := t.newTx()
+	*tx = Tx{Truth: k, Sender: sender, Key: f.Key, State: Open, OpenedAt: now, lastSent: now}
 	// True collisions: the key already carries another live transaction,
 	// so receivers will merge fragments of distinct transactions.
 	if peers := t.live[f.Key]; len(peers) > 0 {
@@ -476,27 +512,82 @@ func (t *Tracker) prune(now time.Duration) {
 		if t.closed[tx.Truth] == tx {
 			delete(t.closed, tx.Truth)
 		}
-		t.retained[n] = nil
+		t.release(tx)
 	}
-	t.retained = t.retained[n:]
+	if n > 0 {
+		// Slide the survivors to the front, so the queue keeps one
+		// backing array.
+		m := copy(t.retained, t.retained[n:])
+		clear(t.retained[m:])
+		t.retained = t.retained[:m]
+	}
+}
+
+// newTx returns a zeroed record, recycled when one is spare.
+func (t *Tracker) newTx() *Tx {
+	if n := len(t.spareTx); n > 0 {
+		tx := t.spareTx[n-1]
+		t.spareTx = t.spareTx[:n-1]
+		return tx
+	}
+	return &Tx{}
+}
+
+// takeMem returns n zeroed bytes, reusing released storage when the last
+// released block is large enough.
+func (t *Tracker) takeMem(n int) []byte {
+	var m []byte
+	if i := len(t.spareMem) - 1; i >= 0 {
+		m, t.spareMem = t.spareMem[i], t.spareMem[:i]
+	}
+	if m == nil || cap(m) < n {
+		return make([]byte, n)
+	}
+	m = m[:n]
+	clear(m)
+	return m
+}
+
+// release recycles a record that left the retention window: its storage
+// always, and the record itself unless an observer keeps records.
+func (t *Tracker) release(tx *Tx) {
+	if tx.mem != nil {
+		poison.Fill(tx.mem)
+		t.spareMem = append(t.spareMem, tx.mem)
+		tx.mem = nil
+	}
+	if !t.keep {
+		*tx = Tx{}
+		t.spareTx = append(t.spareTx, tx)
+	}
 }
 
 func (t *Tracker) addLive(tx *Tx) {
-	t.live[tx.Key] = append(t.live[tx.Key], tx)
+	peers, ok := t.live[tx.Key]
+	if n := len(t.spareLive); !ok && n > 0 {
+		peers, t.spareLive = t.spareLive[n-1], t.spareLive[:n-1]
+	}
+	t.live[tx.Key] = append(peers, tx)
 }
 
 func (t *Tracker) removeLive(tx *Tx) {
 	peers := t.live[tx.Key]
 	for i, p := range peers {
 		if p == tx {
-			peers = append(peers[:i], peers[i+1:]...)
+			last := len(peers) - 1
+			copy(peers[i:], peers[i+1:])
+			peers[last] = nil
+			peers = peers[:last]
 			break
 		}
 	}
-	if len(peers) == 0 {
-		delete(t.live, tx.Key)
-	} else {
+	if len(peers) > 0 {
 		t.live[tx.Key] = peers
+		return
+	}
+	delete(t.live, tx.Key)
+	if cap(peers) > 0 {
+		t.spareLive = append(t.spareLive, peers)
 	}
 }
 

@@ -44,9 +44,18 @@ type rig struct {
 	now   time.Duration
 }
 
-func newRig(t *testing.T, instrument bool, retain time.Duration) *rig {
+func newRig(t testing.TB, instrument bool, retain time.Duration) *rig {
 	t.Helper()
-	r := &rig{rec: &recorder{}, codec: frame.Codec{IDBits: 8, Instrument: instrument}}
+	r := newBareRig(t, instrument, retain)
+	r.rec = &recorder{}
+	r.tr.AttachKeeper(r.rec)
+	return r
+}
+
+// newBareRig is a rig with no observer attached.
+func newBareRig(t testing.TB, instrument bool, retain time.Duration) *rig {
+	t.Helper()
+	r := &rig{codec: frame.Codec{IDBits: 8, Instrument: instrument}}
 	tr, err := New(Config{
 		AFF: aff.Config{
 			Space:             core.MustSpace(8),
@@ -59,12 +68,11 @@ func newRig(t *testing.T, instrument bool, retain time.Duration) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.Attach(r.rec)
 	r.tr = tr
 	return r
 }
 
-func (r *rig) intro(t *testing.T, from radio.NodeID, id uint64, total int, tt *frame.Truth) radio.Frame {
+func (r *rig) intro(t testing.TB, from radio.NodeID, id uint64, total int, tt *frame.Truth) radio.Frame {
 	t.Helper()
 	p, bits, err := r.codec.AppendIntro(nil, frame.Intro{ID: id, TotalLen: total, Checksum: 7, Truth: tt})
 	if err != nil {
@@ -73,7 +81,7 @@ func (r *rig) intro(t *testing.T, from radio.NodeID, id uint64, total int, tt *f
 	return radio.Frame{From: from, Payload: p, Bits: bits}
 }
 
-func (r *rig) data(t *testing.T, from radio.NodeID, id uint64, off int, b []byte, tt *frame.Truth) radio.Frame {
+func (r *rig) data(t testing.TB, from radio.NodeID, id uint64, off int, b []byte, tt *frame.Truth) radio.Frame {
 	t.Helper()
 	p, bits, err := r.codec.AppendData(nil, frame.Data{ID: id, Offset: off, Payload: b, Truth: tt})
 	if err != nil {
@@ -341,7 +349,7 @@ func TestUnwrapAndAdaptiveKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := &recorder{}
-	tr.Attach(rec)
+	tr.AttachKeeper(rec)
 	for i, w := range []int{4, 9} {
 		codec := frame.Codec{IDBits: w, Instrument: true, InBandWidth: true}
 		p, bits, err := codec.AppendIntro(nil, frame.Intro{ID: 3, TotalLen: 4, Truth: &frame.Truth{Node: uint32(i + 1), Seq: 1}})
@@ -388,5 +396,100 @@ func TestDecodeMemoSurvivesBufferReuse(t *testing.T) {
 	}
 	if got := r.rec.fateTx[1]; got == nil || got.Truth != (Key{2, 1}) {
 		t.Fatalf("second fate attributed to %+v, want node 2's transaction", got)
+	}
+}
+
+// tally is an Observer that keeps nothing, as the oracle does.
+type tally struct{ opened, sent, fates int }
+
+func (c *tally) Opened(*Tx, *Frame)                         { c.opened++ }
+func (c *tally) Sent(*Frame, *Tx, bool)                     { c.sent++ }
+func (c *tally) Fate(radio.NodeID, *Frame, *Tx, radio.Fate) { c.fates++ }
+
+// cycle airs one two-fragment transaction of node 1 with every frame
+// delivered, then moves the clock past the retention window, so the next
+// cycle's first send expires it.
+func (r *rig) cycle(frames []radio.Frame) {
+	for _, f := range frames {
+		r.tr.FrameSent(f)
+		r.tr.FrameFate(2, f, radio.FateDelivered)
+	}
+	r.now += 101 * time.Millisecond
+}
+
+func (r *rig) txFrames(t testing.TB, seq uint32) []radio.Frame {
+	k := &frame.Truth{Node: 1, Seq: seq}
+	return []radio.Frame{r.intro(t, 1, 5, 4, k), r.data(t, 1, 5, 0, []byte{1, 2}, k), r.data(t, 1, 5, 2, []byte{3, 4}, k)}
+}
+
+// TestRecordsRecycledUnlessKept: a record that leaves the retention window
+// is reused for the next transaction, unless an observer keeps records;
+// then the kept record keeps its lifecycle and only its payload storage
+// goes.
+func TestRecordsRecycledUnlessKept(t *testing.T) {
+	for _, keep := range []bool{false, true} {
+		r := newBareRig(t, true, 0)
+		if keep {
+			r.tr.AttachKeeper(&tally{})
+		} else {
+			r.tr.Attach(&tally{})
+		}
+		r.cycle(r.txFrames(t, 1))
+		first := r.tr.Find(Key{1, 1})
+		r.cycle(r.txFrames(t, 2))
+		second := r.tr.Find(Key{1, 2})
+		if r.tr.Find(Key{1, 1}) != nil || second == nil || second.State != Closed {
+			t.Fatalf("keep=%v: first not expired or second not closed: %+v", keep, second)
+		}
+		if reused := first == second; reused == keep {
+			t.Fatalf("keep=%v: second transaction reused the first's record: %v", keep, reused)
+		}
+		if string(second.Payload()) != "\x01\x02\x03\x04" || !second.Covers(0, []byte{1, 2, 3, 4}) {
+			t.Fatalf("keep=%v: recycled record holds %v", keep, second.Payload())
+		}
+		if keep && (first.Truth != (Key{1, 1}) || first.State != Closed || first.Payload() != nil || first.Covers(0, []byte{1})) {
+			t.Fatalf("kept record changed or kept its payload: %+v", first)
+		}
+	}
+}
+
+// TestWarmTransactionAllocatesNothing: once warm, a transaction's open,
+// deliveries, close and expiry reuse a recycled record, its payload
+// storage, the live list and the retention queue.
+func TestWarmTransactionAllocatesNothing(t *testing.T) {
+	r := newBareRig(t, true, 0)
+	obs := &tally{}
+	r.tr.Attach(obs)
+	frames := [2][]radio.Frame{r.txFrames(t, 1), r.txFrames(t, 2)}
+	i := 0
+	run := func() {
+		r.cycle(frames[i%2])
+		i++
+	}
+	for j := 0; j < 4; j++ {
+		run()
+	}
+	if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
+		t.Errorf("a warm transaction cycle allocated %.1f times, want 0", allocs)
+	}
+	if c := r.tr.Counts(); c.Closed != int64(i) || c.Opened != int64(i) || obs.fates != 3*i {
+		t.Fatalf("after %d cycles: counts %+v, %d fates", i, c, obs.fates)
+	}
+}
+
+// BenchmarkTrackerTransaction is one ground-truth transaction on a warm
+// tracker with a non-keeping observer: its introduction and two data
+// fragments sent and delivered, then its expiry at the next send.
+func BenchmarkTrackerTransaction(b *testing.B) {
+	r := newBareRig(b, true, 0)
+	r.tr.Attach(&tally{})
+	frames := [2][]radio.Frame{r.txFrames(b, 1), r.txFrames(b, 2)}
+	for i := 0; i < 4; i++ {
+		r.cycle(frames[i%2])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.cycle(frames[i%2])
 	}
 }
