@@ -33,8 +33,14 @@ type trialTiming struct {
 // begin and end, so every sweep — figures and ablations alike — reports
 // the same schema instead of only the sweeps that happened to publish.
 type experimentRecord struct {
-	Name        string           `json:"name"`
-	Trials      int              `json:"trials"`
+	Name string `json:"name"`
+	// Trials and Run are what the sweep ran, as fill resolved them from
+	// the flags, -quick and the sweep's own sizes: the trials of each of
+	// its cells, and its run configuration. The analytic figures run no
+	// trials and record neither; mac, lifetime and churn have no trial
+	// count.
+	Trials      int              `json:"trials,omitempty"`
+	Run         *runRecord       `json:"run,omitempty"`
 	WallClockNS int64            `json:"wall_clock_ns"`
 	Sim         map[string]int64 `json:"sim,omitempty"`
 	Oracle      map[string]int64 `json:"oracle,omitempty"`
@@ -42,6 +48,13 @@ type experimentRecord struct {
 
 	started   time.Time
 	startSnap metrics.Snapshot
+}
+
+// runRecord is a sweep's experiment.Run in the manifest.
+type runRecord struct {
+	Seed     uint64 `json:"seed"`
+	Duration string `json:"duration"`
+	Parallel int    `json:"parallel"`
 }
 
 // counterDiff sums cur's counters with the given name prefix across labels
@@ -69,22 +82,25 @@ func counterDiff(prev, cur metrics.Snapshot, prefix string) map[string]int64 {
 	return out
 }
 
-// manifest reproduces the run: full command line, resolved config, and
-// where the wall-clock went.
+// manifest reproduces the run: full command line, the flags given, what
+// each sweep ran, and where the wall-clock went.
 type manifest struct {
-	Command     string   `json:"command"`
-	Args        []string `json:"args"`
-	Figure      string   `json:"figure,omitempty"`
-	Ablation    string   `json:"ablation,omitempty"`
-	Seed        uint64   `json:"seed"`
-	Trials      int      `json:"trials"`
-	Duration    string   `json:"duration"`
-	Parallel    int      `json:"parallel"`
-	Quick       bool     `json:"quick"`
-	Format      string   `json:"format"`
-	GoVersion   string   `json:"go_version"`
-	StartedAt   string   `json:"started_at"`
-	WallClockNS int64    `json:"wall_clock_ns"`
+	Command  string   `json:"command"`
+	Args     []string `json:"args"`
+	Figure   string   `json:"figure,omitempty"`
+	Ablation string   `json:"ablation,omitempty"`
+	// Seed, Trials, Duration and Parallel are the flags as given, after
+	// -quick. A sweep may not read them or may run sizes of its own:
+	// each experiment record says what its sweep ran.
+	Seed        uint64 `json:"seed"`
+	Trials      int    `json:"trials"`
+	Duration    string `json:"duration"`
+	Parallel    int    `json:"parallel"`
+	Quick       bool   `json:"quick"`
+	Format      string `json:"format"`
+	GoVersion   string `json:"go_version"`
+	StartedAt   string `json:"started_at"`
+	WallClockNS int64  `json:"wall_clock_ns"`
 	// TraceEventsDropped counts events the per-trial trace buffers shed
 	// across the whole run; zero certifies the -trace-out stream and the
 	// merged metrics are complete. Always present so consumers need not
@@ -211,6 +227,16 @@ func (c *collector) hooks() experiment.RunHooks {
 	return h
 }
 
+// ran records on the open manifest record what its sweep runs: fill's
+// resolved trial count (0 for a config without one) and run.
+func (c *collector) ran(r experiment.Run, trials int) {
+	if c.cur == nil {
+		return
+	}
+	c.cur.Trials = trials
+	c.cur.Run = &runRecord{Seed: r.Seed, Duration: r.Duration.String(), Parallel: r.Parallelism}
+}
+
 // begin opens a manifest record for the named experiment; end closes it,
 // attributing the engine and oracle counter movement in between.
 func (c *collector) begin(name string) {
@@ -227,7 +253,6 @@ func (c *collector) end() {
 		return
 	}
 	c.cur.WallClockNS = time.Since(c.cur.started).Nanoseconds()
-	c.cur.Trials = len(c.cur.Timings)
 	if c.registry != nil {
 		endSnap := c.registry.Snapshot()
 		c.cur.Sim = counterDiff(c.cur.startSnap, endSnap, "sim_")

@@ -476,7 +476,7 @@ func figure4Config(s sweep, o options, col *collector) experiment.Figure4Config 
 // Duration and trials take the flag when the sweep reads it and either
 // it was set or the sweep has no size of its own; otherwise the sweep's
 // own size under -quick, or else the config's. Every sweep gets the
-// collector's hooks.
+// collector's hooks, and its manifest record what it resolved.
 func (s sweep) fill(o options, col *collector, r *experiment.Run, trials *int) {
 	if slices.Contains(s.flags, "seed") {
 		r.Seed = o.seed
@@ -485,10 +485,13 @@ func (s sweep) fill(o options, col *collector, r *experiment.Run, trials *int) {
 		r.Parallelism = o.parallel
 	}
 	r.Duration = pick(s, o, "duration", o.duration, s.quickDuration, r.Duration)
+	n := 0
 	if trials != nil {
 		*trials = pick(s, o, "trials", o.trials, s.quickTrials, *trials)
+		n = *trials
 	}
 	r.Hooks = col.hooks()
+	col.ran(*r, n)
 }
 
 // pick resolves a duration or trial count as fill describes: v is the

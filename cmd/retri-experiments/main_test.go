@@ -330,37 +330,7 @@ func TestRunMetricsAndTraceOutputs(t *testing.T) {
 	}
 
 	// Metrics document: manifest echoing the command line plus a snapshot.
-	raw, err = os.ReadFile(metricsOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Manifest struct {
-			Command     string   `json:"command"`
-			Args        []string `json:"args"`
-			Seed        uint64   `json:"seed"`
-			GoVersion   string   `json:"go_version"`
-			WallClockNS int64    `json:"wall_clock_ns"`
-			Experiments []struct {
-				Name        string `json:"name"`
-				Trials      int    `json:"trials"`
-				WallClockNS int64  `json:"wall_clock_ns"`
-				Timings     []struct {
-					Trial int   `json:"trial"`
-					NS    int64 `json:"ns"`
-				} `json:"trial_timings"`
-			} `json:"experiments"`
-		} `json:"manifest"`
-		Metrics struct {
-			Counters []struct {
-				Name  string `json:"name"`
-				Value int64  `json:"value"`
-			} `json:"counters"`
-		} `json:"metrics"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("metrics file is not JSON: %v", err)
-	}
+	doc := readMetricsDocument(t, metricsOut)
 	if doc.Manifest.Command != "retri-experiments" {
 		t.Errorf("manifest command = %q", doc.Manifest.Command)
 	}
@@ -380,10 +350,12 @@ func TestRunMetricsAndTraceOutputs(t *testing.T) {
 	if exp.Name != "figure-4" {
 		t.Errorf("experiment name = %q", exp.Name)
 	}
-	// 2 trials x 2 ID widths x 2 selectors in the default figure-4 sweep;
-	// just require at least one timing per reported trial.
-	if exp.Trials == 0 || len(exp.Timings) != exp.Trials {
-		t.Errorf("trial timings = %d entries, manifest says %d trials", len(exp.Timings), exp.Trials)
+	if exp.Trials != 2 || exp.Run == nil || *exp.Run != (runRecord{Seed: 1, Duration: "2s", Parallel: 2}) {
+		t.Errorf("figure-4 record ran %d trials of %+v, want 2 of seed 1, 2s, parallel 2", exp.Trials, exp.Run)
+	}
+	// One timing per trial of each cell: 9 widths x 2 selectors.
+	if len(exp.Timings) != 18*exp.Trials {
+		t.Errorf("trial timings = %d entries, want %d trials in each of 18 cells", len(exp.Timings), exp.Trials)
 	}
 	for _, tt := range exp.Timings {
 		if tt.NS <= 0 {
@@ -412,6 +384,68 @@ func TestRunMetricsAndTraceOutputs(t *testing.T) {
 			t.Errorf("profile %s is empty", p)
 		}
 	}
+
+	// A sweep with sizes of its own records them, while the manifest's
+	// top level keeps the flags as given (3 x 20s under -quick).
+	for _, tc := range []struct {
+		figure   string
+		trials   int
+		duration string
+	}{
+		{"multihop", 1, "20s"},
+		{"scaling", 2, "20s"},
+	} {
+		out := filepath.Join(dir, tc.figure+".json")
+		captureStdout(t, "-figure", tc.figure, "-quick", "-parallel", "2", "-metrics-out", out)
+		doc := readMetricsDocument(t, out)
+		if m := doc.Manifest; m.Trials != 3 || m.Duration != "20s" || len(m.Experiments) != 1 {
+			t.Fatalf("%s: manifest flags %d x %s with %d records, want 3 x 20s and one record", tc.figure, m.Trials, m.Duration, len(m.Experiments))
+		}
+		exp := doc.Manifest.Experiments[0]
+		want := runRecord{Seed: 1, Duration: tc.duration, Parallel: 2}
+		if exp.Trials != tc.trials || exp.Run == nil || *exp.Run != want {
+			t.Errorf("%s record ran %d trials of %+v, want %d of %+v", tc.figure, exp.Trials, exp.Run, tc.trials, want)
+		}
+	}
+}
+
+// readMetricsDocument reads the -metrics-out fields the tests check.
+func readMetricsDocument(t *testing.T, path string) (doc struct {
+	Manifest struct {
+		Command     string   `json:"command"`
+		Args        []string `json:"args"`
+		Seed        uint64   `json:"seed"`
+		Trials      int      `json:"trials"`
+		Duration    string   `json:"duration"`
+		GoVersion   string   `json:"go_version"`
+		WallClockNS int64    `json:"wall_clock_ns"`
+		Experiments []struct {
+			Name        string     `json:"name"`
+			Trials      int        `json:"trials"`
+			Run         *runRecord `json:"run"`
+			WallClockNS int64      `json:"wall_clock_ns"`
+			Timings     []struct {
+				Trial int   `json:"trial"`
+				NS    int64 `json:"ns"`
+			} `json:"trial_timings"`
+		} `json:"experiments"`
+	} `json:"manifest"`
+	Metrics struct {
+		Counters []struct {
+			Name  string `json:"name"`
+			Value int64  `json:"value"`
+		} `json:"counters"`
+	} `json:"metrics"`
+}) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("metrics file is not JSON: %v", err)
+	}
+	return doc
 }
 
 // captureStdout runs the CLI with the given arguments and returns its
