@@ -102,8 +102,9 @@ fuzz:
 # benchsmoke runs every benchmark once (so API drift breaks the build, not
 # the next measurement), then re-runs the gated families — wire codec,
 # medium delivery, engine event loop (a 100-event run and the warm
-# steady state), one 80-byte packet reassembled and one end to end — at a
-# real iteration count
+# steady state), the listening selector's draw, one 80-byte packet
+# reassembled and one end to end, one ARQ round trip and one ground-truth
+# tracker transaction — at a real iteration count
 # with five repeats, and the shard-engine family (whole-trial macro
 # benchmarks, far too heavy for 1000x) at a lighter count that still
 # clears benchjson's min-iters bar. All passes stream through one benchjson invocation, which
@@ -120,8 +121,8 @@ PR := $(shell { git ls-files 'BENCH_*.json' 2>/dev/null || ls BENCH_*.json; } | 
 	sed -n 's/^BENCH_\([0-9][0-9]*\)\.json$$/\1/p' | awk '$$1 > n { n = $$1 } END { print n + 1 }')
 endif
 export PR
-GATED_BENCH := ^Benchmark(AFFEncodeData|AFFDecodeData|Medium|ScheduleRun|EngineSteadyState|EndToEndPacket|Reassemble80Byte)
-GATED_PKGS := . ./internal/frame/ ./internal/radio/ ./internal/sim/ ./internal/aff/
+GATED_BENCH := ^Benchmark(AFFEncodeData|AFFDecodeData|Medium|ScheduleRun|EngineSteadyState|EndToEndPacket|Reassemble80Byte|ListeningNext|ARQRoundTrip|TrackerTransaction)
+GATED_PKGS := . ./internal/frame/ ./internal/radio/ ./internal/sim/ ./internal/aff/ ./internal/core/ ./internal/arq/ ./internal/truth/
 SHARD_BENCH := ^BenchmarkShard
 benchsmoke:
 	( $(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./... && \

@@ -70,9 +70,10 @@ type Snapshot struct {
 }
 
 // defaultMatch selects the gated benchmark families: the wire codec, the
-// radio medium delivery path, the event engine, one packet reassembled,
-// one packet end to end, and the sharded core.
-const defaultMatch = `^(AFFEncodeData|AFFDecodeData|Medium|ScheduleRun|EngineSteadyState|Reassemble80Byte|EndToEndPacket|Shard)`
+// radio medium delivery path, the event engine, the listening selector's
+// draw, one packet reassembled, one packet end to end, one ARQ round
+// trip, one ground-truth tracker transaction, and the sharded core.
+const defaultMatch = `^(AFFEncodeData|AFFDecodeData|Medium|ScheduleRun|EngineSteadyState|ListeningNext|Reassemble80Byte|EndToEndPacket|ARQRoundTrip|TrackerTransaction|Shard)`
 
 func main() {
 	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
