@@ -193,6 +193,7 @@ func TestSensorConfigValidate(t *testing.T) {
 	bad := []func(*SensorConfig){
 		func(c *SensorConfig) { c.Nodes = 0 },
 		func(c *SensorConfig) { c.NodesPerTile = 0 },
+		func(c *SensorConfig) { c.NodesPerTile = maxNodesPerTile + 1 },
 		func(c *SensorConfig) { c.Range = 0 },
 		func(c *SensorConfig) { c.SendGap = 0 },
 		func(c *SensorConfig) { c.Fragments = 0 },
@@ -296,7 +297,9 @@ func TestOverlappersMatchesFullScan(t *testing.T) {
 
 // TestWindowPreconditions pins what overlappers relies on in a multi-tile
 // run: after every barrier each tile's window is sorted by (End, Seq)
-// and every record in it lasts exactly FrameAir.
+// and every record in it lasts exactly FrameAir. It also pins the
+// per-window prune: no window keeps a record that ended by
+// now − keepAirtimes·FrameAir.
 func TestWindowPreconditions(t *testing.T) {
 	cfg := testConfig(600, 40)
 	cl, err := NewCluster(cfg, xrand.NewSource(7))
@@ -309,8 +312,12 @@ func TestWindowPreconditions(t *testing.T) {
 	checked := 0
 	eng.OnBarrier = func(now time.Duration) {
 		cl.OnBarrier(now)
+		cut := now - keepAirtimes*cfg.FrameAir
 		for ti, tile := range cl.tiles {
 			for j, r := range tile.window {
+				if r.End <= cut {
+					t.Fatalf("t=%v tile %d: record %d ended at %v, at or before the prune cut %v", now, ti, r.Seq, r.End, cut)
+				}
 				if r.End-r.Start != cfg.FrameAir {
 					t.Fatalf("t=%v tile %d: record %d lasts %v, want %v", now, ti, r.Seq, r.End-r.Start, cfg.FrameAir)
 				}
@@ -330,12 +337,12 @@ func TestWindowPreconditions(t *testing.T) {
 // --- allocation budget ---
 
 // steadyWindowAllocBudget caps heap allocations per steadyWindows-window
-// Run of the warmed benchmark world: the 9 measured plus three of
+// Run of the warmed benchmark world: the 5 measured plus three of
 // headroom. The two phase closures and the window end they share cost
-// three per Run; the rest is capacity growth of reassembly maps, probe
-// scratch and inboxes. Windows, pool rounds, sorts and overlap searches
-// allocate nothing.
-const steadyWindowAllocBudget = 12
+// three per Run; the rest is capacity growth of reassembly tables, awake
+// lists, probe scratch and inboxes. Windows, pool rounds, sorts, prunes
+// and overlap searches allocate nothing.
+const steadyWindowAllocBudget = 8
 
 // TestSteadyWindowAllocBudget holds a warmed window to its allocation
 // budget at several worker counts.
