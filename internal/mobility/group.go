@@ -72,19 +72,13 @@ func StartGroup(eng *sim.Engine, disk *radio.UnitDisk, members []radio.NodeID, c
 		theta := 2 * math.Pi * rng.Float64()
 		g.offsets[i] = radio.Point{X: r * math.Cos(theta), Y: r * math.Sin(theta)}
 	}
-	g.walker = &Walker{
-		eng:     eng,
-		tick:    wcfg.Tick,
-		horizon: horizon,
-		pos:     wcfg.randPoint(rng),
-		place: func(ref radio.Point) {
-			for i, id := range g.members {
-				g.placeMember(disk, wcfg, id, ref, g.offsets[i])
-			}
-		},
-	}
+	g.walker = newWalker(eng, wcfg.Tick, horizon, wcfg.randPoint(rng), func(ref radio.Point) {
+		for i, id := range g.members {
+			g.placeMember(disk, wcfg, id, ref, g.offsets[i])
+		}
+	})
 	g.walker.place(g.walker.pos)
-	g.walker.loop(wcfg, rng)
+	g.walker.waypoints(wcfg, rng)
 	return g, nil
 }
 

@@ -131,6 +131,26 @@ type Walker struct {
 	place func(radio.Point)
 	// pos is the walker's current interpolated position.
 	pos radio.Point
+
+	// The current leg: a straight glide from from to dst that started at
+	// start, lasts total and then calls then.
+	from, dst    radio.Point
+	start, total time.Duration
+	then         func()
+	// cfg and rng drive the waypoint cycle; a scripted walker has none.
+	cfg WaypointConfig
+	rng *rand.Rand
+	// step, arrive and resume are the timer callbacks, bound once per
+	// walker rather than once per leg: the glide step, a waypoint leg's
+	// arrival, and the end of its pause.
+	step, arrive, resume func()
+}
+
+// newWalker returns a walker at pos that reports each position to place.
+func newWalker(eng *sim.Engine, tick, horizon time.Duration, pos radio.Point, place func(radio.Point)) *Walker {
+	w := &Walker{eng: eng, tick: tick, horizon: horizon, pos: pos, place: place}
+	w.step = w.glideStep
+	return w
 }
 
 // Stop cancels all pending motion; the node freezes where it is.
@@ -146,8 +166,8 @@ func (w *Walker) Position() radio.Point { return w.pos }
 // placing an interpolated position every tick, then calls then. Motion
 // freezes at the horizon so a bounded experiment's event queue drains.
 func (w *Walker) glide(dst radio.Point, speed float64, then func()) {
-	from := w.pos
-	dist := from.Dist(dst)
+	w.from, w.dst, w.then = w.pos, dst, then
+	dist := w.from.Dist(dst)
 	if dist == 0 || speed <= 0 {
 		w.pos = dst
 		w.place(dst)
@@ -156,56 +176,63 @@ func (w *Walker) glide(dst radio.Point, speed float64, then func()) {
 		}
 		return
 	}
-	total := time.Duration(float64(time.Second) * dist / speed)
-	start := w.eng.Now()
-	var step func()
-	step = func() {
-		if w.stopped {
-			return
-		}
-		elapsed := w.eng.Now() - start
-		if elapsed >= total {
-			w.pos = dst
-			w.place(dst)
-			if then != nil {
-				then()
-			}
-			return
-		}
-		f := float64(elapsed) / float64(total)
-		w.pos = radio.Point{X: from.X + f*(dst.X-from.X), Y: from.Y + f*(dst.Y-from.Y)}
-		w.place(w.pos)
-		next := w.tick
-		if rem := total - elapsed; rem < next {
-			next = rem
-		}
-		if w.eng.Now()+next >= w.horizon {
-			return // freeze mid-leg rather than schedule past the horizon
-		}
-		w.timer = w.eng.Schedule(next, step)
+	w.total = time.Duration(float64(time.Second) * dist / speed)
+	w.start = w.eng.Now()
+	w.glideStep()
+}
+
+// glideStep places the current leg's position now and schedules the next
+// tick, or ends the leg.
+func (w *Walker) glideStep() {
+	if w.stopped {
+		return
 	}
-	step()
+	elapsed := w.eng.Now() - w.start
+	if elapsed >= w.total {
+		w.pos = w.dst
+		w.place(w.dst)
+		if w.then != nil {
+			w.then()
+		}
+		return
+	}
+	f := float64(elapsed) / float64(w.total)
+	w.pos = radio.Point{X: w.from.X + f*(w.dst.X-w.from.X), Y: w.from.Y + f*(w.dst.Y-w.from.Y)}
+	w.place(w.pos)
+	next := min(w.tick, w.total-elapsed)
+	if w.eng.Now()+next >= w.horizon {
+		return // freeze mid-leg rather than schedule past the horizon
+	}
+	w.timer = w.eng.Schedule(next, w.step)
+}
+
+// waypoints starts the waypoint cycle on cfg and rng.
+func (w *Walker) waypoints(cfg WaypointConfig, rng *rand.Rand) {
+	w.cfg, w.rng = cfg, rng
+	w.arrive, w.resume = w.arrived, w.loop
+	w.loop()
 }
 
 // loop runs the waypoint cycle: choose, glide, pause, repeat, until the
 // horizon.
-func (w *Walker) loop(cfg WaypointConfig, rng *rand.Rand) {
+func (w *Walker) loop() {
 	if w.stopped || w.eng.Now() >= w.horizon {
 		return
 	}
-	dst := cfg.randPoint(rng)
-	w.glide(dst, cfg.speed(rng), func() {
-		if cfg.Pause > 0 {
-			if w.eng.Now()+cfg.Pause >= w.horizon {
-				return
-			}
-			w.timer = w.eng.Schedule(cfg.Pause, func() {
-				w.loop(cfg, rng)
-			})
+	dst := w.cfg.randPoint(w.rng)
+	w.glide(dst, w.cfg.speed(w.rng), w.arrive)
+}
+
+// arrived ends a waypoint leg: pause, then choose the next waypoint.
+func (w *Walker) arrived() {
+	if w.cfg.Pause > 0 {
+		if w.eng.Now()+w.cfg.Pause >= w.horizon {
 			return
 		}
-		w.loop(cfg, rng)
-	})
+		w.timer = w.eng.Schedule(w.cfg.Pause, w.resume)
+		return
+	}
+	w.loop()
 }
 
 // StartWaypoint starts the random-waypoint model for one node, driving
@@ -225,14 +252,8 @@ func StartWaypoint(eng *sim.Engine, disk *radio.UnitDisk, id radio.NodeID, cfg W
 	if !ok {
 		start = cfg.randPoint(rng)
 	}
-	w := &Walker{
-		eng:     eng,
-		tick:    cfg.Tick,
-		horizon: horizon,
-		pos:     start,
-		place:   func(p radio.Point) { disk.Place(id, p) },
-	}
+	w := newWalker(eng, cfg.Tick, horizon, start, func(p radio.Point) { disk.Place(id, p) })
 	w.place(start)
-	w.loop(cfg, rng)
+	w.waypoints(cfg, rng)
 	return w, nil
 }

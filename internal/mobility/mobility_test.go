@@ -105,11 +105,7 @@ func TestWalkerSpeed(t *testing.T) {
 	eng := sim.NewEngine()
 	disk := radio.NewUnitDisk(10)
 	disk.Place(0, radio.Point{})
-	w := &Walker{
-		eng: eng, tick: DefaultTick, horizon: horizon,
-		pos:   radio.Point{},
-		place: func(p radio.Point) { disk.Place(0, p) },
-	}
+	w := newWalker(eng, DefaultTick, horizon, radio.Point{}, func(p radio.Point) { disk.Place(0, p) })
 	var doneAt time.Duration
 	w.glide(radio.Point{X: 30}, 2, func() { doneAt = eng.Now() }) // 30 units at 2/s = 15s
 	eng.Run()
@@ -119,6 +115,26 @@ func TestWalkerSpeed(t *testing.T) {
 	p, _ := disk.Position(0)
 	if p != (radio.Point{X: 30}) {
 		t.Errorf("final position %v, want (30, 0)", p)
+	}
+}
+
+// TestWarmWaypointLegsAllocateNothing: a walker binds its glide step,
+// arrival and pause callbacks once, so its waypoint legs (glide, arrival,
+// pause, next waypoint) schedule timers without allocating. The walker
+// places into a variable, so the disk's own bookkeeping is not counted.
+func TestWarmWaypointLegsAllocateNothing(t *testing.T) {
+	eng := sim.NewEngine()
+	cfg := WaypointConfig{Area: Area{W: 20, H: 20}, MinSpeed: 2, MaxSpeed: 4, Pause: time.Second, Tick: DefaultTick}
+	var at radio.Point
+	w := newWalker(eng, cfg.Tick, time.Hour, radio.Point{}, func(p radio.Point) { at = p })
+	w.waypoints(cfg, xrand.NewSource(3).Stream("m"))
+	eng.RunFor(time.Minute) // warm the engine's heap
+	before := at
+	if allocs := testing.AllocsPerRun(10, func() { eng.RunFor(time.Minute) }); allocs != 0 {
+		t.Errorf("%.1f allocations per simulated minute of waypoint legs, want 0", allocs)
+	}
+	if at == before {
+		t.Fatal("walker did not move")
 	}
 }
 

@@ -244,13 +244,7 @@ func (d *Director) run(a Action) {
 			d.disk.Place(a.Node, dst)
 			return
 		}
-		w := &Walker{
-			eng:     d.eng,
-			tick:    d.tick,
-			horizon: d.horizon,
-			pos:     from,
-			place:   func(p radio.Point) { d.disk.Place(a.Node, p) },
-		}
+		w := newWalker(d.eng, d.tick, d.horizon, from, func(p radio.Point) { d.disk.Place(a.Node, p) })
 		d.walkers[a.Node] = w
 		w.glide(dst, a.Speed, func() { delete(d.walkers, a.Node) })
 	case OpJoin:
