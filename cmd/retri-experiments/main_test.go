@@ -101,8 +101,9 @@ func TestParseParallel(t *testing.T) {
 }
 
 // TestUsageListsEverySelection: the -figure and -ablation help must name
-// every sweep in the table, so the lists cannot drift from what the CLI
-// offers.
+// every sweep in the table, and the -seed, -trials, -duration and
+// -parallel help every sweep that reads the flag, so the lists cannot
+// drift from what the CLI offers.
 func TestUsageListsEverySelection(t *testing.T) {
 	fs := newFlagSet(new(options))
 	for _, s := range sweeps {
@@ -113,32 +114,35 @@ func TestUsageListsEverySelection(t *testing.T) {
 			t.Errorf("-%s usage %q omits %s", s.kind, usage, s.name)
 		}
 	}
-	// The -trials help names, per kind, exactly the sweeps that read it:
-	// "(figures 4, ... and massive; ablations window, ... and estimator)".
-	usage := fs.Lookup("trials").Usage
-	_, list, _ := strings.Cut(usage, "(")
-	named := make(map[string]bool)
-	for _, part := range strings.Split(strings.TrimSuffix(list, ")"), ";") {
-		words := strings.FieldsFunc(part, func(r rune) bool { return r == ',' || r == ' ' })
-		if len(words) == 0 {
-			t.Fatalf("-trials usage %q has an empty list", usage)
-		}
-		kind := strings.TrimSuffix(words[0], "s")
-		for _, w := range words[1:] {
-			if w != "and" {
-				named[kind+" "+w] = true
+	// The help of each shared flag names, per kind, exactly the sweeps
+	// that read it: "(figures 4, ... and massive; ablations window, ...
+	// and estimator)".
+	for _, flag := range []string{"seed", "trials", "duration", "parallel"} {
+		usage := fs.Lookup(flag).Usage
+		_, list, _ := strings.Cut(usage, "(")
+		named := make(map[string]bool)
+		for _, part := range strings.Split(strings.TrimSuffix(list, ")"), ";") {
+			words := strings.FieldsFunc(part, func(r rune) bool { return r == ',' || r == ' ' })
+			if len(words) == 0 {
+				t.Fatalf("-%s usage %q has an empty list", flag, usage)
+			}
+			kind := strings.TrimSuffix(words[0], "s")
+			for _, w := range words[1:] {
+				if w != "and" {
+					named[kind+" "+w] = true
+				}
 			}
 		}
-	}
-	for _, s := range sweeps {
-		key := s.kind + " " + s.name
-		if named[key] != slices.Contains(s.flags, "trials") {
-			t.Errorf("-trials usage %q: names %s = %v, but the sweep reads -trials = %v", usage, key, named[key], slices.Contains(s.flags, "trials"))
+		for _, s := range sweeps {
+			key := s.kind + " " + s.name
+			if named[key] != slices.Contains(s.flags, flag) {
+				t.Errorf("-%s usage %q: names %s = %v, but the sweep reads -%s = %v", flag, usage, key, named[key], flag, slices.Contains(s.flags, flag))
+			}
+			delete(named, key)
 		}
-		delete(named, key)
-	}
-	for key := range named {
-		t.Errorf("-trials usage names %s, which is no sweep", key)
+		for key := range named {
+			t.Errorf("-%s usage names %s, which is no sweep", flag, key)
+		}
 	}
 }
 
