@@ -24,26 +24,20 @@ type Shadowed struct {
 	Sigma float64
 
 	seed      uint64
-	positions map[NodeID]Point
+	positions posTable
 }
 
 // NewShadowed returns an empty shadowed topology.
 func NewShadowed(radioRange, sigmaDB float64, seed uint64) *Shadowed {
-	return &Shadowed{
-		Range:     radioRange,
-		Sigma:     sigmaDB,
-		seed:      seed,
-		positions: make(map[NodeID]Point),
-	}
+	return &Shadowed{Range: radioRange, Sigma: sigmaDB, seed: seed}
 }
 
 // Place sets (or moves) a node's position.
-func (s *Shadowed) Place(id NodeID, p Point) { s.positions[id] = p }
+func (s *Shadowed) Place(id NodeID, p Point) { s.positions.set(id, p) }
 
 // Position returns the node's position and whether it has been placed.
 func (s *Shadowed) Position(id NodeID) (Point, bool) {
-	p, ok := s.positions[id]
-	return p, ok
+	return s.positions.get(id)
 }
 
 // FadeDB returns the pair's fixed shadowing fade in dB.
@@ -59,8 +53,8 @@ func (s *Shadowed) Connected(from, to NodeID) bool {
 	if from == to {
 		return false
 	}
-	a, okA := s.positions[from]
-	b, okB := s.positions[to]
+	a, okA := s.positions.get(from)
+	b, okB := s.positions.get(to)
 	if !okA || !okB {
 		return false
 	}

@@ -84,17 +84,125 @@ func (p Point) Dist(q Point) float64 {
 	return math.Hypot(p.X-q.X, p.Y-q.Y)
 }
 
+// minNormal is the smallest positive normal float64.
+const minNormal = 0x1p-1022
+
+// within reports p.Dist(q) <= r, bit for bit, without the square root
+// where it can. The squared distance and r² are each within a few ulps
+// of exact (and when r² is normal, an underflowed term's absolute error
+// is smaller still), so when they differ by more than the 1e-9 band
+// their order is the order of the distance and r, and Hypot, also a few
+// ulps from exact, agrees. Inside the band, and when r is not positive,
+// r² is not a normal finite number or the squared distance is not
+// finite, the answer is Dist's own.
+func within(p, q Point, r float64) bool {
+	dx, dy := p.X-q.X, p.Y-q.Y
+	d2, r2 := dx*dx+dy*dy, r*r
+	// r > 0 rules out NaN; d2 <= MaxFloat64 rules out NaN and Inf.
+	if r > 0 && r2 >= minNormal && r2 <= math.MaxFloat64 && d2 <= math.MaxFloat64 {
+		band := r2 * 1e-9
+		if d2 < r2-band {
+			return true
+		}
+		if d2 > r2+band {
+			return false
+		}
+	}
+	return p.Dist(q) <= r
+}
+
+// denseIDs bounds the ids a posTable indexes directly.
+const denseIDs = 1 << 16
+
+// posTable maps NodeIDs to positions. Ids in [0, denseIDs) index a slice
+// directly, since the stack numbers its radios 0..N−1; any other id,
+// negative or large, is kept in a map.
+type posTable struct {
+	dense  []posSlot
+	sparse map[NodeID]Point
+	n      int // placed ids, dense and sparse
+}
+
+type posSlot struct {
+	p      Point
+	placed bool
+}
+
+func isDense(id NodeID) bool { return uint(id) < denseIDs }
+
+func (t *posTable) get(id NodeID) (Point, bool) {
+	if isDense(id) {
+		if int(id) < len(t.dense) {
+			s := &t.dense[id]
+			return s.p, s.placed
+		}
+		return Point{}, false
+	}
+	p, ok := t.sparse[id]
+	return p, ok
+}
+
+func (t *posTable) set(id NodeID, p Point) {
+	if isDense(id) {
+		if grow := int(id) + 1 - len(t.dense); grow > 0 {
+			t.dense = append(t.dense, make([]posSlot, grow)...)
+		}
+		s := &t.dense[id]
+		if !s.placed {
+			t.n++
+		}
+		*s = posSlot{p: p, placed: true}
+		return
+	}
+	if t.sparse == nil {
+		t.sparse = make(map[NodeID]Point)
+	}
+	if _, ok := t.sparse[id]; !ok {
+		t.n++
+	}
+	t.sparse[id] = p
+}
+
+func (t *posTable) remove(id NodeID) {
+	if isDense(id) {
+		if int(id) < len(t.dense) && t.dense[id].placed {
+			t.dense[id] = posSlot{}
+			t.n--
+		}
+		return
+	}
+	if _, ok := t.sparse[id]; ok {
+		delete(t.sparse, id)
+		t.n--
+	}
+}
+
+// each calls fn for every placed id: the dense ids in ascending order,
+// then the sparse ones in map order.
+func (t *posTable) each(fn func(NodeID, Point)) {
+	for i := range t.dense {
+		if s := &t.dense[i]; s.placed {
+			fn(NodeID(i), s.p)
+		}
+	}
+	for id, p := range t.sparse {
+		fn(id, p)
+	}
+}
+
 // UnitDisk connects nodes within Range of each other — the standard
 // sensor-network propagation abstraction. Positions may be changed at any
 // time (node mobility, one of the paper's "dynamics").
 //
-// Placed nodes are also indexed in a spatial grid with cells the size of
-// the radio range, maintained incrementally on Place and Remove, so
-// Neighbors answers range queries by scanning the 3×3 cell block around a
-// node instead of the whole population.
+// Positions live in a table indexed by NodeID, so Connected, the test the
+// medium runs for every frame and receiver, reads two slice slots. Placed
+// nodes are also indexed in a spatial grid with cells the size of the
+// radio range, maintained incrementally on Place and Remove, so Neighbors
+// answers range queries by scanning the 3×3 cell block around a node
+// instead of the whole population.
 type UnitDisk struct {
 	Range     float64
-	positions map[NodeID]Point
+	positions posTable
 
 	// cellSize is the grid pitch the cells map was built with. It tracks
 	// Range lazily: mutating Range directly invalidates the grid, which is
@@ -108,7 +216,7 @@ type cellKey struct{ x, y int32 }
 
 // NewUnitDisk returns an empty unit-disk topology with the given radio range.
 func NewUnitDisk(radioRange float64) *UnitDisk {
-	u := &UnitDisk{Range: radioRange, positions: make(map[NodeID]Point)}
+	u := &UnitDisk{Range: radioRange}
 	u.rebuildGrid()
 	return u
 }
@@ -126,9 +234,7 @@ func (u *UnitDisk) pitch() float64 {
 func (u *UnitDisk) rebuildGrid() {
 	u.cellSize = u.pitch()
 	u.cells = make(map[cellKey]map[NodeID]struct{})
-	for id, p := range u.positions {
-		u.gridAdd(id, p)
-	}
+	u.positions.each(u.gridAdd)
 }
 
 // syncGrid rebuilds the index iff Range was mutated since the last build.
@@ -163,17 +269,17 @@ func (u *UnitDisk) gridRemove(id NodeID, p Point) {
 }
 
 // Place sets (or moves) a node's position, updating the grid index
-// incrementally — a move within one cell costs two map lookups.
+// incrementally — a move within one cell leaves the grid alone.
 func (u *UnitDisk) Place(id NodeID, p Point) {
 	u.syncGrid()
-	if old, ok := u.positions[id]; ok {
+	old, ok := u.positions.get(id)
+	u.positions.set(id, p)
+	if ok {
 		if u.cellOf(old) == u.cellOf(p) {
-			u.positions[id] = p
 			return
 		}
 		u.gridRemove(id, old)
 	}
-	u.positions[id] = p
 	u.gridAdd(id, p)
 }
 
@@ -182,29 +288,28 @@ func (u *UnitDisk) Place(id NodeID, p Point) {
 // reports false for it until the next Place.
 func (u *UnitDisk) Remove(id NodeID) {
 	u.syncGrid()
-	if p, ok := u.positions[id]; ok {
+	if p, ok := u.positions.get(id); ok {
 		u.gridRemove(id, p)
-		delete(u.positions, id)
+		u.positions.remove(id)
 	}
 }
 
 // Position returns the node's position and whether it has been placed.
 func (u *UnitDisk) Position(id NodeID) (Point, bool) {
-	p, ok := u.positions[id]
-	return p, ok
+	return u.positions.get(id)
 }
 
 // Len reports the number of placed nodes.
-func (u *UnitDisk) Len() int { return len(u.positions) }
+func (u *UnitDisk) Len() int { return u.positions.n }
 
 // Connected reports whether both nodes are placed and within range.
 func (u *UnitDisk) Connected(from, to NodeID) bool {
 	if from == to {
 		return false
 	}
-	a, okA := u.positions[from]
-	b, okB := u.positions[to]
-	return okA && okB && a.Dist(b) <= u.Range
+	a, okA := u.positions.get(from)
+	b, okB := u.positions.get(to)
+	return okA && okB && within(a, b, u.Range)
 }
 
 // Neighbors returns the placed nodes within range of id, in ascending ID
@@ -225,7 +330,7 @@ func (u *UnitDisk) Neighbors(id NodeID) []NodeID {
 // form the sharded core's per-window neighbor scans use.
 func (u *UnitDisk) NeighborsAppend(id NodeID, out []NodeID) []NodeID {
 	u.syncGrid()
-	p, ok := u.positions[id]
+	p, ok := u.positions.get(id)
 	if !ok {
 		return out
 	}
@@ -241,7 +346,7 @@ func (u *UnitDisk) NeighborsAppend(id NodeID, out []NodeID) []NodeID {
 				if other == id {
 					continue
 				}
-				if q := u.positions[other]; p.Dist(q) <= u.Range {
+				if q, _ := u.positions.get(other); within(p, q, u.Range) {
 					out = append(out, other)
 				}
 			}

@@ -2,7 +2,10 @@ package radio
 
 import (
 	"math"
+	"slices"
 	"testing"
+
+	"retri/internal/xrand"
 )
 
 func TestFullMesh(t *testing.T) {
@@ -216,5 +219,115 @@ func TestPointDist(t *testing.T) {
 	d := Point{X: 1, Y: 2}.Dist(Point{X: 4, Y: 6})
 	if math.Abs(d-5) > 1e-12 {
 		t.Errorf("Dist = %v, want 5", d)
+	}
+}
+
+// TestWithinMatchesDist: the squared-distance range test must give
+// a.Dist(b) <= r for every input, including those where the squares
+// round across the boundary, overflow, underflow or are not numbers.
+func TestWithinMatchesDist(t *testing.T) {
+	check := func(a, b Point, r float64) {
+		t.Helper()
+		if got, want := within(a, b, r), a.Dist(b) <= r; got != want {
+			t.Fatalf("within(%v, %v, %v) = %v, Dist %v <= r is %v", a, b, r, got, a.Dist(b), want)
+		}
+	}
+	// around checks r at the pair's exact distance and one ulp either
+	// side, where the squares most often round across each other.
+	around := func(a, b Point) {
+		t.Helper()
+		d := a.Dist(b)
+		check(a, b, d)
+		check(a, b, math.Nextafter(d, math.Inf(1)))
+		check(a, b, math.Nextafter(d, math.Inf(-1)))
+	}
+	rng := xrand.NewSource(11).Stream("within")
+	for _, scale := range []float64{1e-160, 1e-150, 1e-3, 1, 100, 1e150, 1e154} {
+		pt := func() Point {
+			return Point{X: (rng.Float64() - 0.5) * scale, Y: (rng.Float64() - 0.5) * scale}
+		}
+		for i := 0; i < 20000; i++ {
+			a, b := pt(), pt()
+			check(a, b, rng.Float64()*scale)
+			around(a, b)
+		}
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	pairs := [][2]Point{
+		{{0, 0}, {0, 0}},
+		{{0, 0}, {6, 8}},
+		{{1, 1}, {1e-300, 0}},
+		{{nan, 0}, {0, 0}},
+		{{0, nan}, {1, 1}},
+		{{inf, 0}, {0, 0}},
+		{{inf, nan}, {0, 0}},
+		{{-inf, 0}, {inf, 0}},
+		{{1e308, 0}, {-1e308, 0}},
+		{{1e154, 1e154}, {-1e154, -1e154}},
+		{{3e-160, 0}, {0, 4e-160}},
+		{{1e-320, 0}, {0, 0}},
+	}
+	for _, p := range pairs {
+		a, b := p[0], p[1]
+		around(a, b)
+		for _, r := range []float64{0, -1, -inf, inf, nan, 1e-160, 1.5e-154, 1, 10, 1e154, 1.4e154, math.MaxFloat64} {
+			check(a, b, r)
+			check(b, a, r)
+		}
+	}
+}
+
+// TestUnitDiskIDSplit: the position table indexes ids in [0, 1<<16) by
+// slot and keeps any other id in a map. Ids on both sides of that split
+// must behave alike through every method, against a model that applies
+// Dist to a plain map.
+func TestUnitDiskIDSplit(t *testing.T) {
+	ids := []NodeID{-1, 0, 65535, 65536, 1 << 40}
+	u := NewUnitDisk(10)
+	model := map[NodeID]Point{}
+	place := func(id NodeID, p Point) {
+		u.Place(id, p)
+		model[id] = p
+	}
+	check := func(stage string) {
+		t.Helper()
+		if u.Len() != len(model) {
+			t.Fatalf("%s: Len = %d, want %d", stage, u.Len(), len(model))
+		}
+		for _, a := range ids {
+			pa, placed := model[a]
+			if p, ok := u.Position(a); ok != placed || p != pa {
+				t.Fatalf("%s: Position(%d) = %v, %v; want %v, %v", stage, a, p, ok, pa, placed)
+			}
+			var want []NodeID // ids is ascending, so this is too
+			for _, b := range ids {
+				pb, ok := model[b]
+				conn := a != b && placed && ok && pa.Dist(pb) <= u.Range
+				if u.Connected(a, b) != conn {
+					t.Fatalf("%s: Connected(%d, %d) = %v, want %v", stage, a, b, !conn, conn)
+				}
+				if conn {
+					want = append(want, b)
+				}
+			}
+			if got := u.Neighbors(a); !slices.Equal(got, want) {
+				t.Fatalf("%s: Neighbors(%d) = %v, want %v", stage, a, got, want)
+			}
+		}
+	}
+	for i, id := range ids {
+		place(id, Point{X: float64(3 * i)})
+	}
+	check("placed")
+	for i, id := range ids {
+		u.Remove(id)
+		delete(model, id)
+		check("removed")
+		place(id, Point{X: float64(4 * (len(ids) - i)), Y: 1})
+		check("re-placed")
+	}
+	for _, r := range []float64{12, 2, 0, 30} {
+		u.Range = r
+		check("range changed")
 	}
 }
