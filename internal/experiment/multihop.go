@@ -407,6 +407,14 @@ type multihopField struct {
 	disk    *radio.UnitDisk
 	med     *radio.Medium
 	churner *mobility.Churner
+
+	// audible's search state, kept so a search allocates nothing once
+	// the buffers have grown: a node is visited in the current search
+	// iff its mark equals search.
+	marks          []uint32
+	search         uint32
+	frontier, next []radio.NodeID
+	neighbors      []radio.NodeID
 }
 
 const multihopSink radio.NodeID = 0
@@ -431,23 +439,28 @@ func (f *multihopField) audible(from, to radio.NodeID) bool {
 	if _, ok := f.disk.Position(from); !ok {
 		return false
 	}
-	visited := map[radio.NodeID]bool{from: true}
-	frontier := []radio.NodeID{from}
-	for depth := 0; depth < f.cfg.TTL+1 && len(frontier) > 0; depth++ {
-		var next []radio.NodeID
-		for _, u := range frontier {
-			for _, nb := range f.disk.Neighbors(u) {
-				if visited[nb] || !f.awake(nb) {
+	if f.search++; f.search == 0 {
+		clear(f.marks)
+		f.search = 1
+	}
+	f.marks[from] = f.search
+	f.frontier = append(f.frontier[:0], from)
+	for depth := 0; depth < f.cfg.TTL+1 && len(f.frontier) > 0; depth++ {
+		f.next = f.next[:0]
+		for _, u := range f.frontier {
+			f.neighbors = f.disk.NeighborsAppend(u, f.neighbors[:0])
+			for _, nb := range f.neighbors {
+				if f.marks[nb] == f.search || !f.awake(nb) {
 					continue
 				}
 				if nb == to {
 					return true
 				}
-				visited[nb] = true
-				next = append(next, nb)
+				f.marks[nb] = f.search
+				f.next = append(f.next, nb)
 			}
 		}
-		frontier = next
+		f.frontier, f.next = f.next, f.frontier
 	}
 	return false
 }
@@ -546,7 +559,8 @@ func RunMultihopTrial(cfg MultihopConfig, arm MultihopArm, src *xrand.Source) (M
 	churner := mobility.NewChurner(eng, cfg.Duration)
 	churner.SetDisk(disk)
 	churner.SetTracer(tracer)
-	f := &multihopField{cfg: cfg, eng: eng, disk: disk, med: med, churner: churner}
+	f := &multihopField{cfg: cfg, eng: eng, disk: disk, med: med, churner: churner,
+		marks: make([]uint32, cfg.Senders+1)}
 	disk.Place(multihopSink, radio.Point{X: cfg.Area.W / 2, Y: cfg.Area.H / 2})
 
 	if arm == MultihopDynaddr {
