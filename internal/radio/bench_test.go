@@ -92,6 +92,38 @@ func BenchmarkMediumFateObserver(b *testing.B) {
 	benchWorkloadFate(b, nil, nopFateObserver{})
 }
 
+// BenchmarkMediumSteadyUnitDisk is the medium's cost per frame at steady
+// state on a unit disk: 13 radios on the multihop sweep's 90×90 field at
+// range 18, built once and warmed by one round, so each op is one send
+// round and the engine draining it, with no world set-up in it.
+func BenchmarkMediumSteadyUnitDisk(b *testing.B) {
+	eng := sim.NewEngine()
+	disk := NewUnitDisk(18)
+	m := NewMedium(eng, disk, DefaultParams(), xrand.NewSource(99).Stream("bench"))
+	field := xrand.NewSource(5).Stream("field")
+	radios := make([]*Radio, 13)
+	for i := range radios {
+		disk.Place(NodeID(i), Point{X: field.Float64() * 90, Y: field.Float64() * 90})
+		radios[i] = m.MustAttach(NodeID(i))
+		radios[i].SetHandler(func(Frame) {})
+	}
+	payload := []byte{0xAB, 0xCD, 0xEF}
+	round := func() {
+		for _, r := range radios {
+			if err := r.Send(payload, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+		eng.Run()
+	}
+	round()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+}
+
 // benchDisk builds a populated unit disk for the mobility benchmarks:
 // 256 nodes scattered over a 10×10-cell area.
 func benchDisk() *UnitDisk {
